@@ -16,7 +16,12 @@ same tick *fleet-wide*:
   ``(n_streams, capacity, d)`` tensor (ring layout by absolute row
   index) with cached squared norms, so the fleet's N single-point
   queries become one batched distance computation plus one
-  deterministic top-k selection (:mod:`repro.learn.topk`);
+  deterministic top-k selection (:mod:`repro.learn.topk`). The ring is
+  sized by the deepest live memory *after* eviction, so memories full
+  at ``max_memory`` write each new row into the slot their oldest row
+  frees. Dead slots are encoded in the mirror itself — a ``+inf``
+  squared norm and a tie key above every live row's — so they rank
+  behind every live row with no per-tick mask;
 * classifier-selected predictors are dispatched *grouped by member*
   (:mod:`repro.predictors.stacked`): LAST, AR, and SW_AVG each run once
   over all streams that selected them;
@@ -92,6 +97,10 @@ __all__ = ["BatchedTickEngine"]
 
 _POOL_NAMES = ("LAST", "AR", "SW_AVG")
 _MIN_ROW_CAPACITY = 4
+#: Tie key of a dead ring slot. It sorts after every live row's
+#: absolute index, so a dead slot (distance ``+inf`` through its
+#: ``_mem_bb``) loses even to a live row whose distance overflowed.
+_DEAD_KEY = np.iinfo(np.int64).max
 
 
 def _pow2_at_least(n: int) -> int:
@@ -176,9 +185,9 @@ class BatchedTickEngine:
         self._scratch: dict[str, np.ndarray] = {}
         # The ring tracks the deepest stream's live memory, not the
         # configured cap: distances are computed over every slot (dead
-        # ones masked), so padding the ring to max_memory up front would
-        # multiply the per-tick work while memories are still shallow.
-        # _grow_memory doubles it as streams accumulate rows.
+        # ones included), so padding the ring to max_memory up front
+        # would multiply the per-tick work while memories are still
+        # shallow. _grow_memory doubles it as streams accumulate rows.
         self._mem_cap = _pow2_at_least(2 * self._k)
         self._alloc(_MIN_ROW_CAPACITY)
 
@@ -186,7 +195,6 @@ class BatchedTickEngine:
 
     def _alloc(self, row_cap: int) -> None:
         w, d, L = self._window, self._n_features, self._smoothing
-        cap = self._mem_cap
         self._tails = np.empty((row_cap, w + 1), dtype=np.float64)
         self._mu = np.empty(row_cap, dtype=np.float64)
         self._sigma = np.empty(row_cap, dtype=np.float64)
@@ -201,14 +209,23 @@ class BatchedTickEngine:
         self._qa_ring = np.zeros((row_cap, self._qa_window), dtype=np.float64)
         self._qa_count = np.zeros(row_cap, dtype=np.int64)
         self._qa_step = np.zeros(row_cap, dtype=np.int64)
-        # Dead ring slots flow through the batched distance computation
-        # before being masked out, so they must hold finite values.
-        self._mem_x = np.zeros((row_cap, cap, d), dtype=np.float64)
-        self._mem_y = np.empty((row_cap, cap), dtype=np.int64)
-        self._mem_bb = np.zeros((row_cap, cap), dtype=np.float64)
-        self._mem_abs = np.full((row_cap, cap), -1, dtype=np.int64)
+        self._alloc_memory(row_cap)
         self._mem_lo = np.zeros(row_cap, dtype=np.int64)
         self._mem_hi = np.zeros(row_cap, dtype=np.int64)
+
+    def _alloc_memory(self, row_cap: int) -> None:
+        """Fresh memory mirror at the current ring capacity, all dead.
+
+        A dead slot holds ``+inf`` in ``_mem_bb`` and :data:`_DEAD_KEY`
+        in ``_mem_abs``: its distance computes to ``+inf`` (its stale
+        ``_mem_x`` stays finite) and it sorts after every live row, so
+        the distance kernel needs no per-tick mask.
+        """
+        cap, d = self._mem_cap, self._n_features
+        self._mem_x = np.zeros((row_cap, cap, d), dtype=np.float64)
+        self._mem_y = np.empty((row_cap, cap), dtype=np.int64)
+        self._mem_bb = np.full((row_cap, cap), np.inf, dtype=np.float64)
+        self._mem_abs = np.full((row_cap, cap), _DEAD_KEY, dtype=np.int64)
 
     def _row_arrays(self) -> tuple:
         return (self._tails, self._mu, self._sigma, self._pmean, self._pcomp,
@@ -226,13 +243,7 @@ class BatchedTickEngine:
     def _grow_memory(self, needed: int) -> None:
         """Widen the per-stream memory mirror; rows reload lazily."""
         self._mem_cap = _pow2_at_least(needed)
-        row_cap = self._tails.shape[0]
-        self._mem_x = np.zeros(
-            (row_cap, self._mem_cap, self._n_features), dtype=np.float64
-        )
-        self._mem_y = np.empty((row_cap, self._mem_cap), dtype=np.int64)
-        self._mem_bb = np.zeros((row_cap, self._mem_cap), dtype=np.float64)
-        self._mem_abs = np.full((row_cap, self._mem_cap), -1, dtype=np.int64)
+        self._alloc_memory(self._tails.shape[0])
         for entry in self._rows:
             entry.generation = -1  # force a full reload on next sync
 
@@ -243,15 +254,6 @@ class BatchedTickEngine:
         buf = self._scratch.get(name)
         if buf is None or buf.shape != shape:
             buf = np.empty(shape, dtype=np.float64)
-            self._scratch[name] = buf
-        return buf
-
-    def _buf_bool(self, name: str, shape: tuple) -> np.ndarray:
-        if not self.gather_free:
-            return np.empty(shape, dtype=bool)
-        buf = self._scratch.get(name)
-        if buf is None or buf.shape != shape:
-            buf = np.empty(shape, dtype=bool)
             self._scratch[name] = buf
         return buf
 
@@ -396,7 +398,8 @@ class BatchedTickEngine:
         row = entry.row
         abs_idx = np.arange(lo, hi, dtype=np.int64)
         slots = abs_idx % self._mem_cap
-        self._mem_abs[row] = -1
+        self._mem_abs[row] = _DEAD_KEY
+        self._mem_bb[row] = np.inf
         self._mem_abs[row, slots] = abs_idx
         self._mem_x[row, slots] = clf._X
         self._mem_y[row, slots] = clf._y
@@ -405,6 +408,12 @@ class BatchedTickEngine:
         self._mem_hi[row] = hi
         entry.generation = clf.store_generation
         entry.synced_appended = hi
+
+    def _retire(self, row: int, lo: int, hi: int) -> None:
+        """Mark the ring slots of absolute rows ``lo .. hi - 1`` dead."""
+        slots = np.arange(lo, hi, dtype=np.int64) % self._mem_cap
+        self._mem_bb[row, slots] = np.inf
+        self._mem_abs[row, slots] = _DEAD_KEY
 
     def _reload_qa(self, entry: _Entry) -> None:
         """Mirror one stream's QA error window into the stacked ring."""
@@ -428,6 +437,7 @@ class BatchedTickEngine:
         """
         demoted: list[_Entry] = []
         qa_live = self.gather_free
+        cap = self._mem_cap
         for entry in self._rows:
             clf = entry.classifier
             if clf._tree is not None or clf._resolve_backend() != "brute":
@@ -442,30 +452,37 @@ class BatchedTickEngine:
             if entry.generation != clf.store_generation:
                 self._reload_memory(entry)
                 continue
-            appended = clf.appended_total_
-            if appended != entry.synced_appended:
+            row = entry.row
+            lo, hi = clf.discarded_total_, clf.appended_total_
+            if hi - lo > self._mem_cap:
+                self._grow_memory(hi - lo)
+                self._reload_memory(entry)
+                continue
+            mirror_lo = int(self._mem_lo[row])
+            if lo != mirror_lo:
+                # Rows retired outside the engine's learn step (a
+                # per-stream-loop tick, a direct discard_oldest). Retire
+                # before appending: a new row may reuse a freed slot.
+                self._retire(row, mirror_lo, min(lo, entry.synced_appended))
+                self._mem_lo[row] = lo
+            if hi != entry.synced_appended:
                 rows_x, rows_y, first = clf.rows_since(entry.synced_appended)
-                if first + rows_x.shape[0] - clf.discarded_total_ > self._mem_cap:
-                    self._grow_memory(
-                        clf.appended_total_ - clf.discarded_total_
-                    )
-                    self._reload_memory(entry)
-                    continue
-                abs_idx = np.arange(
-                    first, first + rows_x.shape[0], dtype=np.int64
-                )
+                abs_idx = np.arange(first, hi, dtype=np.int64)
                 slots = abs_idx % self._mem_cap
-                row = entry.row
                 self._mem_x[row, slots] = rows_x
                 self._mem_y[row, slots] = rows_y
                 self._mem_abs[row, slots] = abs_idx
                 self._mem_bb[row, slots] = np.einsum(
                     "ij,ij->i", rows_x, rows_x
                 )
-                entry.synced_appended = appended
-            self._mem_lo[entry.row] = clf.discarded_total_
+                entry.synced_appended = hi
+                self._mem_hi[row] = hi
         for entry in demoted:
             self._detach(entry)
+        if self._mem_cap != cap:
+            # The ring grew mid-pass, which emptied the rows synced
+            # before the growth; reload them before anyone queries.
+            demoted += self._sync_memory()
         return demoted
 
     # -- batched kernels ----------------------------------------------------
@@ -484,11 +501,7 @@ class BatchedTickEngine:
         np.multiply(cross, 2.0, out=cross)
         np.subtract(d2, cross, out=d2)
         np.maximum(d2, 0.0, out=d2)
-        mem_abs = self._mem_abs[sel]
-        dead = self._buf_bool("dead", (n, cap))
-        np.less(mem_abs, self._mem_lo[sel, None], out=dead)
-        d2[dead] = np.inf
-        _, slots = lexicographic_topk(d2, self._k, tie_keys=mem_abs)
+        _, slots = lexicographic_topk(d2, self._k, tie_keys=self._mem_abs[sel])
         neighbor_labels = np.take_along_axis(self._mem_y[sel], slots, axis=1)
         return majority_vote(neighbor_labels)
 
@@ -816,17 +829,11 @@ class BatchedTickEngine:
             tracer.record("tick.label_pool", t3 - t2, batch=n, start=t2)
 
         # 4. Learn: append the (feature, label) pair to each classifier
-        # and mirror it into the stacked memory with one scatter.
+        # (evicting down to max_memory), then mirror the step into the
+        # stacked memory with one scatter. The ring is sized by the live
+        # count *after* eviction, so a memory full at max_memory writes
+        # its new row into the slot its oldest row frees.
         feats = self._features(sel, frames)
-        hi = self._mem_hi[rows]
-        if int((hi + 1 - self._mem_lo[rows]).max()) > self._mem_cap:
-            self._grow_memory(int((hi + 1 - self._mem_lo[rows]).max()))
-        slots = hi % self._mem_cap
-        self._mem_x[rows, slots] = feats
-        self._mem_y[rows, slots] = labels
-        self._mem_abs[rows, slots] = hi
-        self._mem_bb[rows, slots] = np.einsum("ij,ij->i", feats, feats)
-        self._mem_hi[rows] = hi + 1
         if self.gather_free:
             bulk_learn_rows(
                 [e.classifier for e in entries], feats, labels,
@@ -838,15 +845,39 @@ class BatchedTickEngine:
                     feats[i : i + 1], labels[i : i + 1]
                 )
                 entry.predictor._evict_if_needed()
+        hi = self._mem_hi[rows]
+        old_lo = self._mem_lo[rows]
+        new_lo = np.fromiter(
+            (e.classifier._discarded for e in entries), dtype=np.int64,
+            count=n,
+        )
+        needed = int((hi + 1 - new_lo).max())
+        if needed > self._mem_cap:
+            self._grow_memory(needed)  # every row reloads on the next sync
+        else:
+            cap = self._mem_cap
+            gone = new_lo - old_lo
+            if gone.any():
+                # Retire evicted slots first: the new row may reuse one.
+                one = gone == 1
+                freed = old_lo[one] % cap
+                self._mem_bb[rows[one], freed] = np.inf
+                self._mem_abs[rows[one], freed] = _DEAD_KEY
+                for i in np.flatnonzero(gone > 1).tolist():
+                    self._retire(int(rows[i]), int(old_lo[i]), int(new_lo[i]))
+            slots = hi % cap
+            self._mem_x[rows, slots] = feats
+            self._mem_y[rows, slots] = labels
+            self._mem_abs[rows, slots] = hi
+            self._mem_bb[rows, slots] = np.einsum("ij,ij->i", feats, feats)
+        self._mem_hi[rows] = hi + 1
+        self._mem_lo[rows] = new_lo
         learned: dict[str, int] = {}
         label_list = labels.tolist()
-        lo = self._mem_lo
         for i, (state, _) in enumerate(items):
             entry = entries[i]
-            clf = entry.classifier
             entry.predictor._windows_learned += 1
-            entry.synced_appended = clf._appended
-            lo[entry.row] = clf._discarded
+            entry.synced_appended = entry.classifier._appended
             learned[state.name] = label_list[i]
             state.ticks += 1
             if state.qa.retraining_due:

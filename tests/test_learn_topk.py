@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
-from repro.learn.topk import lexicographic_topk
+from repro.learn.topk import _ARGMIN_MAX_K, _partition_topk, lexicographic_topk
+from repro.serving.engine import _DEAD_KEY
 
 
 def _reference(values, k, tie_keys=None):
@@ -75,3 +78,68 @@ class TestLexicographicTopk:
     def test_k_larger_than_columns_rejected(self):
         with pytest.raises(ConfigurationError):
             lexicographic_topk(np.zeros((2, 3)), 4)
+
+
+@st.composite
+def _topk_cases(draw):
+    """Selection inputs shaped like the k-NN callers produce them.
+
+    Values are quantised to a few levels (many exact ties) with signed
+    zeros and ``+inf`` padding. Ring rows mimic the tick engine's memory
+    mirror: live slots keyed by absolute row index in wrap-around order,
+    at least k of them, and dead slots holding ``+inf`` under the
+    dead-slot key. Some rows get a NaN.
+    """
+    k = draw(st.integers(min_value=1, max_value=8))
+    width = draw(
+        st.one_of(st.integers(min_value=k, max_value=2 * k + 1), st.just(512))
+    )
+    n_rows = draw(st.integers(min_value=1, max_value=6))
+    levels = draw(st.integers(min_value=1, max_value=6))
+    inf_frac = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    ring = draw(st.booleans())
+    nan_frac = draw(st.sampled_from([0.0, 0.0, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.integers(0, levels, size=(n_rows, width)) * 0.25
+    values[(values == 0.0) & (rng.random(values.shape) < 0.5)] = -0.0
+    values[rng.random(values.shape) < inf_frac] = np.inf
+    tie = None
+    if ring:
+        tie = np.full((n_rows, width), _DEAD_KEY, dtype=np.int64)
+        for r in range(n_rows):
+            lo = int(rng.integers(0, 10_000))
+            abs_idx = np.arange(lo, lo + int(rng.integers(k, width + 1)))
+            tie[r, abs_idx % width] = abs_idx
+        values[tie == _DEAD_KEY] = np.inf
+    for r in np.flatnonzero(rng.random(n_rows) < nan_frac):
+        values[r, rng.integers(0, width)] = np.nan
+    return values, k, tie
+
+
+class TestSelectionProperties:
+    @given(_topk_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_on_both_sides_of_argmin_cutoff(self, case):
+        assert 1 <= _ARGMIN_MAX_K < 8  # k = 1..8 spans both paths
+        values, k, tie = case
+        top_v, idx = lexicographic_topk(values, k, tie_keys=tie)
+        assert idx.shape == top_v.shape == (values.shape[0], k)
+        # Values are the selected entries bit for bit (signed zeros too).
+        np.testing.assert_array_equal(
+            top_v.view(np.int64),
+            np.take_along_axis(values, idx, axis=1).view(np.int64),
+        )
+        nan = np.isnan(values).any(axis=1)
+        clean = ~nan
+        _, ref_idx = _reference(
+            values[clean], k, None if tie is None else tie[clean]
+        )
+        np.testing.assert_array_equal(idx[clean], ref_idx)
+        if nan.any():
+            keys = (
+                np.broadcast_to(np.arange(values.shape[1]), values.shape)
+                if tie is None
+                else tie
+            )
+            _, part_idx = _partition_topk(values[nan], k, keys[nan])
+            np.testing.assert_array_equal(idx[nan], part_idx)

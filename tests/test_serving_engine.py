@@ -15,6 +15,7 @@ from repro.core.online import OnlineLARPredictor
 from repro.learn.knn import KNNClassifier
 from repro.learn.voting import _VECTOR_VOTE_MAX_K, majority_vote
 from repro.serving import FleetConfig, PredictionFleet
+from repro.serving.engine import _DEAD_KEY
 
 
 def _drive(config, feed_fn, ticks, *, forecast_every=1, names=None):
@@ -50,6 +51,31 @@ def _assert_same_state(batched, loop):
         ca, cb = pa._classifier, pb._classifier
         np.testing.assert_array_equal(ca._X, cb._X, err_msg=name)
         np.testing.assert_array_equal(ca._y, cb._y, err_msg=name)
+
+
+def _assert_ring_invariants(fleet):
+    """Each attached row's live slots mirror its classifier; the rest
+    are dead: ``+inf`` squared norm and the dead-slot tie key."""
+    engine = fleet._engine
+    engine.prepare()
+    cap = engine._mem_cap
+    for entry in engine._rows:
+        clf, row = entry.classifier, entry.row
+        lo, hi = clf.discarded_total_, clf.appended_total_
+        assert (engine._mem_lo[row], engine._mem_hi[row]) == (lo, hi)
+        slots = np.arange(lo, hi) % cap
+        np.testing.assert_array_equal(
+            engine._mem_abs[row, slots], np.arange(lo, hi), err_msg=entry.name
+        )
+        np.testing.assert_array_equal(engine._mem_x[row, slots], clf._X)
+        np.testing.assert_array_equal(engine._mem_y[row, slots], clf._y)
+        np.testing.assert_array_equal(
+            engine._mem_bb[row, slots], np.einsum("ij,ij->i", clf._X, clf._X)
+        )
+        dead = np.ones(cap, dtype=bool)
+        dead[slots] = False
+        assert (engine._mem_abs[row, dead] == _DEAD_KEY).all(), entry.name
+        assert np.isposinf(engine._mem_bb[row, dead]).all(), entry.name
 
 
 def _walk_feed(seed=0, drift=0.05, noise=0.15):
@@ -179,6 +205,33 @@ class TestBatchedParity:
             ), t
         _assert_same_state(batched, loop)
 
+    def test_parity_with_overflowing_spikes(self):
+        """A finite 1e200 spike overflows squared distances to +inf (and
+        NaN). Dead ring slots, which the per-stream memory never holds,
+        must still lose every tie to those live rows."""
+        config = FleetConfig(min_train=64, max_memory=24, auto_retrain=False)
+        names = [f"s{i}" for i in range(60)]
+        batched = PredictionFleet(config, streams=names)
+        loop = PredictionFleet(config, streams=names)
+        feed = _walk_feed(seed=12)
+        served = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(140):
+                vals = feed(t, names)
+                for i, name in enumerate(names):
+                    if t == 90 + i % 20:
+                        vals[name] = 1e200
+                fa = batched.forecast_all(batched=True)
+                assert fa == loop.forecast_all(batched=False), t
+                served += len(fa)
+                assert batched.ingest(vals, batched=True) == (
+                    loop.ingest(vals, batched=False)
+                ), t
+                batched.run_pending_retrains(batched=True)
+                loop.run_pending_retrains(batched=False)
+        assert served == len(names) * (140 - config.min_train)
+        _assert_same_state(batched, loop)
+
     def test_save_load_roundtrip_continues_identically(self, tmp_path):
         config = FleetConfig(qa_threshold=4.0)
         batched, loop = _drive(config, _walk_feed(seed=8), 120)
@@ -195,6 +248,95 @@ class TestBatchedParity:
                 loop.ingest(vals, batched=False)
             ), t
         _assert_same_state(restored, loop)
+
+
+class TestMemoryRing:
+    """The engine's stacked k-NN memory ring: sized by the live count
+    after eviction, with dead slots encoded in the mirror itself."""
+
+    def test_invariants_through_retrain_removal_and_out_of_band_edits(self):
+        config = FleetConfig(
+            max_memory=24, qa_threshold=0.5, audit_window=16,
+            audit_interval=4, retrain_window=96, history_limit=256,
+            auto_retrain=False,
+        )
+        names = [f"s{i}" for i in range(6)]
+        batched = PredictionFleet(config, streams=names)
+        loop = PredictionFleet(config, streams=names)
+        rng = np.random.default_rng(13)
+        state = {}
+        live = list(names)
+
+        def tick(t):
+            drift = 0.6 if (t // 80) % 2 else 0.02
+            for n in live:
+                state[n] = (
+                    state.get(n, 0.0) + 0.2 * float(rng.standard_normal())
+                    + drift
+                )
+            vals = {n: state[n] for n in live}
+            assert batched.forecast_all(batched=True) == (
+                loop.forecast_all(batched=False)
+            ), t
+            assert batched.ingest(vals, batched=True) == (
+                loop.ingest(vals, batched=False)
+            ), t
+            _assert_ring_invariants(batched)
+            batched.run_pending_retrains(batched=True)
+            loop.run_pending_retrains(batched=False)
+            _assert_ring_invariants(batched)
+
+        for t in range(200):
+            tick(t)
+        assert batched.metrics().total_retrains > 0
+        # max_memory=24 in a 32-slot ring: every row carries dead slots.
+        assert batched._engine._mem_cap == 32
+        for fleet in (batched, loop):
+            fleet.remove_stream("s2")
+        live.remove("s2")
+        tick(200)
+        # Out of band: retire rows, then append rows the engine never saw.
+        for fleet in (batched, loop):
+            fleet._streams["s4"].predictor._classifier.discard_oldest(5)
+        _assert_ring_invariants(batched)
+        for fleet in (batched, loop):
+            clf = fleet._streams["s4"].predictor._classifier
+            clf.partial_fit(clf._X[:3] + 0.5, clf._y[:3])
+            # Past max_memory: the next learn step evicts several rows.
+            clf = fleet._streams["s5"].predictor._classifier
+            clf.partial_fit(clf._X[:4] - 0.5, clf._y[:4])
+        _assert_ring_invariants(batched)
+        for t in range(201, 230):
+            tick(t)
+        # Past the ring's capacity on the last row: the sync widens the
+        # ring after it has already synced every other row.
+        engine = batched._engine
+        last = engine._rows[-1].name
+        for fleet in (batched, loop):
+            clf = fleet._streams[last].predictor._classifier
+            n = engine._mem_cap - clf.n_samples_ + 1
+            clf.partial_fit(clf._X[:n] + 0.25, clf._y[:n])
+        _assert_ring_invariants(batched)
+        assert engine._mem_cap == 64
+        for t in range(230, 240):
+            tick(t)
+        _assert_same_state(batched, loop)
+
+    def test_full_memory_keeps_ring_at_max_memory(self):
+        """Eviction frees the oldest slot before the new row needs one,
+        so memories held at max_memory=128 fit a 128-slot ring."""
+        config = FleetConfig(max_memory=128, min_train=160, qa_threshold=50.0)
+        names = [f"s{i}" for i in range(6)]
+        fleet = PredictionFleet(config, streams=names)
+        feed = _walk_feed(seed=14)
+        for t in range(200):
+            fleet.forecast_all(batched=True)
+            fleet.ingest(feed(t, names), batched=True)
+        engine = fleet._engine
+        assert len(engine._rows) == len(names)
+        assert all(e.classifier.n_samples_ == 128 for e in engine._rows)
+        assert engine._mem_cap == 128
+        _assert_ring_invariants(fleet)
 
 
 class TestBatchedCost:
