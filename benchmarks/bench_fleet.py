@@ -206,9 +206,7 @@ def _deep_feed_length() -> int:
     return WARMUP + DEEP_MAX_MEMORY + 2 * (DEEP_ROUNDS + 1) * DEEP_TICKS
 
 
-def _warm_deep_fleet(
-    feeds: dict, *, gather_free: bool
-) -> "tuple[PredictionFleet, int]":
+def _warm_deep_fleet(feeds: dict) -> "tuple[PredictionFleet, int]":
     """A fleet at deep-memory steady state: every memory at max_memory."""
     config = FleetConfig(
         lar=LARConfig(window=5),
@@ -218,7 +216,6 @@ def _warm_deep_fleet(
         parallel=ParallelConfig(),
     )
     fleet = PredictionFleet(config, streams=feeds)
-    fleet._get_engine().gather_free = gather_free
     names = fleet.stream_names
 
     def full() -> bool:
@@ -237,39 +234,43 @@ def _warm_deep_fleet(
 
 
 def test_gather_free_deep_memory_gate(capsys):
-    """CI gate: gather-free kernels >= 1.3x over the legacy engine mode.
+    """CI gate: batched deep-memory ticks >= 1.3x over the per-stream loop.
 
-    Both modes run the *batched* engine over identical deep-memory
-    fleets (memories at ``max_memory``, so every tick pays the full
-    distance kernel plus one learn + evict per stream); legacy mode
-    (``gather_free=False``) is the pre-PR engine — fancy-index gathers,
-    fresh per-tick allocations, per-stream QA ``record`` and telemetry
-    notes, per-stream classifier appends. The two are bit-identical
-    (pinned in ``tests/test_serving_engine.py``), so the only thing
-    this measures is the fast path's constant factor. Modes are timed
-    interleaved so clock drift lands on both sides evenly. Results are
-    recorded in ``BENCH_fleet.json``.
+    Two identical deep-memory fleets (memories at ``max_memory``, so
+    every tick pays the full distance kernel plus one learn + evict per
+    stream) serve the same ticks, one through the batched engine's
+    gather-free slice path and one through the per-stream reference
+    loop (``batched=False``). The two are bit-identical (pinned in
+    ``tests/test_serving_engine.py``), so this measures only the
+    engine's constant factor on the whole write-heavy tick. Modes are
+    timed interleaved so clock drift lands on both sides evenly.
+    Results are recorded in ``BENCH_fleet.json``.
     """
+    import platform
+
+    import numpy as np
+
     n = min(DEEP_STREAMS, int(os.environ.get("FLEET_BENCH_MAX_STREAMS", DEEP_STREAMS)))
     length = _deep_feed_length()
     feeds = {
         f"s{i:04d}": 10.0 + 3.0 * ar1_series(length, phi=0.85, seed=i)
         for i in range(n)
     }
-    fast, t_fast = _warm_deep_fleet(feeds, gather_free=True)
-    legacy, t_legacy = _warm_deep_fleet(feeds, gather_free=False)
-    assert t_fast == t_legacy
-    clocks = {"fast": t_fast, "legacy": t_legacy}
-    fleets = {"fast": fast, "legacy": legacy}
+    batched, t_batched = _warm_deep_fleet(feeds)
+    loop, t_loop = _warm_deep_fleet(feeds)
+    assert t_batched == t_loop
+    clocks = {"batched": t_batched, "loop": t_loop}
+    fleets = {"batched": batched, "loop": loop}
 
     def serve_ticks(mode: str) -> float:
         fleet, start = fleets[mode], clocks[mode]
         names = fleet.stream_names
+        use_engine = mode == "batched"
         elapsed = perf_counter()
         for t in range(start, start + DEEP_TICKS):
-            fleet.forecast_all(batched=True)
+            fleet.forecast_all(batched=use_engine)
             fleet.ingest(
-                {name: feeds[name][t] for name in names}, batched=True
+                {name: feeds[name][t] for name in names}, batched=use_engine
             )
         clocks[mode] = start + DEEP_TICKS
         return perf_counter() - elapsed
@@ -284,15 +285,15 @@ def test_gather_free_deep_memory_gate(capsys):
 
     ticks = DEEP_ROUNDS * DEEP_TICKS
     throughput = {mode: n * ticks / totals[mode] for mode in fleets}
-    speedup = totals["legacy"] / totals["fast"]
+    speedup = totals["loop"] / totals["batched"]
     emit(
         capsys,
         format_table(
-            ["engine mode", "serve seconds", "stream-ticks/sec", "speedup"],
+            ["path", "serve seconds", "stream-ticks/sec", "speedup"],
             [
-                ["legacy (pre-PR batched)", totals["legacy"],
-                 throughput["legacy"], 1.0],
-                ["gather-free", totals["fast"], throughput["fast"], speedup],
+                ["per-stream loop", totals["loop"], throughput["loop"], 1.0],
+                ["batched engine", totals["batched"], throughput["batched"],
+                 speedup],
             ],
             precision=2,
             title=(
@@ -305,6 +306,12 @@ def test_gather_free_deep_memory_gate(capsys):
         json.dumps(
             {
                 "workload": "deep-memory steady state (write-heavy ticks)",
+                "machine": {
+                    "nproc": os.cpu_count(),
+                    "cpu": platform.processor() or platform.machine(),
+                    "python": platform.python_version(),
+                    "numpy": np.__version__,
+                },
                 "streams": n,
                 "max_memory": DEEP_MAX_MEMORY,
                 "ticks": ticks,
@@ -314,7 +321,7 @@ def test_gather_free_deep_memory_gate(capsys):
                         "serve_seconds": totals[mode],
                         "stream_ticks_per_sec": throughput[mode],
                     }
-                    for mode in ("legacy", "fast")
+                    for mode in ("loop", "batched")
                 ],
                 "speedup": speedup,
             },
@@ -323,8 +330,8 @@ def test_gather_free_deep_memory_gate(capsys):
         + "\n"
     )
     assert speedup >= 1.3, (
-        f"gather-free path is only {speedup:.2f}x over the legacy engine "
-        f"mode at {n} streams x {DEEP_MAX_MEMORY} memories (gate: 1.3x)"
+        f"batched engine is only {speedup:.2f}x over the per-stream loop "
+        f"at {n} streams x {DEEP_MAX_MEMORY} memories (gate: 1.3x)"
     )
 
 
@@ -375,13 +382,25 @@ def test_telemetry_overhead_gate(capsys):
     emit(
         capsys,
         format_table(
-            ["telemetry", "mean serve seconds", "median overhead vs off"],
+            ["telemetry", "mean serve seconds", "median overhead vs off",
+             "per-round range"],
             [
-                [mode, sum(times[mode]) / rounds, f"{overhead[mode]:+.2%}"]
+                [
+                    mode,
+                    sum(times[mode]) / rounds,
+                    f"{overhead[mode]:+.2%}",
+                    f"{min(ratios[mode]) - 1.0:+.2%} .. "
+                    f"{max(ratios[mode]) - 1.0:+.2%}",
+                ]
                 for mode in fleets
             ],
             precision=4,
-            title=f"Telemetry overhead at {n} streams x {rounds} rounds",
+            title=(
+                f"Telemetry overhead at {n} streams x {rounds} rounds: "
+                f"null median {overhead['null']:+.2%} (per-round "
+                f"{min(ratios['null']) - 1.0:+.2%} .. "
+                f"{max(ratios['null']) - 1.0:+.2%})"
+            ),
         ),
     )
     assert overhead["null"] <= 0.02, (

@@ -22,9 +22,9 @@ of the O(n) ``vstack`` copy it once paid per observation, and
 :meth:`KNNClassifier.discard_oldest` retires the oldest rows by moving
 an offset instead of refitting. The fleet's batched tick engine
 (:mod:`repro.serving.engine`) mirrors this memory into stacked tensors;
-the ``store_generation`` / ``appended_total_`` / ``discarded_total_``
-counters and :meth:`KNNClassifier.rows_since` exist so it can stay in
-sync incrementally.
+the ``version`` / ``store_generation`` / ``appended_total_`` /
+``discarded_total_`` counters and :meth:`KNNClassifier.rows_since` exist
+so it can stay in sync incrementally.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from repro.learn.topk import lexicographic_topk
 from repro.learn.voting import majority_vote, weighted_vote
 from repro.learn.distance import squared_euclidean_distances
 
-__all__ = ["KNNClassifier", "bulk_learn_rows"]
+__all__ = ["KNNClassifier"]
 
 _BACKENDS = ("auto", "brute", "kd_tree")
 # Below this many training points a vectorized scan beats tree traversal.
@@ -115,7 +115,14 @@ class KNNClassifier(Classifier):
                 f"weights must be 'uniform' or 'distance', got {weights!r}"
             )
         self.k = int(k)
-        self.algorithm = algorithm
+        #: Bumped by every public mutation (:meth:`fit`,
+        #: :meth:`partial_fit`, :meth:`discard_oldest`, a reassigned
+        #: :attr:`algorithm`). Mirrors — the batched tick engine keeps a
+        #: stacked copy of the memory — skip a classifier whose counter
+        #: still matches their stamp; their own writes go through the
+        #: private helpers and leave it alone.
+        self.version = 0
+        self._algorithm = algorithm
         self.leaf_size = int(leaf_size)
         self.weights = weights
         self._Xbuf: np.ndarray | None = None
@@ -175,6 +182,21 @@ class KNNClassifier(Classifier):
             clf._label_counts, dtype=np.int64, count=len(clf._label_counts)
         )
         return clf
+
+    @property
+    def algorithm(self) -> str:
+        """Query backend: ``brute``, ``kd_tree``, or ``auto``."""
+        return self._algorithm
+
+    @algorithm.setter
+    def algorithm(self, value: str) -> None:
+        if value not in _BACKENDS:
+            raise ConfigurationError(
+                f"algorithm must be one of {_BACKENDS}, got {value!r}"
+            )
+        self._algorithm = value
+        self._tree = None
+        self.version += 1
 
     # -- storage views --------------------------------------------------------
 
@@ -249,6 +271,7 @@ class KNNClassifier(Classifier):
             label_counts = {int(v): int(c) for v, c in zip(values, counts)}
         self._label_counts = dict(label_counts)
         self.store_generation += 1
+        self.version += 1
         # The KD-tree index (when the backend resolves to one) is built
         # lazily on the first query, exactly like after a partial_fit
         # mutation: a freshly fitted memory is often trimmed straight to
@@ -310,6 +333,7 @@ class KNNClassifier(Classifier):
                 raise ConfigurationError("labels must be integers")
             y = y_int
         self._append_rows(X, y.astype(np.int64))
+        self.version += 1
         return self
 
     def discard_oldest(self, n: int) -> "KNNClassifier":
@@ -331,11 +355,8 @@ class KNNClassifier(Classifier):
                 f"discarding {n} of {live} rows would leave fewer than "
                 f"k={self.k} samples"
             )
-        dropped = self._ybuf[self._buf_start : self._buf_start + n]  # type: ignore[index]
-        self._drop_label_counts(dropped)
-        self._buf_start += n
-        self._discarded += n
-        self._tree = None
+        self._discard_rows(n)
+        self.version += 1
         return self
 
     @property
@@ -393,6 +414,14 @@ class KNNClassifier(Classifier):
             counts[label] = c + 1
         if new_class:
             self._refresh_classes()
+        self._tree = None
+
+    def _discard_rows(self, n: int) -> None:
+        """Retire the *n* oldest rows (no checks)."""
+        start = self._buf_start
+        self._drop_label_counts(self._ybuf[start : start + n])  # type: ignore[index]
+        self._buf_start = start + n
+        self._discarded += n
         self._tree = None
 
     def _ensure_capacity(self, n_new: int) -> None:
@@ -461,51 +490,3 @@ class KNNClassifier(Classifier):
         state = "fitted" if self.is_fitted else "unfitted"
         return f"KNNClassifier(k={self.k}, algorithm={self.algorithm!r}, {state})"
 
-
-def bulk_learn_rows(classifiers, X, y, max_memories) -> None:
-    """Append one validated row to each classifier, then trim to its cap.
-
-    The batched tick engine's learn step: classifier *i* gains the row
-    ``(X[i], y[i])`` and is trimmed back to ``max_memories[i]`` stored
-    rows (``None`` = unbounded) — exactly
-    ``clf._append_rows(X[i:i+1], y[i:i+1])`` followed by the oldest-row
-    eviction :meth:`~repro.core.online.OnlineLARPredictor.observe`
-    performs, but with the steady-state case (capacity available, known
-    label, at most one overflow row) inlined so a 500-stream tick pays
-    one tight loop instead of S method-call chains with per-row array
-    slices. Growth, new labels, and multi-row overflow fall back to the
-    classifier's own methods, so the resulting state is identical to
-    the per-stream calls in every case.
-    """
-    y_list = y.tolist()
-    for i, (clf, label, max_memory) in enumerate(
-        zip(classifiers, y_list, max_memories)
-    ):
-        end = clf._buf_end
-        counts = clf._label_counts
-        if end < clf._Xbuf.shape[0] and label in counts:
-            clf._Xbuf[end] = X[i]
-            clf._ybuf[end] = label
-            clf._buf_end = end + 1
-            clf._appended += 1
-            counts[label] += 1
-            clf._tree = None
-        else:
-            clf._append_rows(X[i : i + 1], y[i : i + 1])
-        if max_memory is None:
-            continue
-        start = clf._buf_start
-        excess = clf._buf_end - start - max_memory
-        if excess == 1 and max_memory >= clf.k:
-            dropped = int(clf._ybuf[start])
-            c = counts.get(dropped, 0) - 1
-            if c <= 0:
-                counts.pop(dropped, None)
-                clf._refresh_classes()
-            else:
-                counts[dropped] = c
-            clf._buf_start = start + 1
-            clf._discarded += 1
-            clf._tree = None
-        elif excess > 0:
-            clf.discard_oldest(excess)

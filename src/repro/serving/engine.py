@@ -30,19 +30,40 @@ same tick *fleet-wide*:
   vectorized kernels (one modulo for the audit boundaries, grouped
   row-sums for the window MSEs) instead of S ``record()`` calls.
 
-Gather-free fast path
----------------------
-The common tick selects *every* attached row in storage order. Basic
-(slice) indexing then replaces the fancy-index gathers, so the kernels
-read **views** of the stacked tensors instead of copying the whole
-``(S, cap, d)`` memory mirror per tick; per-tick scratch buffers
-(frames, features, distances, the audit kernels) are recycled across
-ticks instead of reallocated. Partial row subsets fall back to the
-fancy-index path bit-identically. Setting :attr:`BatchedTickEngine.
-gather_free` to ``False`` disables the fast path *and* the stacked
-QA/bookkeeping kernels, restoring the previous engine's per-stream
-bookkeeping — the baseline the benchmark gate measures against and a
-second parity oracle for the tests.
+Fleet-ordered rows
+------------------
+Attached rows are kept in the fleet's stream order. A retrained model
+is swapped into its stream's existing row, and after adds, removes,
+demotions, and out-of-order attaches :meth:`BatchedTickEngine.sync`
+restores fleet order with one permutation per row array. A full-fleet
+tick therefore always selects ``slice(0, S)``: basic indexing makes
+every kernel read **views** of the stacked tensors instead of copying
+the ``(S, cap, d)`` memory mirror, and per-tick scratch buffers are
+recycled across ticks. Partial row subsets fall back to fancy-index
+gathers, bit-identically.
+
+Counter-gated sync
+------------------
+Each row is stamped with the ``version`` counters of its stream's
+predictor, classifier, and QA. The engine's own write-backs leave the
+counters alone, so a row whose three counters still match its stamps is
+skipped without further checks; a predictor bump (an out-of-band
+``observe``, an in-place ``retrain``, a per-stream-loop tick) reloads
+the whole row, a classifier bump resyncs its memory, and a QA bump its
+error window. Membership is reconciled only when the fleet's
+``(epoch, stream count)`` key moves.
+
+One tick, four Python passes
+----------------------------
+:meth:`BatchedTickEngine.forecast_batch` builds the forecasts and keeps
+each row's normalized value and label in the engine, flagged fresh
+until the row is ingested or reloaded, so
+:meth:`BatchedTickEngine.ingest_batch` audits from those arrays and
+recomputes only rows that are not fresh. The ingest then runs its
+kernels and writes everything back to the per-stream objects in one
+loop (QA window, selections, history, labelling window, classifier
+append and eviction), plus a pass over the rows that audited and the
+rows whose QA latch is set.
 
 Bit-exactness contract
 ----------------------
@@ -83,7 +104,7 @@ import numpy as np
 from repro.core.larpredictor import Forecast
 from repro.core.online import OnlineLARPredictor
 from repro.core.qa import AuditRecord, PredictionQualityAssuror
-from repro.learn.knn import KNNClassifier, bulk_learn_rows
+from repro.learn.knn import _AUTO_TREE_THRESHOLD, KNNClassifier
 from repro.learn.topk import lexicographic_topk
 from repro.learn.voting import majority_vote
 from repro.predictors.stacked import (
@@ -95,12 +116,16 @@ from repro.predictors.stacked import (
 
 __all__ = ["BatchedTickEngine"]
 
-_POOL_NAMES = ("LAST", "AR", "SW_AVG")
+#: Paper-pool member names indexed by label (slot 0 unused).
+_POOL_NAMES = np.array(("", "LAST", "AR", "SW_AVG"), dtype=object)
 _MIN_ROW_CAPACITY = 4
 #: Tie key of a dead ring slot. It sorts after every live row's
 #: absolute index, so a dead slot (distance ``+inf`` through its
 #: ``_mem_bb``) loses even to a live row whose distance overflowed.
 _DEAD_KEY = np.iinfo(np.int64).max
+#: ``max_memory`` of an uncapped row: ``hi + 1 - _NO_CAP`` never exceeds
+#: a live ``lo``, so the learn step's eviction mirror keeps every row.
+_NO_CAP = np.iinfo(np.int64).max // 2
 
 
 def _pow2_at_least(n: int) -> int:
@@ -111,49 +136,38 @@ def _pow2_at_least(n: int) -> int:
 
 
 class _Entry:
-    """Engine-side bookkeeping for one attached stream."""
+    """Engine-side bookkeeping for one attached stream.
 
-    __slots__ = ("name", "predictor", "classifier", "qa", "row", "generation",
-                 "synced_appended", "sq_count", "qa_version", "max_memory")
+    ``pred_version`` / ``clf_version`` / ``qa_version`` stamp the
+    counters the row was last synced at; ``-1`` forces a check.
+    """
 
-    def __init__(self, name: str, predictor: OnlineLARPredictor, row: int):
+    __slots__ = ("name", "state", "predictor", "classifier", "qa", "row",
+                 "generation", "pred_version", "clf_version", "qa_version")
+
+    def __init__(self, name: str, state, row: int):
         self.name = name
-        self.predictor = predictor
-        self.classifier = predictor._classifier
-        self.qa: PredictionQualityAssuror | None = None
+        self.state = state
+        self.predictor: OnlineLARPredictor = state.predictor
+        self.classifier: KNNClassifier = self.predictor._classifier
+        self.qa: PredictionQualityAssuror = state.qa
         self.row = row
         self.generation = -1
-        self.synced_appended = 0
-        self.sq_count = 0
+        self.pred_version = -1
+        self.clf_version = -1
         self.qa_version = -1
-        self.max_memory = predictor.max_memory
 
 
 class BatchedTickEngine:
     """Stacked per-stream state + batched tick kernels for one fleet.
 
-    The engine self-synchronizes: :meth:`sync` diffs the fleet's stream
-    table against its registry before every batched operation, attaching
-    newly trained streams, refreshing retrained ones (the predictor
-    object identity changes), and detaching removed ones. Between
-    retrains it keeps its memory mirror up to date incrementally via
-    the classifier's ``store_generation`` / ``appended_total_`` /
-    ``discarded_total_`` counters — the common case (one appended row
-    per stream per tick) is a single vectorized scatter — and its QA
-    mirror up to date via the assuror's ``version`` counter.
-
-    Attributes
-    ----------
-    gather_free:
-        ``True`` (default) serves contiguous row selections through
-        zero-copy views, recycles scratch buffers across ticks, records
-        QA audits through the stacked ring, and appends classifier rows
-        through :func:`~repro.learn.knn.bulk_learn_rows`. ``False``
-        restores the previous engine's behavior — fancy-index gathers,
-        fresh allocations, per-stream ``qa.record`` /
-        ``_note_audit`` / ``_append_rows`` calls
-        — bit-identical output either way (the benchmark gate times
-        one against the other).
+    The engine self-synchronizes: :meth:`prepare` reconciles the fleet's
+    stream table with the registry (attaching newly trained streams,
+    swapping retrained models into their rows, detaching removed ones)
+    and then brings every row's mirrors up to date. Rows are kept in
+    fleet order, and each is stamped with its predictor's, classifier's
+    and QA's ``version`` counters, so the steady-state sync is one
+    counter comparison per row and the full-fleet tick reads slices.
     """
 
     def __init__(self, fleet) -> None:
@@ -166,7 +180,6 @@ class BatchedTickEngine:
         self._qa_window = cfg.audit_window
         self._qa_interval = cfg.audit_interval
         self._qa_threshold = float(cfg.qa_threshold)
-        self.gather_free = True
         # min_variance lets each stream keep a different component
         # count, which cannot be stacked; everything else is uniform.
         self._supported = (
@@ -178,7 +191,12 @@ class BatchedTickEngine:
             else self._window
         )
         self._entries: dict[str, _Entry] = {}
+        # Attached entries in row order (== fleet order), and their
+        # names: a tick whose names equal _names selects every row.
         self._rows: list[_Entry] = []
+        self._names: list[str] = []
+        # (fleet epoch clock, stream count) at the last reconcile.
+        self._sync_key: tuple[int, int] | None = None
         # Per-tick scratch, keyed by call site; _buf returns the cached
         # array whenever the requested shape still matches, so the
         # steady-state tick allocates nothing.
@@ -195,6 +213,7 @@ class BatchedTickEngine:
 
     def _alloc(self, row_cap: int) -> None:
         w, d, L = self._window, self._n_features, self._smoothing
+        self._row_index = np.arange(row_cap, dtype=np.intp)
         self._tails = np.empty((row_cap, w + 1), dtype=np.float64)
         self._mu = np.empty(row_cap, dtype=np.float64)
         self._sigma = np.empty(row_cap, dtype=np.float64)
@@ -202,13 +221,23 @@ class BatchedTickEngine:
         self._pcomp = np.empty((row_cap, d, w), dtype=np.float64)
         self._ar_phi = np.empty((row_cap, self._ar_order), dtype=np.float64)
         self._ar_mu = np.empty(row_cap, dtype=np.float64)
+        # Label-smoothing window: the last L squared-error rows,
+        # oldest first, plus how many of them are live.
         self._sqring = np.zeros((row_cap, L, 3), dtype=np.float64)
+        self._sq_count = np.zeros(row_cap, dtype=np.int64)
+        self._max_mem = np.empty(row_cap, dtype=np.int64)
         # Stacked QA mirror: each row holds the stream's audit window
         # oldest-first (zero-padded on the left while warming up), plus
-        # its live pair count and step counter.
+        # its live pair count, step counter and breach latch.
         self._qa_ring = np.zeros((row_cap, self._qa_window), dtype=np.float64)
         self._qa_count = np.zeros(row_cap, dtype=np.int64)
         self._qa_step = np.zeros(row_cap, dtype=np.int64)
+        self._qa_due = np.zeros(row_cap, dtype=bool)
+        # The last batched forecast per row, fresh until the row is
+        # ingested or reloaded.
+        self._pend_norm = np.zeros(row_cap, dtype=np.float64)
+        self._pend_label = np.ones(row_cap, dtype=np.int64)
+        self._fresh = np.zeros(row_cap, dtype=bool)
         self._alloc_memory(row_cap)
         self._mem_lo = np.zeros(row_cap, dtype=np.int64)
         self._mem_hi = np.zeros(row_cap, dtype=np.int64)
@@ -229,16 +258,17 @@ class BatchedTickEngine:
 
     def _row_arrays(self) -> tuple:
         return (self._tails, self._mu, self._sigma, self._pmean, self._pcomp,
-                self._ar_phi, self._ar_mu, self._sqring, self._qa_ring,
-                self._qa_count, self._qa_step, self._mem_x, self._mem_y,
-                self._mem_bb, self._mem_abs, self._mem_lo, self._mem_hi)
+                self._ar_phi, self._ar_mu, self._sqring, self._sq_count,
+                self._max_mem, self._qa_ring, self._qa_count, self._qa_step,
+                self._qa_due, self._pend_norm, self._pend_label, self._fresh,
+                self._mem_x, self._mem_y, self._mem_bb, self._mem_abs,
+                self._mem_lo, self._mem_hi)
 
-    def _grow_rows(self) -> None:
+    def _grow_rows(self, used: int) -> None:
         old = self._row_arrays()
-        n = len(self._rows)
         self._alloc(2 * self._tails.shape[0])
         for dst, src in zip(self._row_arrays(), old):
-            dst[:n] = src[:n]
+            dst[:used] = src[:used]
 
     def _grow_memory(self, needed: int) -> None:
         """Widen the per-stream memory mirror; rows reload lazily."""
@@ -246,27 +276,22 @@ class BatchedTickEngine:
         self._alloc_memory(self._tails.shape[0])
         for entry in self._rows:
             entry.generation = -1  # force a full reload on next sync
+            entry.clf_version = -1
 
     def _buf(self, name: str, shape: tuple) -> np.ndarray:
-        """A recycled float64 scratch array (fresh when gather_free off)."""
-        if not self.gather_free:
-            return np.empty(shape, dtype=np.float64)
+        """A recycled float64 scratch array."""
         buf = self._scratch.get(name)
         if buf is None or buf.shape != shape:
             buf = np.empty(shape, dtype=np.float64)
             self._scratch[name] = buf
         return buf
 
-    def _selector(self, rows: np.ndarray):
+    @staticmethod
+    def _selector(rows: np.ndarray):
         """A basic-indexing slice when *rows* is consecutive, else *rows*.
 
-        Slices make every gather below a zero-copy view; the returned
-        selector is only ever used for reads (scatters keep the fancy
-        ``rows`` array, whose pointwise semantics a slice cannot
-        express).
+        Slices make every gather below a zero-copy view.
         """
-        if not self.gather_free:
-            return rows
         n = rows.shape[0]
         first = int(rows[0])
         if int(rows[n - 1]) - first == n - 1 and (
@@ -276,54 +301,100 @@ class BatchedTickEngine:
         return rows
 
     @staticmethod
-    def _shift_append(arr: np.ndarray, sel, rows: np.ndarray, new) -> None:
+    def _shift_append(arr: np.ndarray, sel, new) -> None:
         """Roll ``arr[sel]`` one step left along axis 1, appending *new*."""
-        if isinstance(sel, slice):
-            view = arr[sel]
-            view[:, :-1] = view[:, 1:]
-            view[:, -1] = new
-        else:
-            arr[rows, :-1] = arr[rows, 1:]
-            arr[rows, -1] = new
+        arr[sel, :-1] = arr[sel, 1:]
+        arr[sel, -1] = new
 
     # -- membership ---------------------------------------------------------
 
     def prepare(self) -> None:
-        """Reconcile membership and memory mirrors with the fleet.
+        """Reconcile membership and every row's mirrors with the fleet.
 
-        Call once before a batched operation (or a batch of them within
-        one tick); :meth:`forecast_batch` calls it itself,
-        :meth:`PredictionFleet.ingest` calls it before filtering streams
-        through :meth:`serves`.
+        Call once before a batched operation; :meth:`forecast_batch`
+        calls it itself, :meth:`PredictionFleet.ingest` calls it before
+        :meth:`ingest_batch`.
         """
         self.sync()
         if self._rows:
             self._sync_memory()
 
     def sync(self) -> None:
-        """Reconcile the registry with the fleet's current stream table."""
+        """Reconcile the registry with the fleet's current stream table.
+
+        Runs only when the fleet's epoch clock or stream count moved:
+        every predictor swap and every added stream advances the clock,
+        every removal changes the count.
+        """
         if not self._supported:
             return
-        states = self._fleet._streams
-        stale = [
-            e for e in self._rows
-            if (s := states.get(e.name)) is None or s.predictor is not e.predictor
-        ]
-        for entry in stale:
-            self._detach(entry)
+        fleet = self._fleet
+        states = fleet._streams
+        key = (fleet._epoch_seq, len(states))
+        if key == self._sync_key:
+            return
+        self._sync_key = key
+        entries = self._entries
+        cap = self._mem_cap
+        for entry in self._rows:
+            state = states.get(entry.name)
+            if state is not None and state is entry.state and (
+                state.predictor is entry.predictor
+            ):
+                continue
+            del entries[entry.name]
+            if (
+                state is not None
+                and state.predictor is not None
+                and self._eligible(state.predictor, state.qa)
+            ):
+                # A retrained model takes over its stream's row.
+                swapped = _Entry(entry.name, state, entry.row)
+                entries[entry.name] = swapped
+                self._load_row(swapped)
+        used = len(self._rows)
         for name, state in states.items():
-            if state.predictor is not None and name not in self._entries:
-                self._try_attach(name, state.predictor)
+            if (
+                state.predictor is not None
+                and name not in entries
+                and self._eligible(state.predictor, state.qa)
+            ):
+                if used == self._tails.shape[0]:
+                    self._grow_rows(used)
+                entry = _Entry(name, state, used)
+                used += 1
+                entries[name] = entry
+                self._load_row(entry)
+        self._reorder(
+            [e for name in states if (e := entries.get(name)) is not None]
+        )
+        if self._mem_cap != cap:
+            # The ring grew while loading a row, which emptied the rows
+            # loaded before the growth; the memory sync reloads them.
+            for entry in self._rows:
+                entry.generation = -1
+                entry.clf_version = -1
+
+    def _reorder(self, order: list[_Entry]) -> None:
+        """Make *order* the row order: one permutation per row array."""
+        perm = [e.row for e in order]
+        m = len(order)
+        if perm != list(range(m)):
+            idx = np.asarray(perm, dtype=np.intp)
+            for arr in self._row_arrays():
+                arr[:m] = arr[idx]
+            for row, entry in enumerate(order):
+                entry.row = row
+        self._rows = order
+        self._names = [e.name for e in order]
 
     def serves(self, name: str) -> bool:
         """Whether *name* is currently served by the batched path."""
         return name in self._entries
 
-    def _try_attach(self, name: str, predictor: OnlineLARPredictor) -> None:
-        if not self._eligible(predictor):
-            return
-        state = self._fleet._streams.get(name)
-        qa = state.qa if state is not None else None
+    def _eligible(
+        self, predictor: OnlineLARPredictor, qa: PredictionQualityAssuror
+    ) -> bool:
         # The stacked QA ring shares one geometry across rows, so a
         # stream whose assuror diverges from the fleet policy (or is a
         # subclass with its own behavior) stays on the per-stream loop.
@@ -333,46 +404,7 @@ class BatchedTickEngine:
             or qa.audit_interval != self._qa_interval
             or qa.threshold != self._qa_threshold
         ):
-            return
-        if len(self._rows) == self._tails.shape[0]:
-            self._grow_rows()
-        entry = _Entry(name, predictor, len(self._rows))
-        entry.qa = qa
-        self._rows.append(entry)
-        self._entries[name] = entry
-        row = entry.row
-        pipeline = predictor._runner.pipeline
-        self._mu[row] = pipeline.normalizer.mean
-        self._sigma[row] = pipeline.normalizer.std
-        if pipeline.pca is not None:
-            self._pmean[row] = pipeline.pca.mean_
-            self._pcomp[row] = pipeline.pca.components_
-        ar = predictor._runner.pool[1]
-        self._ar_phi[row] = ar.coefficients_
-        self._ar_mu[row] = ar.mean_
-        self._tails[row] = predictor._tail(self._window + 1)
-        self._sqring[row] = 0.0
-        entry.sq_count = len(predictor._recent_sq)
-        if entry.sq_count:
-            self._sqring[row, self._smoothing - entry.sq_count :] = np.stack(
-                list(predictor._recent_sq), axis=0
-            )
-        self._reload_qa(entry)
-        self._reload_memory(entry)
-
-    def _detach(self, entry: _Entry) -> None:
-        last = self._rows[-1]
-        if last is not entry:
-            # Swap-remove: move the last row's data into the freed slot.
-            dst, src = entry.row, last.row
-            for arr in self._row_arrays():
-                arr[dst] = arr[src]
-            last.row = dst
-            self._rows[dst] = last
-        self._rows.pop()
-        del self._entries[entry.name]
-
-    def _eligible(self, predictor: OnlineLARPredictor) -> bool:
+            return False
         clf = predictor._classifier
         if type(clf) is not KNNClassifier or clf.weights != "uniform":
             return False
@@ -388,7 +420,37 @@ class BatchedTickEngine:
             return self._n_features == self._window
         return pca.components_.shape == (self._n_features, self._window)
 
-    # -- memory mirror ------------------------------------------------------
+    # -- mirrors ------------------------------------------------------------
+
+    def _load_row(self, entry: _Entry) -> None:
+        """Mirror one stream's whole predictor, QA and memory."""
+        predictor = entry.predictor
+        entry.classifier = predictor._classifier
+        row = entry.row
+        pipeline = predictor._runner.pipeline
+        self._mu[row] = pipeline.normalizer.mean
+        self._sigma[row] = pipeline.normalizer.std
+        if pipeline.pca is not None:
+            self._pmean[row] = pipeline.pca.mean_
+            self._pcomp[row] = pipeline.pca.components_
+        ar = predictor._runner.pool[1]
+        self._ar_phi[row] = ar.coefficients_
+        self._ar_mu[row] = ar.mean_
+        self._tails[row] = predictor._tail(self._window + 1)
+        L = self._smoothing
+        count = len(predictor._recent_sq)
+        self._sqring[row] = 0.0
+        if count:
+            self._sqring[row, L - count :] = np.stack(
+                list(predictor._recent_sq), axis=0
+            )
+        self._sq_count[row] = count
+        cap = predictor.max_memory
+        self._max_mem[row] = _NO_CAP if cap is None else cap
+        self._fresh[row] = False
+        entry.pred_version = predictor.version
+        self._reload_qa(entry)
+        self._reload_memory(entry)
 
     def _reload_memory(self, entry: _Entry) -> None:
         clf = entry.classifier
@@ -407,7 +469,7 @@ class BatchedTickEngine:
         self._mem_lo[row] = lo
         self._mem_hi[row] = hi
         entry.generation = clf.store_generation
-        entry.synced_appended = hi
+        entry.clf_version = clf.version
 
     def _retire(self, row: int, lo: int, hi: int) -> None:
         """Mark the ring slots of absolute rows ``lo .. hi - 1`` dead."""
@@ -426,64 +488,79 @@ class BatchedTickEngine:
             self._qa_ring[row, w - count :] = qa._sq_errors
         self._qa_count[row] = count
         self._qa_step[row] = qa._step
+        self._qa_due[row] = qa._retraining_due
         entry.qa_version = qa.version
 
-    def _sync_memory(self) -> list[_Entry]:
-        """Bring every row's memory and QA mirrors up to date.
+    def _sync_memory(self) -> None:
+        """Bring every row's mirrors up to date with its counters.
 
-        Returns entries that stopped being batchable (e.g. the auto
-        backend crossed over to the KD-tree as the memory grew); the
-        caller detaches them and serves those streams per-stream.
+        A row whose predictor, QA and classifier counters all match its
+        stamps is skipped. Rows that stopped being batchable (e.g. the
+        auto backend crossed over to the KD-tree as the memory grew)
+        are detached; those streams are served per-stream.
         """
-        demoted: list[_Entry] = []
-        qa_live = self.gather_free
-        cap = self._mem_cap
-        for entry in self._rows:
-            clf = entry.classifier
-            if clf._tree is not None or clf._resolve_backend() != "brute":
-                demoted.append(entry)
-                continue
-            # The engine's own write-backs leave `version` untouched, so
-            # a mismatch means someone else mutated the QA (a retrain's
-            # acknowledge_retraining, a per-stream-loop tick, a restore)
-            # and this row's window mirror must be rebuilt.
-            if qa_live and entry.qa_version != entry.qa.version:
-                self._reload_qa(entry)
-            if entry.generation != clf.store_generation:
-                self._reload_memory(entry)
-                continue
-            row = entry.row
-            lo, hi = clf.discarded_total_, clf.appended_total_
-            if hi - lo > self._mem_cap:
-                self._grow_memory(hi - lo)
-                self._reload_memory(entry)
-                continue
-            mirror_lo = int(self._mem_lo[row])
-            if lo != mirror_lo:
-                # Rows retired outside the engine's learn step (a
-                # per-stream-loop tick, a direct discard_oldest). Retire
-                # before appending: a new row may reuse a freed slot.
-                self._retire(row, mirror_lo, min(lo, entry.synced_appended))
-                self._mem_lo[row] = lo
-            if hi != entry.synced_appended:
-                rows_x, rows_y, first = clf.rows_since(entry.synced_appended)
-                abs_idx = np.arange(first, hi, dtype=np.int64)
-                slots = abs_idx % self._mem_cap
-                self._mem_x[row, slots] = rows_x
-                self._mem_y[row, slots] = rows_y
-                self._mem_abs[row, slots] = abs_idx
-                self._mem_bb[row, slots] = np.einsum(
-                    "ij,ij->i", rows_x, rows_x
+        while True:
+            cap = self._mem_cap
+            demoted: list[_Entry] = []
+            for entry in self._rows:
+                predictor = entry.predictor
+                if predictor.version != entry.pred_version:
+                    # Mutated outside the engine (an observe, an
+                    # in-place retrain): every mirror of it is stale.
+                    if self._eligible(predictor, entry.qa):
+                        self._load_row(entry)
+                    else:
+                        demoted.append(entry)
+                    continue
+                # The engine's own write-backs leave `version` alone, so
+                # a mismatch means someone else mutated the QA (a
+                # retrain's acknowledge_retraining, a restore).
+                if entry.qa.version != entry.qa_version:
+                    self._reload_qa(entry)
+                clf = entry.classifier
+                if clf.version != entry.clf_version:
+                    if clf._tree is not None or clf._resolve_backend() != "brute":
+                        demoted.append(entry)
+                    else:
+                        self._sync_rows(entry, clf)
+            if demoted:
+                for entry in demoted:
+                    del self._entries[entry.name]
+                self._reorder(
+                    [e for e in self._rows if e.name in self._entries]
                 )
-                entry.synced_appended = hi
-                self._mem_hi[row] = hi
-        for entry in demoted:
-            self._detach(entry)
-        if self._mem_cap != cap:
+            if self._mem_cap == cap:
+                return
             # The ring grew mid-pass, which emptied the rows synced
             # before the growth; reload them before anyone queries.
-            demoted += self._sync_memory()
-        return demoted
+
+    def _sync_rows(self, entry: _Entry, clf: KNNClassifier) -> None:
+        """Mirror one classifier's out-of-band appends and evictions."""
+        if entry.generation != clf.store_generation:
+            self._reload_memory(entry)
+            return
+        row = entry.row
+        lo, hi = clf.discarded_total_, clf.appended_total_
+        if hi - lo > self._mem_cap:
+            self._grow_memory(hi - lo)
+            self._reload_memory(entry)
+            return
+        mirror_lo = int(self._mem_lo[row])
+        mirror_hi = int(self._mem_hi[row])
+        if lo != mirror_lo:
+            # Retire before appending: a new row may reuse a freed slot.
+            self._retire(row, mirror_lo, min(lo, mirror_hi))
+            self._mem_lo[row] = lo
+        if hi != mirror_hi:
+            rows_x, rows_y, first = clf.rows_since(mirror_hi)
+            abs_idx = np.arange(first, hi, dtype=np.int64)
+            slots = abs_idx % self._mem_cap
+            self._mem_x[row, slots] = rows_x
+            self._mem_y[row, slots] = rows_y
+            self._mem_abs[row, slots] = abs_idx
+            self._mem_bb[row, slots] = np.einsum("ij,ij->i", rows_x, rows_x)
+            self._mem_hi[row] = hi
+        entry.clf_version = clf.version
 
     # -- batched kernels ----------------------------------------------------
 
@@ -541,14 +618,12 @@ class BatchedTickEngine:
         return normalized
 
     def _forecast_rows(
-        self, rows: np.ndarray
+        self, sel, n: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(values, normalized values, labels) for the selected rows."""
+        """(values, normalized values, labels) for the *n* selected rows."""
         tel = self._fleet._tel
         if tel is not None:
-            return self._forecast_rows_traced(rows, tel.tracer)
-        sel = self._selector(rows)
-        n = rows.shape[0]
+            return self._forecast_rows_traced(sel, n, tel.tracer)
         mu = self._mu[sel]
         sigma = self._sigma[sel]
         frames = self._buf("frames", (n, self._window))
@@ -563,11 +638,9 @@ class BatchedTickEngine:
         return values, normalized, labels
 
     def _forecast_rows_traced(
-        self, rows: np.ndarray, tracer
+        self, sel, n: int, tracer
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`_forecast_rows` with per-phase tracing spans."""
-        sel = self._selector(rows)
-        n = rows.shape[0]
         mu = self._mu[sel]
         sigma = self._sigma[sel]
         with tracer.span("tick.zscore", batch=n):
@@ -585,64 +658,145 @@ class BatchedTickEngine:
         np.add(values, mu, out=values)
         return values, normalized, labels
 
-    # -- stacked QA ----------------------------------------------------------
+    # -- fleet-facing operations --------------------------------------------
 
-    def _record_audits_stacked(
-        self,
-        items: list,
-        entries: list,
-        sel,
-        rows: np.ndarray,
-        pending_norm: np.ndarray,
-        observed_norm: np.ndarray,
-        pending_name: list,
-    ) -> "list[tuple[str, AuditRecord]] | None":
-        """Record one (prediction, observation) pair per served stream.
+    def forecast_batch(self, names=None) -> dict[str, Forecast]:
+        """Batched :meth:`PredictionFleet.forecast_all` for served streams.
 
-        Bit-identical to calling ``state.qa.record(...)`` per stream —
-        the audit boundary is one modulo over the stacked step counters,
-        window MSEs are grouped trailing-slice row-sums over the stacked
-        ring (the summation order ``np.mean`` uses over the deque), and
-        everything is written back to the per-stream QA objects, audits
-        list and lifetime counters included, without bumping their
-        ``version`` (the mirror advanced in lockstep). Returns the
-        ``(stream, audit)`` pairs for the fleet's aggregated telemetry
-        note, or ``None`` when telemetry is off.
+        *names* is the fleet-ordered candidate list (``None`` = every
+        served stream); streams not served by the engine are skipped
+        (the fleet loops over those). Each forecast is also left as its
+        stream's ``pending`` forecast, and kept in the engine for the
+        matching :meth:`ingest_batch` to audit.
         """
+        self.prepare()
+        if not self._rows:
+            return {}
+        if names is None:
+            entries = self._rows
+            sel = slice(0, len(entries))
+        else:
+            entries = [
+                e for name in names
+                if (e := self._entries.get(name)) is not None
+            ]
+            if not entries:
+                return {}
+            sel = self._selector(np.fromiter(
+                (e.row for e in entries), dtype=np.intp, count=len(entries)
+            ))
+        values, normalized, labels = self._forecast_rows(sel, len(entries))
+        self._pend_norm[sel] = normalized
+        self._pend_label[sel] = labels
+        self._fresh[sel] = True
+        out: dict[str, Forecast] = {}
+        new, install = object.__new__, object.__setattr__
+        for entry, value, norm, label, name in zip(
+            entries, values.tolist(), normalized.tolist(), labels.tolist(),
+            _POOL_NAMES[labels].tolist(),
+        ):
+            # Forecast(value, norm, label, name), with its fields
+            # installed in one write instead of the frozen dataclass's
+            # four guarded setattr calls.
+            fc = new(Forecast)
+            install(fc, "__dict__", {
+                "value": value, "normalized_value": norm,
+                "predictor_label": label, "predictor_name": name,
+            })
+            out[entry.name] = fc
+            state = entry.state
+            state.pending = fc
+            state.pending_at = len(entry.predictor._history)
+        return out
+
+    def ingest_batch(self, names: list, values: np.ndarray) -> dict[str, int]:
+        """Batched trained-stream ingest: audit, learn, schedule retrains.
+
+        *names* and *values* are one tick's validated input in the
+        caller's order; streams the engine does not serve are skipped
+        (the fleet loops over those). Returns the learned label per
+        served stream. Mirrors the per-stream loop in
+        :meth:`PredictionFleet.ingest` exactly — every per-stream state
+        object (QA, selections, predictor history, classifier memory)
+        ends up in the identical state. ``on_breach`` callbacks run
+        after the whole tick has been written back.
+        """
+        if not self._rows:
+            return {}
+        if names == self._names:
+            entries = self._rows
+            sel = slice(0, len(entries))
+        else:
+            lookup = self._entries
+            keep = [i for i, name in enumerate(names) if name in lookup]
+            if not keep:
+                return {}
+            if len(keep) < len(names):
+                names = [names[i] for i in keep]
+                values = values[keep]
+            entries = [lookup[name] for name in names]
+            sel = self._selector(np.fromiter(
+                (e.row for e in entries), dtype=np.intp, count=len(entries)
+            ))
         fleet = self._fleet
-        n = len(items)
-        w = self._qa_window
+        tracer = fleet._tel.tracer if fleet._tel is not None else None
+        t0 = perf_counter() if tracer is not None else 0.0
+        n = len(entries)
+        rows = self._row_index[sel]
+        mu = self._mu[sel]
+        sigma = self._sigma[sel]
+
+        # 1. Audit the forecast that predicted this tick. A row without
+        # a fresh batched forecast audits its stream's pending forecast
+        # when the loop would (one made per-stream since), and otherwise
+        # gets one recomputed in one batched pass, exactly like the
+        # loop's inline predictor.forecast().
+        stale = np.flatnonzero(~self._fresh[sel])
+        if stale.size:
+            recompute = []
+            for i in stale.tolist():
+                entry = entries[i]
+                fc = entry.state.pending
+                if fc is not None and entry.state.pending_at == len(
+                    entry.predictor._history
+                ):
+                    self._pend_norm[entry.row] = fc.normalized_value
+                    self._pend_label[entry.row] = fc.predictor_label
+                else:
+                    recompute.append(entry.row)
+            if recompute:
+                redo = np.asarray(recompute, dtype=np.intp)
+                _, redo_norm, redo_labels = self._forecast_rows(
+                    self._selector(redo), redo.size
+                )
+                self._pend_norm[redo] = redo_norm
+                self._pend_label[redo] = redo_labels
+        pending_label = self._pend_label[sel]
         errs = self._buf("qa_errs", (n,))
-        np.subtract(pending_norm, observed_norm, out=errs)
+        np.subtract(values, mu, out=errs)
+        np.divide(errs, sigma, out=errs)
+        np.subtract(self._pend_norm[sel], errs, out=errs)
         if not np.isfinite(errs).all():
             # A non-finite pair must raise exactly like the per-stream
             # loop (mid-loop, earlier streams already recorded). The
             # version bumps the records make mark the mirror stale, so
             # the next prepare() reloads whatever was mutated.
-            for i, (state, _) in enumerate(items):
-                state.qa.record(
-                    float(pending_norm[i]), float(observed_norm[i])
-                )
+            pending = self._pend_norm[sel]
+            observed = (values - mu) / sigma
+            for i, entry in enumerate(entries):
+                entry.qa.record(float(pending[i]), float(observed[i]))
             raise AssertionError("finite errors must have raised")  # pragma: no cover
         np.multiply(errs, errs, out=errs)
-        sq = errs
-        ring = self._qa_ring
-        self._shift_append(ring, sel, rows, sq)
-        if isinstance(sel, slice):
-            counts = self._qa_count[sel]
-            counts += 1
-            np.minimum(counts, w, out=counts)
-            steps = self._qa_step[sel]
-            steps += 1
-        else:
-            counts = np.minimum(self._qa_count[rows] + 1, w)
-            self._qa_count[rows] = counts
-            steps = self._qa_step[rows] + 1
-            self._qa_step[rows] = steps
+        qa_sq = errs.tolist()
+        w = self._qa_window
+        self._shift_append(self._qa_ring, sel, errs)
+        counts = np.minimum(self._qa_count[sel] + 1, w)
+        self._qa_count[sel] = counts
+        steps = self._qa_step[sel] + 1
+        self._qa_step[sel] = steps
         audited = np.flatnonzero(steps % self._qa_interval == 0)
-        audit_info: dict[int, tuple[float, bool]] = {}
         if audited.size:
-            ring_sel = ring[sel]
+            ring = self._qa_ring[sel]
             mses = np.empty(audited.size, dtype=np.float64)
             acounts = counts[audited]
             for count in np.unique(acounts):
@@ -650,148 +804,17 @@ class BatchedTickEngine:
                 # Trailing slices of fancy-selected rows are contiguous
                 # copies, so this row-sum reduces each window in the
                 # exact order np.mean reduces the per-stream deque.
-                mses[grp] = ring_sel[audited[grp], w - int(count) :].sum(
+                mses[grp] = ring[audited[grp], w - int(count) :].sum(
                     axis=1
                 ) / int(count)
             breached = mses > self._qa_threshold
-            for j, i in enumerate(audited.tolist()):
-                audit_info[i] = (float(mses[j]), bool(breached[j]))
-        tel = fleet._tel
-        audited_events: list[tuple[str, AuditRecord]] | None = (
-            [] if tel is not None else None
-        )
-        sq_list = sq.tolist()
-        step_list = steps.tolist()
-        for i, (state, _) in enumerate(items):
-            qa = entries[i].qa
-            v = sq_list[i]
-            dq = qa._sq_errors
-            if len(dq) == w:
-                qa._sq_sum -= dq[0]
-            dq.append(v)
-            qa._sq_sum += v
-            qa._step += 1
-            info = audit_info.get(i)
-            if info is not None:
-                window_mse, breach = info
-                record = AuditRecord(
-                    step=step_list[i], window_mse=window_mse, breached=breach
-                )
-                qa.audits.append(record)
-                qa.audits_total += 1
-                if breach:
-                    qa.breaches_total += 1
-                    qa._retraining_due = True
-                    if qa.on_breach is not None:
-                        qa.on_breach(record)
-                if audited_events is not None:
-                    audited_events.append((state.name, record))
-            name = pending_name[i]
-            state.selections[name] = state.selections.get(name, 0) + 1
-            state.pending = None
-        return audited_events
-
-    # -- fleet-facing operations --------------------------------------------
-
-    def forecast_batch(self, names) -> dict[str, Forecast]:
-        """Batched :meth:`PredictionFleet.forecast_all` for served streams.
-
-        *names* is the fleet-ordered candidate list; streams not served
-        by the engine are skipped (the fleet loops over those).
-        """
-        self.prepare()
-        if not self._rows:
-            return {}
-        entries = [
-            e for name in names if (e := self._entries.get(name)) is not None
-        ]
-        if not entries:
-            return {}
-        rows = np.fromiter((e.row for e in entries), dtype=np.intp,
-                           count=len(entries))
-        values, normalized, labels = self._forecast_rows(rows)
-        out: dict[str, Forecast] = {}
-        for i, entry in enumerate(entries):
-            label = int(labels[i])
-            out[entry.name] = Forecast(
-                value=float(values[i]),
-                normalized_value=float(normalized[i]),
-                predictor_label=label,
-                predictor_name=_POOL_NAMES[label - 1],
-            )
-        return out
-
-    def ingest_batch(self, items: list) -> dict[str, int]:
-        """Batched trained-stream ingest: audit, learn, schedule retrains.
-
-        *items* is a list of ``(state, value)`` pairs for streams the
-        engine serves. Returns the learned label per stream. Mirrors
-        the per-stream loop in :meth:`PredictionFleet.ingest` exactly —
-        every per-stream state object (QA, selections, predictor
-        history, classifier memory) ends up in the identical state.
-        """
-        if not items:
-            return {}
-        fleet = self._fleet
-        tracer = fleet._tel.tracer if fleet._tel is not None else None
-        t0 = perf_counter() if tracer is not None else 0.0
-        entries = [self._entries[state.name] for state, _ in items]
-        n = len(items)
-        rows = np.fromiter((e.row for e in entries), dtype=np.intp, count=n)
-        sel = self._selector(rows)
-        values = np.fromiter((v for _, v in items), dtype=np.float64, count=n)
-        mu = self._mu[sel]
-        sigma = self._sigma[sel]
-
-        # 1. Audit the forecast that predicted this tick. Streams whose
-        # pending forecast is stale (or absent) get it recomputed in one
-        # batched pass, exactly like the loop's inline predictor.forecast().
-        pending_norm = self._buf("pending", (n,))
-        pending_name: list[str | None] = [None] * n
-        stale: list[int] = []
-        for i, (state, _) in enumerate(items):
-            if (
-                state.pending is not None
-                and state.pending_at == entries[i].predictor.history_length
-            ):
-                pending_norm[i] = state.pending.normalized_value
-                pending_name[i] = state.pending.predictor_name
-            else:
-                stale.append(i)
-        if stale:
-            stale_idx = np.asarray(stale, dtype=np.intp)
-            _, stale_norm, stale_labels = self._forecast_rows(rows[stale_idx])
-            pending_norm[stale_idx] = stale_norm
-            for j, i in enumerate(stale):
-                pending_name[i] = _POOL_NAMES[int(stale_labels[j]) - 1]
-        observed_norm = self._buf("observed", (n,))
-        np.subtract(values, mu, out=observed_norm)
-        np.divide(observed_norm, sigma, out=observed_norm)
-        if self.gather_free:
-            audited_events = self._record_audits_stacked(
-                items, entries, sel, rows, pending_norm, observed_norm,
-                pending_name,
-            )
-            if audited_events is not None:
-                fleet._note_audits_batch(audited_events)
-        else:
-            for i, (state, _) in enumerate(items):
-                audit = state.qa.record(
-                    float(pending_norm[i]), float(observed_norm[i])
-                )
-                fleet._note_audit(state.name, audit)
-                name = pending_name[i]
-                state.selections[name] = state.selections.get(name, 0) + 1
-                state.pending = None
+            self._qa_due[rows[audited[breached]]] = True
         if tracer is not None:
             t1 = perf_counter()
             tracer.record("tick.audit", t1 - t0, batch=n, start=t0)
 
-        # 2. Advance histories and the stacked tail mirror.
-        values_list = values.tolist()
-        for i, entry in enumerate(entries):
-            entry.predictor._history.append(values_list[i])
-        self._shift_append(self._tails, sel, rows, values)
+        # 2. Advance the stacked tail mirror.
+        self._shift_append(self._tails, sel, values)
         if tracer is not None:
             t2 = perf_counter()
             tracer.record("tick.window_stack", t2 - t1, batch=n, start=t1)
@@ -799,91 +822,150 @@ class BatchedTickEngine:
         # 3. Label the completed windows: stacked pool errors, trailing
         # smoothed MSE argmin (chronological ring slices keep the
         # summation order of the per-stream deque stack).
-        w = self._window
-        z = self._buf("z", (n, w + 1))
+        win = self._window
+        z = self._buf("z", (n, win + 1))
         np.subtract(self._tails[sel], mu[:, None], out=z)
         np.divide(z, sigma[:, None], out=z)
-        frames, targets = z[:, :w], z[:, w]
+        frames, targets = z[:, :win], z[:, win]
         ar = StackedARParams(self._ar_phi[sel], self._ar_mu[sel])
         # `sq` stays freshly allocated (not scratch): per-stream
         # `_recent_sq` deques hold views of its rows across ticks.
-        errors = paper_pool_predict_all_stacked(frames, ar) - targets[:, None]
-        np.multiply(errors, errors, out=errors)
-        sq = errors
+        sq = paper_pool_predict_all_stacked(frames, ar) - targets[:, None]
+        np.multiply(sq, sq, out=sq)
         L = self._smoothing
-        ring = self._sqring
-        self._shift_append(ring, sel, rows, sq)
-        counts = np.empty(n, dtype=np.int64)
-        for i, entry in enumerate(entries):
-            entry.predictor._recent_sq.append(sq[i])
-            entry.sq_count = min(entry.sq_count + 1, L)
-            counts[i] = entry.sq_count
+        self._shift_append(self._sqring, sel, sq)
+        live = np.minimum(self._sq_count[sel] + 1, L)
+        self._sq_count[sel] = live
         sums = self._buf("sums", (n, 3))
-        ring_sel = ring[sel]
-        for count in np.unique(counts):
-            grp = counts == count
-            sums[grp] = ring_sel[grp, L - count :, :].sum(axis=1)
+        ring = self._sqring[sel]
+        for count in np.unique(live):
+            grp = live == count
+            sums[grp] = ring[grp, L - count :, :].sum(axis=1)
         labels = np.argmin(sums, axis=1).astype(np.int64) + 1
         if tracer is not None:
             t3 = perf_counter()
             tracer.record("tick.label_pool", t3 - t2, batch=n, start=t2)
 
-        # 4. Learn: append the (feature, label) pair to each classifier
-        # (evicting down to max_memory), then mirror the step into the
-        # stacked memory with one scatter. The ring is sized by the live
-        # count *after* eviction, so a memory full at max_memory writes
-        # its new row into the slot its oldest row frees.
+        # 4. Learn: mirror each classifier's append and eviction (down
+        # to max_memory) into the stacked memory with one scatter, then
+        # write the whole tick back to the per-stream objects. The ring
+        # is sized by the live count *after* eviction, so a memory full
+        # at max_memory writes its new row into the slot its oldest row
+        # frees.
         feats = self._features(sel, frames)
-        if self.gather_free:
-            bulk_learn_rows(
-                [e.classifier for e in entries], feats, labels,
-                [e.max_memory for e in entries],
-            )
-        else:
-            for i, entry in enumerate(entries):
-                entry.classifier._append_rows(
-                    feats[i : i + 1], labels[i : i + 1]
-                )
-                entry.predictor._evict_if_needed()
+        lo = self._mem_lo[rows]
         hi = self._mem_hi[rows]
-        old_lo = self._mem_lo[rows]
-        new_lo = np.fromiter(
-            (e.classifier._discarded for e in entries), dtype=np.int64,
-            count=n,
-        )
+        new_lo = np.maximum(lo, hi + 1 - self._max_mem[rows])
+        gone = new_lo - lo
         needed = int((hi + 1 - new_lo).max())
         if needed > self._mem_cap:
             self._grow_memory(needed)  # every row reloads on the next sync
         else:
             cap = self._mem_cap
-            gone = new_lo - old_lo
             if gone.any():
                 # Retire evicted slots first: the new row may reuse one.
                 one = gone == 1
-                freed = old_lo[one] % cap
+                freed = lo[one] % cap
                 self._mem_bb[rows[one], freed] = np.inf
                 self._mem_abs[rows[one], freed] = _DEAD_KEY
                 for i in np.flatnonzero(gone > 1).tolist():
-                    self._retire(int(rows[i]), int(old_lo[i]), int(new_lo[i]))
+                    self._retire(int(rows[i]), int(lo[i]), int(new_lo[i]))
             slots = hi % cap
             self._mem_x[rows, slots] = feats
             self._mem_y[rows, slots] = labels
             self._mem_abs[rows, slots] = hi
             self._mem_bb[rows, slots] = np.einsum("ij,ij->i", feats, feats)
-        self._mem_hi[rows] = hi + 1
-        self._mem_lo[rows] = new_lo
-        learned: dict[str, int] = {}
+        self._mem_hi[sel] = hi + 1
+        self._mem_lo[sel] = new_lo
+        self._fresh[sel] = False
+        for i in np.flatnonzero(hi + 1 - new_lo >= _AUTO_TREE_THRESHOLD).tolist():
+            # Deep enough for the auto backend to pick the KD-tree: the
+            # next sync checks the backend and demotes the row.
+            entries[i].clf_version = -1
         label_list = labels.tolist()
-        for i, (state, _) in enumerate(items):
-            entry = entries[i]
-            entry.predictor._windows_learned += 1
-            entry.synced_appended = entry.classifier._appended
-            learned[state.name] = label_list[i]
+        for entry, qa_v, value, sq_row, feat, label, chosen, drop in zip(
+            entries, qa_sq, values.tolist(), sq, feats, label_list,
+            _POOL_NAMES[pending_label].tolist(), gone.tolist(),
+        ):
+            qa = entry.qa
+            window = qa._sq_errors
+            if len(window) == w:
+                qa._sq_sum -= window[0]
+            window.append(qa_v)
+            qa._sq_sum += qa_v
+            qa._step += 1
+            state = entry.state
+            picks = state.selections
+            picks[chosen] = picks.get(chosen, 0) + 1
+            state.pending = None
             state.ticks += 1
-            if state.qa.retraining_due:
-                fleet._schedule(state, initial=False)
+            predictor = entry.predictor
+            predictor._history.append(value)
+            predictor._recent_sq.append(sq_row)
+            predictor._windows_learned += 1
+            # The classifier's append + evict, as observe() runs it:
+            # the common case (capacity free, known label, one row out)
+            # inline, everything else through the classifier's own
+            # helpers, which leave its version alone too.
+            clf = entry.classifier
+            end = clf._buf_end
+            counts = clf._label_counts
+            if end < len(clf._ybuf) and label in counts:
+                clf._Xbuf[end] = feat
+                clf._ybuf[end] = label
+                clf._buf_end = end + 1
+                clf._appended += 1
+                counts[label] += 1
+            else:
+                clf._append_rows(
+                    feat[None, :], np.array([label], dtype=np.int64)
+                )
+            if drop == 1:
+                start = clf._buf_start
+                old = clf._ybuf.item(start)
+                left = counts[old] - 1
+                if left:
+                    counts[old] = left
+                else:
+                    del counts[old]
+                    clf._refresh_classes()
+                clf._buf_start = start + 1
+                clf._discarded += 1
+            elif drop:
+                clf._discard_rows(drop)
+        if audited.size:
+            self._record_audits(entries, audited, mses, breached, steps)
+        for i in np.flatnonzero(self._qa_due[sel]).tolist():
+            fleet._schedule(entries[i].state, initial=False)
         if tracer is not None:
             tracer.record(
                 "tick.memory_learn", perf_counter() - t3, batch=n, start=t3
             )
-        return learned
+        return dict(zip(names, label_list))
+
+    def _record_audits(self, entries, audited, mses, breached, steps) -> None:
+        """Write this tick's audits back to the audited streams' QAs.
+
+        Bit-identical to the audits ``qa.record`` would have run: same
+        records, lifetime counters and breach latches, without bumping
+        ``version`` (the mirror advanced in lockstep). Breaches go to
+        the fleet's telemetry, aggregated.
+        """
+        breaches: list[tuple[str, AuditRecord]] = []
+        for i, mse, breach, step in zip(
+            audited.tolist(), mses.tolist(), breached.tolist(),
+            steps[audited].tolist(),
+        ):
+            entry = entries[i]
+            qa = entry.qa
+            record = AuditRecord(step=step, window_mse=mse, breached=breach)
+            qa.audits.append(record)
+            qa.audits_total += 1
+            if breach:
+                qa.breaches_total += 1
+                qa._retraining_due = True
+                breaches.append((entry.name, record))
+                if qa.on_breach is not None:
+                    qa.on_breach(record)
+        if self._fleet._tel is not None:
+            self._fleet._note_audits_batch(len(mses), breaches)

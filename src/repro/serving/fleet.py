@@ -713,15 +713,7 @@ class PredictionFleet:
         stream is warming up). The whole batch is validated before any
         stream is touched.
         """
-        clean: dict[str, float] = {}
-        for name, value in values.items():
-            self._require_stream(name)
-            value = float(value)
-            if not np.isfinite(value):
-                raise ConfigurationError(
-                    f"value for stream {name!r} must be finite, got {value}"
-                )
-            clean[name] = value
+        names, clean = self._validate_values(values)
 
         # One tick of the due-stamp clock per ingest call: every stream
         # that first becomes due during this call shares the same stamp,
@@ -730,29 +722,25 @@ class PredictionFleet:
         tel = self._tel
         if tel is not None:
             self._m.ticks.inc()
-            self._m.observations.inc(len(clean))
+            self._m.observations.inc(len(names))
             if tel.flight is not None:
                 tel.flight.set_tick(self._due_seq)
             self._breaches_this_tick = 0
 
-        batch_learned: dict[str, int] = {}
+        learned: dict[str, int | None] = {}
         if batched:
             engine = self._get_engine()
             engine.prepare()
-            batch_items = [
-                (self._streams[name], value)
-                for name, value in clean.items()
-                if self._streams[name].predictor is not None
-                and engine.serves(name)
-            ]
-            batch_learned = engine.ingest_batch(batch_items)
-
-        loop_n = len(clean) - len(batch_learned)
-        if tel is not None and loop_n:
-            with tel.tracer.span("tick.per_stream_loop", batch=loop_n):
-                learned = self._ingest_per_stream(clean, batch_learned)
-        else:
-            learned = self._ingest_per_stream(clean, batch_learned)
+            learned = engine.ingest_batch(names, clean)
+        by_name = None
+        loop_n = len(names) - len(learned)
+        if loop_n:
+            by_name = dict(zip(names, clean.tolist()))
+            if tel is not None:
+                with tel.tracer.span("tick.per_stream_loop", batch=loop_n):
+                    learned = self._ingest_per_stream(by_name, learned)
+            else:
+                learned = self._ingest_per_stream(by_name, learned)
 
         if self._trigger is not None and self._breaches_this_tick:
             self._trigger.note_breaches(
@@ -763,11 +751,45 @@ class PredictionFleet:
         # model; record the value so the drained model replays it —
         # before any drain below, which must see this tick's values.
         if self._async is not None and self._async.inflight:
-            self._async.note_values(clean)
+            if by_name is None:
+                by_name = dict(zip(names, clean.tolist()))
+            self._async.note_values(by_name)
 
         if self.config.auto_retrain:
             self.run_pending_retrains(batched=batched)
         return learned
+
+    def _validate_values(
+        self, values: Mapping[str, float]
+    ) -> tuple[list[str], np.ndarray]:
+        """One tick's names and float64 values, checked before any use.
+
+        The whole tick converts in one ``np.fromiter`` pass (which
+        converts each value exactly as ``float()`` does) and is checked
+        with one ``np.isfinite``. Anything that fails either check takes
+        the per-value path, which raises the first error in input order:
+        an unknown stream, an unconvertible value, or a non-finite one.
+        """
+        names = list(values)
+        try:
+            known = bool(values.keys() <= self._streams.keys())
+            clean = np.fromiter(
+                values.values(), dtype=np.float64, count=len(names)
+            )
+        except (TypeError, ValueError, ArithmeticError):
+            known = False
+        if known and np.isfinite(clean).all():
+            return names, clean
+        floats = []
+        for name, value in values.items():
+            self._require_stream(name)
+            value = float(value)
+            if not np.isfinite(value):
+                raise ConfigurationError(
+                    f"value for stream {name!r} must be finite, got {value}"
+                )
+            floats.append(value)
+        return names, np.array(floats, dtype=np.float64)
 
     def _ingest_per_stream(
         self, clean: dict[str, float], batch_learned: dict[str, int]
@@ -826,13 +848,23 @@ class PredictionFleet:
         to the per-stream loop (``batched=False``), just a handful of
         NumPy ops instead of N Python call chains.
         """
-        targets = self.stream_names if names is None else tuple(names)
-        for name in targets:
-            self._require_stream(name)
+        targets = None
+        if names is not None:
+            targets = tuple(names)
+            for name in targets:
+                self._require_stream(name)
         batch: dict[str, Forecast] = {}
         if batched:
             batch = self._get_engine().forecast_batch(targets)
         tel = self._tel
+        if targets is None:
+            if len(batch) == len(self._streams):
+                # The engine served every stream (and already left each
+                # forecast as the stream's pending one).
+                if tel is not None:
+                    self._m.forecasts.inc(len(batch))
+                return batch
+            targets = self.stream_names
         span = None
         if tel is not None:
             loop_n = sum(
@@ -846,14 +878,14 @@ class PredictionFleet:
                 span.__enter__()
         out: dict[str, Forecast] = {}
         for name in targets:
-            state = self._streams[name]
-            if state.predictor is None:
-                continue
             fc = batch.get(name)
             if fc is None:
+                state = self._streams[name]
+                if state.predictor is None:
+                    continue
                 fc = state.predictor.forecast()
-            state.pending = fc
-            state.pending_at = state.predictor.history_length
+                state.pending = fc
+                state.pending_at = state.predictor.history_length
             out[name] = fc
         if span is not None:
             span.__exit__(None, None, None)
@@ -1539,33 +1571,28 @@ class PredictionFleet:
             )
 
     def _note_audits_batch(
-        self, audited: "list[tuple[str, AuditRecord]]"
+        self, audits: int, breaches: "list[tuple[str, AuditRecord]]"
     ) -> None:
-        """One tick's QA audits, counters aggregated across streams.
+        """One tick's QA audits, aggregated across streams.
 
         Same final counter values and the same breach event stream as
-        calling :meth:`_note_audit` once per stream — the engine's
-        stacked QA path hands over only the rows that actually audited,
-        so the aggregate increments replace S calls with two. Only
-        called with telemetry enabled.
+        calling :meth:`_note_audit` once per audit: the engine hands
+        over the tick's audit count and only the ``(stream, audit)``
+        pairs that breached, so the work is independent of the stream
+        count. Only called with telemetry enabled.
         """
-        if not audited:
-            return
         tel = self._tel
-        self._m.audits.inc(len(audited))
-        breaches = 0
-        for name, audit in audited:
-            if audit.breached:
-                breaches += 1
-                tel.events.emit(
-                    "qa_breach",
-                    tick=self._due_seq,
-                    stream=name,
-                    window_mse=audit.window_mse,
-                )
+        self._m.audits.inc(audits)
+        for name, audit in breaches:
+            tel.events.emit(
+                "qa_breach",
+                tick=self._due_seq,
+                stream=name,
+                window_mse=audit.window_mse,
+            )
         if breaches:
-            self._m.breaches.inc(breaches)
-            self._breaches_this_tick += breaches
+            self._m.breaches.inc(len(breaches))
+            self._breaches_this_tick += len(breaches)
 
     def _require_stream(self, name: str) -> _StreamState:
         try:

@@ -517,7 +517,10 @@ class TestFleetTelemetry:
         )
 
     def test_batched_vs_loop_telemetry_parity(self):
-        """Fleet counters and the event narrative are path-independent."""
+        """Fleet counters and the event narrative are path-independent:
+        the engine's aggregated audit notes (one counter increment per
+        tick, breach events only) land where the per-stream loop's
+        ``_note_audit`` calls do."""
         batched = storm_fleet(batched=True, max_retrains_per_tick=1)
         loop = storm_fleet(batched=False, max_retrains_per_tick=1)
 
@@ -543,43 +546,6 @@ class TestFleetTelemetry:
 
         assert narrative(batched) == narrative(loop)
 
-    def test_gather_free_vs_legacy_telemetry_parity(self):
-        """The aggregated audit notes (one counter increment per tick,
-        not per stream) land on the same final counter values and the
-        same event narrative as the per-stream ``_note_audit`` calls of
-        legacy mode."""
-        config = small_config(max_retrains_per_tick=1)
-
-        def storm(gather_free):
-            fleet = PredictionFleet(
-                config, streams=["a", "b", "c", "d"], telemetry=True
-            )
-            fleet._get_engine().gather_free = gather_free
-            feeds = drift_feeds(fleet.stream_names, 160, drift_at=80)
-            serve(fleet, feeds, 0, 160, batched=True)
-            return fleet
-
-        fast, legacy = storm(True), storm(False)
-
-        def fleet_counters(fleet):
-            out = {}
-            for family in fleet.telemetry.registry.families():
-                if not family.name.startswith("repro_fleet_"):
-                    continue
-                for labels, child in sorted(family.children.items()):
-                    out[(family.name, labels)] = child.value
-            return out
-
-        assert fleet_counters(fast) == fleet_counters(legacy)
-
-        def narrative(fleet):
-            return sorted(
-                (e.tick, e.kind, e.stream, tuple(sorted(e.data.items())))
-                for e in fleet.telemetry.events.records()
-            )
-
-        assert narrative(fast) == narrative(legacy)
-
     def test_note_audits_batch_matches_per_call(self):
         from repro.core.qa import AuditRecord
 
@@ -593,8 +559,10 @@ class TestFleetTelemetry:
         for name, audit in audits:
             per_call._note_audit(name, audit)
         per_call._note_audit("d", None)  # no audit this tick
-        batch._note_audits_batch(audits)
-        batch._note_audits_batch([])
+        batch._note_audits_batch(
+            len(audits), [(n, a) for n, a in audits if a.breached]
+        )
+        batch._note_audits_batch(0, [])
         for fleet in (per_call, batch):
             reg = fleet.telemetry.registry
             snap = reg.snapshot()

@@ -41,6 +41,9 @@ def _assert_same_state(batched, loop):
     for name in batched.stream_names:
         sa, sb = batched._streams[name], loop._streams[name]
         assert sa.qa.audits == sb.qa.audits, name
+        assert tuple(sa.qa._sq_errors) == tuple(sb.qa._sq_errors), name
+        assert sa.qa._sq_sum == sb.qa._sq_sum, name
+        assert sa.qa.state_dict() == sb.qa.state_dict(), name
         pa, pb = sa.predictor, sb.predictor
         assert (pa is None) == (pb is None), name
         if pa is None:
@@ -413,38 +416,8 @@ class TestBatchedCost:
 
 
 class TestGatherFree:
-    """The gather-free fast path (views + recycled scratch + stacked QA
-    + bulk learn) must be bit-identical to the legacy engine mode it
-    replaces, and must actually stop allocating in steady state."""
-
-    def _drive_pair(self, ticks=120, n_streams=6, seed=3):
-        config = FleetConfig(qa_threshold=4.0)
-        names = [f"s{i}" for i in range(n_streams)]
-        fast = PredictionFleet(config, streams=names)
-        legacy = PredictionFleet(config, streams=names)
-        legacy._get_engine().gather_free = False
-        feed = _walk_feed(seed=seed)
-        for t in range(ticks):
-            vals = feed(t, names)
-            fa = fast.forecast_all(batched=True)
-            fb = legacy.forecast_all(batched=True)
-            assert fa == fb, f"forecast mismatch at tick {t}"
-            la = fast.ingest(vals, batched=True)
-            lb = legacy.ingest(vals, batched=True)
-            assert la == lb, f"learned-label mismatch at tick {t}"
-            fast.run_pending_retrains()
-            legacy.run_pending_retrains()
-        return fast, legacy
-
-    def test_legacy_mode_is_bit_identical(self):
-        fast, legacy = self._drive_pair()
-        _assert_same_state(fast, legacy)
-        for name in fast.stream_names:
-            qa_a = fast._streams[name].qa
-            qa_b = legacy._streams[name].qa
-            assert tuple(qa_a._sq_errors) == tuple(qa_b._sq_errors), name
-            assert qa_a._sq_sum == qa_b._sq_sum, name
-            assert qa_a.state_dict() == qa_b.state_dict(), name
+    """The gather-free fast path: full-fleet ticks read slices of the
+    stacked tensors and stop allocating in steady state."""
 
     def test_contiguous_rows_select_as_slice(self):
         fleet = PredictionFleet(
@@ -458,8 +431,6 @@ class TestGatherFree:
         assert engine._selector(full) == slice(0, len(engine._rows))
         gappy = np.array([0, 2], dtype=np.intp)
         assert engine._selector(gappy) is gappy
-        engine.gather_free = False
-        assert engine._selector(full) is full
 
     def test_steady_state_tick_recycles_scratch(self):
         """After one warm tick, further ticks reuse the same scratch
@@ -518,6 +489,145 @@ class TestGatherFree:
         assert not fast._engine.serves("b")
         assert fast._engine.serves("a")
         _assert_same_state(fast, loop)
+
+
+class TestMixedPaths:
+    """Per-stream mutations of engine-served streams. Each bumps the
+    predictor's ``version`` counter, and the engine reloads the whole
+    row: tail, label smoothing, normalizer, PCA and AR parameters."""
+
+    def test_unbatched_ticks_keep_parity(self):
+        config = FleetConfig(qa_threshold=4.0)
+        names = [f"s{i}" for i in range(6)]
+        mixed = PredictionFleet(config, streams=names)
+        loop = PredictionFleet(config, streams=names)
+        feed = _walk_feed(seed=1)
+        served = 0
+        for t in range(200):
+            vals = feed(t, names)
+            fa = mixed.forecast_all(batched=True)
+            assert fa == loop.forecast_all(batched=False), t
+            served += len(fa)
+            assert mixed.ingest(vals, batched=t % 7 != 0) == (
+                loop.ingest(vals, batched=False)
+            ), t
+        assert served == 816
+        _assert_same_state(mixed, loop)
+
+    def test_in_place_retrain_reloads_row(self):
+        config = FleetConfig(qa_threshold=4.0)
+        names = [f"s{i}" for i in range(6)]
+        feed = _walk_feed(seed=1)
+        batched, loop = _drive(config, feed, 120, names=names)
+        for fleet in (batched, loop):
+            predictor = fleet._streams["s2"].predictor
+            predictor.retrain(predictor.recent_history(96))
+        served = 0
+        for t in range(120, 160):
+            vals = feed(t, names)
+            fa = batched.forecast_all(batched=True)
+            assert fa == loop.forecast_all(batched=False), t
+            served += len(fa)
+            assert batched.ingest(vals, batched=True) == (
+                loop.ingest(vals, batched=False)
+            ), t
+        assert served == 240
+        _assert_same_state(batched, loop)
+
+
+class TestFleetOrderedRows:
+    """Engine rows follow fleet order, so a full-fleet tick reads
+    slices of the stacked tensors, whatever happened to membership."""
+
+    def _serve(self, config, names, values_at, ticks, check_from, edit=None):
+        batched = PredictionFleet(config, streams=names)
+        loop = PredictionFleet(config, streams=names)
+        selectors = []
+        for t in range(ticks):
+            if edit is not None:
+                edit(t, batched)
+                edit(t, loop)
+            vals = values_at(t, batched.stream_names)
+            engine = batched._engine
+            if t >= check_from and engine is not None:
+                features = engine._features
+
+                def recording(sel, frames, features=features):
+                    selectors.append(sel)
+                    return features(sel, frames)
+
+                engine._features = recording
+            fa = batched.forecast_all(batched=True)
+            assert fa == loop.forecast_all(batched=False), t
+            assert batched.ingest(vals, batched=True) == (
+                loop.ingest(vals, batched=False)
+            ), t
+            if t >= check_from and engine is not None:
+                del engine._features
+                served = [
+                    n for n in batched.stream_names if engine.serves(n)
+                ]
+                assert [e.name for e in engine._rows] == served, t
+                assert [e.row for e in engine._rows] == list(
+                    range(len(served))
+                ), t
+        assert selectors
+        assert all(isinstance(sel, slice) for sel in selectors)
+        _assert_same_state(batched, loop)
+        return batched
+
+    def test_rows_stay_ordered_through_retrains(self):
+        config = FleetConfig(
+            max_memory=24, qa_threshold=0.5, audit_window=16,
+            audit_interval=4, retrain_window=96, history_limit=256,
+        )
+        rng = np.random.default_rng(2)
+        state = {}
+
+        def values_at(t, names):
+            drift = 0.6 if (t // 80) % 2 else 0.02
+            for n in names:
+                state[n] = (
+                    state.get(n, 0.0)
+                    + 0.2 * float(rng.standard_normal()) + drift
+                )
+            return dict(state)
+
+        fleet = self._serve(
+            config, [f"s{i}" for i in range(6)], values_at, 240, 70
+        )
+        assert fleet.metrics().total_retrains > 0
+
+    def test_rows_stay_ordered_after_remove_and_add(self):
+        config = FleetConfig(qa_threshold=4.0)
+        feed = _walk_feed(seed=7)
+
+        def edit(t, fleet):
+            if t == 90:
+                fleet.remove_stream("s1")
+                fleet.add_stream("s9")
+
+        def values_at(t, live):
+            return {n: v for n, v in feed(t, live).items() if n in live}
+
+        names = [f"s{i}" for i in range(5)]
+        fleet = self._serve(config, names, values_at, 170, 70, edit)
+        assert fleet._engine.serves("s9")
+
+    def test_rows_follow_fleet_order_after_out_of_order_train(self):
+        config = FleetConfig(qa_threshold=4.0, max_retrains_per_tick=1)
+        feed = _walk_feed(seed=11)
+        names = ["a", "b", "c", "d"]
+
+        def values_at(t, live):
+            vals = feed(t, names)
+            # d starts reporting first, then c, then everyone: they
+            # become due, and train, in the reverse of fleet order.
+            joined = names[3:] if t < 6 else names[2:] if t < 12 else names
+            return {n: vals[n] for n in joined}
+
+        fleet = self._serve(config, names, values_at, 110, 0)
+        assert [e.name for e in fleet._engine._rows] == names
 
 
 class TestVectorizedMajorityVote:

@@ -133,14 +133,43 @@ class TestIngest:
         assert after["b"] == before["b"]
 
     def test_non_finite_rejected_before_any_mutation(self, warm_fleet):
+        from decimal import Decimal
+
         fleet, feeds = warm_fleet
         before = fleet.metrics()
         with pytest.raises(ConfigurationError):
             fleet.ingest({"a": feeds["a"][60], "b": float("nan")})
-        after = fleet.metrics()
-        assert [m.ticks for m in after.streams] == [
-            m.ticks for m in before.streams
+        # The vectorized check names the first non-finite stream in
+        # input order, and an unknown stream fails in its input place.
+        bad = [
+            ({"a": 1.0, "c": float("inf"), "b": float("nan")}, "'c'"),
+            ({"d": float("-inf"), "a": float("inf")}, "'d'"),
+            ({"a": 1.0, "zzz": 2.0}, "unknown stream 'zzz'"),
+            ({"b": float("nan"), "zzz": 2.0}, "'b' must be finite"),
+            ({"a": "inf", "b": 1.0}, "'a' must be finite"),
         ]
+        for values, message in bad:
+            with pytest.raises(ConfigurationError, match=message):
+                fleet.ingest(values)
+        # Values float() rejects raise what float() raises.
+        with pytest.raises(TypeError):
+            fleet.ingest({"a": 1.0, "b": None})
+        with pytest.raises(ValueError):
+            fleet.ingest({"a": "1.0.0"})
+        after = fleet.metrics()
+        assert after == before
+        # Accepted values convert exactly as float() does.
+        mixed = {
+            "a": "10.25", "b": Decimal("0.1"), "c": True,
+            "d": np.float32(10.1),
+        }
+        names, values = fleet._validate_values(mixed)
+        assert names == list(mixed)
+        assert values.tolist() == [float(v) for v in mixed.values()]
+        fleet.ingest(mixed)
+        for name, value in mixed.items():
+            history = fleet._streams[name].predictor.recent_history(1)
+            assert history.tolist() == [float(value)]
 
     def test_ingest_without_forecast_still_audits(self):
         """The QA must see a (forecast, observation) pair per tick even
