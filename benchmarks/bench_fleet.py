@@ -25,11 +25,10 @@ import os
 from pathlib import Path
 from time import perf_counter
 
-from conftest import emit
+from conftest import emit, machine_info
 
 from repro.core.config import LARConfig
 from repro.experiments.report import format_table
-from repro.parallel.pool_exec import ParallelConfig
 from repro.serving import FleetConfig, PredictionFleet
 from repro.traces.synthetic import ar1_series
 
@@ -73,7 +72,6 @@ def _warm_fleet(feeds: dict, *, telemetry=None) -> PredictionFleet:
         lar=LARConfig(window=5),
         min_train=WARMUP,
         qa_threshold=4.0,
-        parallel=ParallelConfig(),
     )
     fleet = PredictionFleet(config, streams=feeds, telemetry=telemetry)
     for t in range(WARMUP):
@@ -213,7 +211,6 @@ def _warm_deep_fleet(feeds: dict) -> "tuple[PredictionFleet, int]":
         min_train=WARMUP,
         qa_threshold=50.0,  # no retrains: the bench times pure ticks
         max_memory=DEEP_MAX_MEMORY,
-        parallel=ParallelConfig(),
     )
     fleet = PredictionFleet(config, streams=feeds)
     names = fleet.stream_names
@@ -246,10 +243,6 @@ def test_gather_free_deep_memory_gate(capsys):
     timed interleaved so clock drift lands on both sides evenly.
     Results are recorded in ``BENCH_fleet.json``.
     """
-    import platform
-
-    import numpy as np
-
     n = min(DEEP_STREAMS, int(os.environ.get("FLEET_BENCH_MAX_STREAMS", DEEP_STREAMS)))
     length = _deep_feed_length()
     feeds = {
@@ -306,12 +299,7 @@ def test_gather_free_deep_memory_gate(capsys):
         json.dumps(
             {
                 "workload": "deep-memory steady state (write-heavy ticks)",
-                "machine": {
-                    "nproc": os.cpu_count(),
-                    "cpu": platform.processor() or platform.machine(),
-                    "python": platform.python_version(),
-                    "numpy": np.__version__,
-                },
+                "machine": machine_info(),
                 "streams": n,
                 "max_memory": DEEP_MAX_MEMORY,
                 "ticks": ticks,
@@ -524,14 +512,11 @@ def _storm_fleet(feeds: dict, mode: str) -> PredictionFleet:
         # windows overlap, and the gate wants a uniform storm cost.
         min_relabel_overlap=None,
         retrain_mode=mode,
-        # Same burst execution policy for both modes: storm bursts are
-        # sharded across the pool, and the async tick boundary
-        # integrates at most one landed shard per tick so the drain
+        # The async pipeline sends each storm's cold group out in
+        # futures of at most 32 streams, and its tick boundary
+        # integrates at most one landed future per tick so the drain
         # cost stays bounded (sync mode ignores the integration cap).
-        train_shards=8,
-        shard_min_streams=8,
         max_integrations_per_tick=1,
-        parallel=ParallelConfig(),
     )
     fleet = PredictionFleet(config, streams=feeds)
     # Warm-up, then grow every history to the full retrain window so

@@ -1,31 +1,27 @@
 """Fleet retraining throughput bench: retrains/sec across burst sizes.
 
 Not a paper artifact — measures the :mod:`repro.serving` training path:
-a drift storm schedules many streams at once, and the fleet pays for
-the burst in one of three ways:
+a drift storm schedules many streams at once, and the burst can be paid
+in one of three ways:
 
 * **serial** — one per-stream ``OnlineLARPredictor.train`` call chain
-  per due stream (``parallel_map`` pinned to one worker);
-* **parallel_map** — the process-pool fallback: the same per-stream
-  chains spread over all cores, paying pickling both ways;
+  per due stream, in-process (the fleet's fallback for configurations
+  the stacked kernels do not cover);
+* **parallel_map** — the same per-stream chains spread over all cores
+  through :func:`~repro.parallel.pool_exec.parallel_map`, paying
+  pickling both ways (the fleet no longer takes this path; it stays as
+  the gate's baseline);
 * **batched** — the :class:`~repro.serving.trainer.BatchedTrainEngine`:
-  the whole burst as one stacked in-process computation;
-* **sharded** — the same stacked kernels split row-wise across worker
-  processes through shared-memory arenas
-  (:class:`~repro.serving.trainer.ShardedTrainEngine`).
+  the whole burst as one stacked in-process computation.
 
-All four produce bit-identical models (pinned by
-``tests/test_serving_trainer.py`` and ``tests/test_serving_sharded.py``);
-this bench measures only what the batching (and the sharding) buys.
-Results are printed as a table and written to ``BENCH_retrain.json`` at
-the repo root.
+All three produce bit-identical models (pinned by
+``tests/test_serving_trainer.py``); this bench measures only what the
+batching buys. Results are printed as a table and written, with the
+machine they ran on, to ``BENCH_retrain.json`` at the repo root.
 
 ``test_batched_retrain_faster_than_parallel_map`` is the CI smoke gate:
 at 500 due streams the batched burst must deliver at least 5x the
-retrains/sec of the ``parallel_map`` path it replaces.
-``test_sharded_retrain_faster_than_batched`` gates the sharded burst at
-1.3x over single-process batched at the largest burst size (skipped on
-single-core machines, where sharding never engages).
+retrains/sec of the ``parallel_map`` path.
 
 Set ``RETRAIN_BENCH_MAX_STREAMS`` to cap the largest burst size (the
 default includes the 2000-stream size).
@@ -38,14 +34,13 @@ from pathlib import Path
 from time import perf_counter
 
 import numpy as np
-import pytest
 
-from conftest import emit
+from conftest import emit, machine_info
 
 from repro.core.config import LARConfig
 from repro.experiments.report import format_table
 from repro.parallel.pool_exec import ParallelConfig, parallel_map
-from repro.serving import BatchedTrainEngine, FleetConfig, ShardedTrainEngine
+from repro.serving import BatchedTrainEngine, FleetConfig
 from repro.serving.fleet import _train_stream
 from repro.traces.synthetic import ar1_series
 
@@ -110,22 +105,14 @@ def _run_mode(
     start = perf_counter()
     if mode == "batched":
         trained = (engine or BatchedTrainEngine(config)).train_many(histories)
-    elif mode == "sharded":
-        trained = (
-            engine or ShardedTrainEngine(config, min_shard_streams=1)
-        ).train_many(histories)
     elif mode == "parallel_map":
         trained = parallel_map(
             functools.partial(_train_stream, shared),
             histories,
-            config=config.parallel,
+            config=ParallelConfig(),
         )
     elif mode == "serial":
-        trained = parallel_map(
-            functools.partial(_train_stream, shared),
-            histories,
-            config=ParallelConfig(max_workers=1),
-        )
+        trained = [_train_stream(shared, history) for history in histories]
     else:  # pragma: no cover - bench-internal
         raise ValueError(mode)
     elapsed = perf_counter() - start
@@ -140,24 +127,16 @@ def test_retrain_throughput(benchmark, capsys):
     # table reports steady-state throughput, not the one-off page-fault
     # cost of first-touching that size's scratch tensors (which made
     # large bursts look superlinear: 0.78s cold vs 0.23s warm at 2000).
-    engines = {
-        "batched": BatchedTrainEngine(config),
-        "sharded": ShardedTrainEngine(config, min_shard_streams=1),
-    }
+    engine = BatchedTrainEngine(config)
 
     def run():
         results = []
         for n in _sizes():
             histories = _drift_storm_histories(n)
-            for mode in ("batched", "sharded"):
-                _run_mode(mode, config, histories, engines[mode])
-            for mode in ("serial", "parallel_map", "batched", "sharded"):
+            _run_mode("batched", config, histories, engine)
+            for mode in ("serial", "parallel_map", "batched"):
                 results.append(
-                    (
-                        n,
-                        mode,
-                        _run_mode(mode, config, histories, engines.get(mode)),
-                    )
+                    (n, mode, _run_mode(mode, config, histories, engine))
                 )
         return results
 
@@ -178,6 +157,7 @@ def test_retrain_throughput(benchmark, capsys):
     _JSON_PATH.write_text(
         json.dumps(
             {
+                "machine": machine_info(),
                 "history_length": HISTORY,
                 "results": [
                     {
@@ -242,60 +222,6 @@ def test_batched_retrain_faster_than_parallel_map(capsys):
         f"batched retrain burst ({t_batched:.4f}s) is only {speedup:.1f}x "
         f"faster than parallel_map ({t_pool:.4f}s) at {n} due streams; "
         f"the gate requires 5x"
-    )
-
-
-def test_sharded_retrain_faster_than_batched(capsys):
-    """CI gate: at the largest burst size, the row-sharded burst must
-    beat the single-process batched engine by at least 1.3x.
-
-    Sharded bursts are bit-identical to batched ones (pinned by
-    ``tests/test_serving_sharded.py``); this guards their *point* —
-    that fanning the stacked kernels over cores through shared-memory
-    arenas (no history or result pickling) outruns one process doing
-    all the BLAS. Skipped where it cannot: sharding disables itself on
-    a single core.
-    """
-    if (os.cpu_count() or 1) < 2:
-        pytest.skip("sharded bursts need >= 2 cores")
-    n = _sizes()[-1]
-    config = _config()
-    histories = _drift_storm_histories(n)
-    batched = BatchedTrainEngine(config)
-    sharded = ShardedTrainEngine(config, min_shard_streams=1)
-    assert sharded._shard_count(n) >= 2
-    # Warm both engines (scratch tensors, BLAS) and the worker pool.
-    _run_mode("batched", config, histories, batched)
-    _run_mode("sharded", config, histories, sharded)
-
-    t_batched = min(
-        _run_mode("batched", config, histories, batched) for _ in range(5)
-    )
-    t_sharded = min(
-        _run_mode("sharded", config, histories, sharded) for _ in range(5)
-    )
-    speedup = t_batched / t_sharded
-    emit(
-        capsys,
-        format_table(
-            ["path", "burst seconds", "retrains/sec", "speedup"],
-            [
-                ["batched engine", t_batched, n / t_batched, 1.0],
-                [
-                    f"sharded x{sharded._shard_count(n)}",
-                    t_sharded,
-                    n / t_sharded,
-                    speedup,
-                ],
-            ],
-            precision=4,
-            title=f"sharded retrain burst at {n} due streams",
-        ),
-    )
-    assert speedup >= 1.3, (
-        f"sharded retrain burst ({t_sharded:.4f}s) is only {speedup:.2f}x "
-        f"faster than the batched engine ({t_batched:.4f}s) at {n} due "
-        f"streams; the gate requires 1.3x"
     )
 
 

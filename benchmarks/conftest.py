@@ -13,6 +13,12 @@ Run with::
 
 from __future__ import annotations
 
+import os
+import platform
+import subprocess
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from repro.experiments.common import run_full_evaluation
@@ -46,3 +52,29 @@ def emit(capsys, text: str) -> None:
         print()
         print(text)
         print()
+
+
+def machine_info() -> dict:
+    """The machine and checkout a ``BENCH_*.json`` was measured on.
+
+    ``git_sha`` is ``git describe --always --dirty`` of the checkout
+    (``None`` outside a git work tree), so numbers taken on uncommitted
+    code say so.
+    """
+    try:
+        sha = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip() or None
+    except (OSError, subprocess.CalledProcessError):
+        sha = None
+    return {
+        "nproc": os.cpu_count(),
+        "cpu": platform.processor() or platform.machine(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "git_sha": sha,
+    }

@@ -11,7 +11,7 @@ the paper's LARPredictor is exactly such a model). This example runs the
 2. every tick is one batched ``forecast_all`` + ``ingest`` call pair;
 3. half the farm drifts mid-run — the per-stream Quality Assurors
    breach, and the fleet retrains those streams (only those) in one
-   out-of-band parallel burst;
+   out-of-band stacked burst;
 4. the fleet is saved and restored, and the restored fleet produces the
    same next forecasts.
 
@@ -23,7 +23,6 @@ import tempfile
 import numpy as np
 
 from repro.core.config import LARConfig
-from repro.parallel.pool_exec import ParallelConfig
 from repro.serving import FleetConfig, PredictionFleet
 from repro.traces.synthetic import ar1_series, white_noise_series
 
@@ -53,7 +52,6 @@ def main() -> None:
         audit_window=16,
         audit_interval=8,
         retrain_window=120,
-        parallel=ParallelConfig(),
     )
     fleet = PredictionFleet(config, streams=names)
 

@@ -95,8 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="measurement ticks to simulate (default 240)")
     fleet.add_argument("--seed", type=int, default=None,
                        help="stream-generator seed (default: paper seed)")
-    fleet.add_argument("--workers", type=int, default=None,
-                       help="retrain worker processes (default: cpu count)")
     fleet.add_argument("--retrain-mode", choices=["sync", "async"],
                        default="sync",
                        help="run retrain bursts inline with the tick "
@@ -123,14 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serve live Prometheus exposition on "
                             "127.0.0.1:PORT for the duration of the run "
                             "(0 = ephemeral); implies --telemetry")
-    fleet.add_argument("--train-shards", type=int, metavar="N", default=None,
-                       help="shard big retrain bursts across N worker "
-                            "processes via shared memory (default: "
-                            "single-process)")
-    fleet.add_argument("--shard-min-streams", type=int, metavar="S",
-                       default=None,
-                       help="minimum burst-group size before sharding "
-                            "kicks in (default 256)")
     fleet.add_argument("--flight-dir", metavar="DIR", default=None,
                        help="arm the flight recorder and write anomaly "
                             "dumps (span ring, events, metrics, Chrome "
@@ -308,31 +298,19 @@ def _build_fleet_feeds(n: int, ticks: int, seed: int) -> dict:
 
 
 def _fleet_demo_config(
-    ticks: int,
-    workers=None,
-    label_cache: bool = True,
-    train_shards=None,
-    shard_min_streams=None,
-    retrain_mode: str = "sync",
+    ticks: int, label_cache: bool = True, retrain_mode: str = "sync"
 ):
     """The FleetConfig both serving demos run with."""
     from repro.core.config import LARConfig
-    from repro.parallel.pool_exec import ParallelConfig
     from repro.serving import FleetConfig
 
     lar = LARConfig(window=5)
-    extra = {}
-    if shard_min_streams is not None:
-        extra["shard_min_streams"] = shard_min_streams
     return FleetConfig(
         lar=lar,
         min_train=min(40, max(lar.window + max(lar.k, 2), ticks // 2)),
         qa_threshold=2.0,
         label_cache=label_cache,
-        parallel=ParallelConfig(max_workers=workers),
-        train_shards=train_shards,
         retrain_mode=retrain_mode,
-        **extra,
     )
 
 
@@ -362,12 +340,6 @@ def _run_fleet(args) -> int:
     if args.streams < 1 or args.ticks < 1:
         print("fleet: --streams and --ticks must be >= 1", file=sys.stderr)
         return 2
-    if args.workers is not None and args.workers < 1:
-        print("fleet: --workers must be >= 1", file=sys.stderr)
-        return 2
-    if args.train_shards is not None and args.train_shards < 1:
-        print("fleet: --train-shards must be >= 1", file=sys.stderr)
-        return 2
     if args.prom_port is not None and not (0 <= args.prom_port <= 65535):
         print("fleet: --prom-port must be in [0, 65535]", file=sys.stderr)
         return 2
@@ -380,10 +352,7 @@ def _run_fleet(args) -> int:
     feeds = _build_fleet_feeds(n, ticks, _seed(args))
     config = _fleet_demo_config(
         ticks,
-        workers=args.workers,
         label_cache=not args.no_label_cache,
-        train_shards=args.train_shards,
-        shard_min_streams=args.shard_min_streams,
         retrain_mode=args.retrain_mode,
     )
     fleet = PredictionFleet(

@@ -4,17 +4,16 @@ Aggregates (:class:`~repro.obs.tracing.PhaseStats`, histograms) answer
 "how much, on average"; the flight recorder answers "what was the
 system doing in the seconds before things went wrong". Every completed
 span lands in a fixed-capacity ring as a :class:`SpanRecord` — name,
-monotonic start, duration, batch size, fleet tick, and (for work done
-inside shard workers) the shard index — cheap enough to leave on in
-production and bounded so a fleet serving millions of ticks holds only
-the recent past.
+monotonic start, duration, batch size and fleet tick — cheap enough to
+leave on in production and bounded so a fleet serving millions of ticks
+holds only the recent past.
 
 Three consumers:
 
 * :func:`chrome_trace` / :func:`write_chrome_trace` — render the ring
   (plus the structured event log) as a Chrome trace-event JSON document
-  that loads in ``chrome://tracing`` and Perfetto, with the main
-  process on one lane and each training shard on its own lane.
+  that loads in ``chrome://tracing`` and Perfetto, every span on the
+  main lane.
 * :class:`AnomalyTrigger` — watches the live ring and the fleet's QA
   stream; on a QA-breach storm, a phase-latency spike over the rolling
   baseline, or a broken worker pool it snapshots the ring + event log +
@@ -24,9 +23,7 @@ Three consumers:
 
 Timebase: records carry ``time.perf_counter()`` values. The recorder
 pins a (wall, monotonic) anchor pair at construction so exports can map
-monotonic starts onto wall-clock time; worker-side records are
-re-anchored by the parent (see ``serving/trainer.py``) into the same
-timebase before they reach the ring.
+monotonic starts onto wall-clock time.
 """
 
 from __future__ import annotations
@@ -52,9 +49,10 @@ class SpanRecord(NamedTuple):
     """One completed span occurrence.
 
     ``start`` is in ``perf_counter()`` seconds (same timebase as the
-    owning :class:`FlightRecorder`'s ``mono_anchor``); ``shard`` is
-    ``None`` for main-process work, the shard index for records merged
-    back from worker processes.
+    owning :class:`FlightRecorder`'s ``mono_anchor``). ``shard`` is
+    always ``None``: every span runs in the serving process. The field
+    stays so readers of the record shape (and of older dumps, which
+    could carry a worker index) keep working.
     """
 
     name: str
@@ -107,10 +105,9 @@ class FlightRecorder:
         start: float,
         duration: float,
         batch: int | None = None,
-        shard: int | None = None,
     ) -> None:
         """Append one span occurrence (evicting the oldest when full)."""
-        rec = SpanRecord(name, start, duration, batch, self.tick, shard)
+        rec = SpanRecord(name, start, duration, batch, self.tick, None)
         self._total += 1
         if len(self._ring) == self.capacity:
             self._dropped += 1
@@ -133,16 +130,11 @@ class FlightRecorder:
     def __len__(self) -> int:
         return len(self._ring)
 
-    def records(
-        self, *, name: str | None = None, shard: int | None = None
-    ) -> tuple[SpanRecord, ...]:
-        """Retained records, oldest first, optionally filtered."""
-        return tuple(
-            r
-            for r in self._ring
-            if (name is None or r.name == name)
-            and (shard is None or r.shard == shard)
-        )
+    def records(self, *, name: str | None = None) -> tuple[SpanRecord, ...]:
+        """Retained records, oldest first, optionally filtered by name."""
+        if name is None:
+            return tuple(self._ring)
+        return tuple(r for r in self._ring if r.name == name)
 
     def clear(self) -> None:
         """Drop retained records (totals keep counting)."""
@@ -179,10 +171,9 @@ def chrome_trace(
     """Render *flight* (plus optional event log) as Chrome trace JSON.
 
     The result loads in ``chrome://tracing`` and Perfetto: complete
-    (``ph="X"``) events with microsecond timestamps, the main process
-    on thread lane 0 and each shard on its own lane, and event-log
-    entries as instant (``ph="i"``) markers. Timestamps are relative to
-    the recorder's monotonic anchor.
+    (``ph="X"``) events with microsecond timestamps on thread lane 0,
+    and event-log entries as instant (``ph="i"``) markers. Timestamps
+    are relative to the recorder's monotonic anchor.
     """
     anchor = flight.mono_anchor
     trace_events: list[dict] = [
@@ -201,32 +192,17 @@ def chrome_trace(
             "args": {"name": "main"},
         },
     ]
-    seen_shards: set[int] = set()
     for rec in flight.records():
-        tid = 0 if rec.shard is None else rec.shard + 1
-        if rec.shard is not None and rec.shard not in seen_shards:
-            seen_shards.add(rec.shard)
-            trace_events.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": 1,
-                    "tid": tid,
-                    "args": {"name": f"shard {rec.shard}"},
-                }
-            )
         args: dict = {"tick": rec.tick}
         if rec.batch is not None:
             args["batch"] = rec.batch
-        if rec.shard is not None:
-            args["shard"] = rec.shard
         trace_events.append(
             {
                 "name": rec.name,
                 "cat": rec.name.split(".", 1)[0],
                 "ph": "X",
                 "pid": 1,
-                "tid": tid,
+                "tid": 0,
                 "ts": (rec.start - anchor) * 1e6,
                 "dur": rec.duration * 1e6,
                 "args": args,
@@ -366,7 +342,6 @@ class AnomalyTrigger:
                 phase=rec.name,
                 duration=rec.duration,
                 baseline=ema,
-                shard=rec.shard,
             )
         base[0] = count + 1
         base[1] = ema + 0.05 * (rec.duration - ema)

@@ -114,10 +114,10 @@ class Tracer:
         self._flight = flight
         self._phases: dict[str, PhaseStats] = {}
         self._quantiles: dict[str, PhaseQuantiles] = {}
-        # (stats, quantiles, histogram, counter) cached per (name, shard)
-        # — the registry lookup (sort + dict hops) and even separate
+        # (stats, quantiles, histogram, counter) cached per name — the
+        # registry lookup (sort + dict hops) and even separate
         # stats/quantile dict reads are measurable at tick rate.
-        self._cache: dict[tuple, tuple] = {}
+        self._cache: dict[str, tuple] = {}
 
     def attach_flight(self, flight) -> None:
         """Feed per-occurrence records into *flight* from now on."""
@@ -131,29 +131,24 @@ class Tracer:
         """A new span for phase *name* covering *batch* items."""
         return Span(self, name, batch)
 
-    def _entry(self, name: str, shard: int | None) -> tuple:
+    def _entry(self, name: str) -> tuple:
         """Build (and cache) one (stats, quantiles, hist, counter) row."""
-        stats = self._phases.get(name)
-        if stats is None:
-            stats = self._phases[name] = PhaseStats()
-            self._quantiles[name] = PhaseQuantiles()
-        labels = {"span": name}
-        if shard is not None:
-            labels["shard"] = str(shard)
+        stats = self._phases[name] = PhaseStats()
+        quantiles = self._quantiles[name] = PhaseQuantiles()
         buckets = TRAIN_TIME_BUCKETS if name.startswith("train.") else None
         hist = self._registry.histogram(
             "repro_span_seconds",
             "Wall time per tracing span.",
             buckets=buckets,
-            **labels,
+            span=name,
         )
         counter = self._registry.counter(
             "repro_span_batch_total",
             "Items covered by tracing spans.",
-            **labels,
+            span=name,
         )
-        entry = (stats, self._quantiles[name], hist, counter)
-        self._cache[(name, shard)] = entry
+        entry = (stats, quantiles, hist, counter)
+        self._cache[name] = entry
         return entry
 
     def record(
@@ -172,9 +167,9 @@ class Tracer:
         record exactly on the flight timeline; when omitted the record
         is assumed to have just ended.
         """
-        entry = self._cache.get((name, None))
+        entry = self._cache.get(name)
         if entry is None:
-            entry = self._entry(name, None)
+            entry = self._entry(name)
         stats, quantiles, hist, counter = entry
         stats.add(seconds, batch)
         quantiles.observe(seconds)
@@ -185,36 +180,6 @@ class Tracer:
             if start is None:
                 start = perf_counter() - seconds
             self._flight.record(name, start, seconds, batch)
-
-    def record_shard(
-        self,
-        name: str,
-        seconds: float,
-        *,
-        batch: int | None = None,
-        shard: int = 0,
-        start: float | None = None,
-    ) -> None:
-        """Record a phase that ran inside shard worker *shard*.
-
-        Aggregates (:class:`PhaseStats`, quantiles) fold into the plain
-        phase name so sharded and single-process bursts stay comparable;
-        the registry mirror and the flight ring carry the shard label so
-        exports can decompose a burst per worker.
-        """
-        entry = self._cache.get((name, shard))
-        if entry is None:
-            entry = self._entry(name, shard)
-        stats, quantiles, hist, counter = entry
-        stats.add(seconds, batch)
-        quantiles.observe(seconds)
-        hist.observe(seconds)
-        if batch is not None:
-            counter.inc(batch)
-        if self._flight is not None:
-            if start is None:
-                start = perf_counter() - seconds
-            self._flight.record(name, start, seconds, batch, shard)
 
     def stats(self) -> dict[str, PhaseStats]:
         """Live per-phase aggregates (insertion-ordered by first use)."""
@@ -324,17 +289,6 @@ class NullTracer:
         seconds: float,
         batch: int | None = None,
         *,
-        start: float | None = None,
-    ) -> None:
-        pass
-
-    def record_shard(
-        self,
-        name: str,
-        seconds: float,
-        *,
-        batch: int | None = None,
-        shard: int = 0,
         start: float | None = None,
     ) -> None:
         pass

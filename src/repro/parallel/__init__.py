@@ -1,4 +1,4 @@
-"""Process-parallel execution helpers for trace sweeps and bursts."""
+"""Process-parallel execution helpers for trace sweeps and async bursts."""
 
 from repro.parallel.pool_exec import (
     ParallelConfig,
@@ -9,13 +9,6 @@ from repro.parallel.pool_exec import (
     shutdown_persistent_pool,
     unregister_pool_failure_hook,
 )
-from repro.parallel.shm import (
-    ArenaAttachment,
-    ArraySpec,
-    ShmArena,
-    active_segments,
-    attach,
-)
 
 __all__ = [
     "parallel_map",
@@ -25,9 +18,4 @@ __all__ = [
     "register_pool_failure_hook",
     "unregister_pool_failure_hook",
     "notify_pool_failure",
-    "ShmArena",
-    "ArraySpec",
-    "ArenaAttachment",
-    "attach",
-    "active_segments",
 ]

@@ -15,13 +15,12 @@ from repro.serving.label_cache import (
     params_fingerprint,
 )
 from repro.serving.persistence import load_fleet, save_fleet
-from repro.serving.trainer import BatchedTrainEngine, ShardedTrainEngine
+from repro.serving.trainer import BatchedTrainEngine
 
 __all__ = [
     "AsyncRetrainPipeline",
     "BatchedTickEngine",
     "BatchedTrainEngine",
-    "ShardedTrainEngine",
     "CacheTail",
     "FleetConfig",
     "FleetMetrics",

@@ -17,9 +17,10 @@ How a burst flies
   partitions the due streams exactly as the synchronous path does
   (cold refits vs. incremental relabels, windows snapshotted); the
   pipeline packages each stacked group into picklable tensors — raw
-  history stacks for cold groups (split row-wise by the engine's shard
-  policy), :class:`~repro.serving.trainer.RelabelGroupInputs`
-  snapshots for splice groups — and dispatches them as futures via
+  history stacks for cold groups (split row-wise into futures of at
+  most ``_COLD_CHUNK_STREAMS`` streams),
+  :class:`~repro.serving.trainer.RelabelGroupInputs` snapshots for
+  splice groups — and dispatches them as futures via
   :func:`repro.parallel.pool_exec.submit`. Control returns to the tick
   immediately; each submitted stream's due flags clear and its QA stays
   latched until integration.
@@ -56,6 +57,7 @@ from __future__ import annotations
 
 import functools
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,9 +66,90 @@ from repro.parallel.pool_exec import (
     shutdown_persistent_pool,
     submit as pool_submit,
 )
-from repro.serving.trainer import _shard_bounds
+from repro.serving.trainer import BatchedTrainEngine
 
 __all__ = ["AsyncRetrainPipeline"]
+
+#: Largest row chunk one asynchronous cold-group future carries. A
+#: group of *n* streams goes out as ``ceil(n / 32)`` near-equal futures,
+#: so the drain integrates a storm over several ticks instead of one.
+#: Measured on a 2-core Intel Xeon (numpy 2.4.6) with the 500-stream
+#: async tick-latency gate in ``benchmarks/bench_fleet.py`` (async/sync
+#: p99 ratio, bound <= 0.5): no split read 1.32 / 0.73 / 0.81, chunks of
+#: at most 32 streams read 0.30 / 0.33 / 0.25.
+_COLD_CHUNK_STREAMS = 32
+
+
+def _chunk_bounds(n_rows: int) -> list[tuple[int, int]]:
+    """Contiguous, near-equal ``[lo, hi)`` row chunks covering *n_rows*,
+    each at most :data:`_COLD_CHUNK_STREAMS` rows."""
+    chunks = -(-n_rows // _COLD_CHUNK_STREAMS)
+    base, extra = divmod(n_rows, chunks)
+    bounds = []
+    lo = 0
+    for index in range(chunks):
+        hi = lo + base + (1 if index < extra else 0)
+        bounds.append((lo, hi))
+        lo = hi
+    return bounds
+
+
+# -- worker side --------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class WorkerConfig:
+    """The slice of a fleet config the compute kernels actually read.
+
+    ``max_memory`` / ``history_limit`` stay behind in the parent — they
+    only matter when predictors are assembled, which never happens in a
+    worker.
+    """
+
+    lar: object
+    label_smoothing: int
+
+
+_cached_engine: tuple[WorkerConfig, BatchedTrainEngine] | None = None
+
+
+def _engine(config: WorkerConfig) -> BatchedTrainEngine:
+    """This worker's engine for *config* (rebuilt only when it changes).
+
+    The engine's recycled scratch tensors are as valuable across a
+    storm's bursts in a worker as they are in the parent.
+    """
+    global _cached_engine
+    if _cached_engine is not None and _cached_engine[0] == config:
+        return _cached_engine[1]
+    engine = BatchedTrainEngine(config)
+    _cached_engine = (config, engine)
+    return engine
+
+
+def train_group_async(config: WorkerConfig, histories) -> object:
+    """Train one pickled history stack; the asynchronous cold-burst unit.
+
+    Runs the exact in-process kernel chain, so the returned
+    :class:`~repro.serving.trainer.GroupFit` (pure ndarrays) carries the
+    synchronous burst's bits; scratch-buffer aliasing inside the worker
+    is safe because pickling the result copies every tensor.
+    """
+    return _engine(config)._compute_train_group(histories)
+
+
+def relabel_group_async(config: WorkerConfig, inputs) -> tuple:
+    """Relabel one packed group; the asynchronous splice-burst unit.
+
+    *inputs* is a :class:`~repro.serving.trainer.RelabelGroupInputs`
+    snapshot taken at submission time. Returns the raw
+    ``(frames, targets, sq, labels, counts, features)`` tuple for the
+    parent to assemble into predictors at drain.
+    """
+    return _engine(config)._run_relabel_group(inputs)
+
+
+# -- parent side --------------------------------------------------------------
 
 
 class _PendingStream:
@@ -158,11 +241,12 @@ class AsyncRetrainPipeline:
         """Dispatch one partitioned retrain round to the worker pool.
 
         Mirrors the synchronous execution shape exactly — stacked cold
-        groups (row-split by the engine's shard policy), stacked
-        relabel groups, per-stream fallbacks for configurations the
-        stacked kernels don't cover — so every worker runs the same
+        groups (row-split into chunks, see :func:`_chunk_bounds`),
+        stacked relabel groups, per-stream fallbacks for configurations
+        the stacked kernels don't cover — so every worker runs the same
         kernels on the same inputs and the drained tensors carry the
-        synchronous burst's bits.
+        synchronous burst's bits. Every training kernel reads only its
+        own row, so a chunked group fits exactly like the whole one.
         """
         fleet = self._fleet
         cfg = fleet.config
@@ -177,16 +261,12 @@ class AsyncRetrainPipeline:
             )
             for name in due
         }
-        from repro.serving import shard_exec
-
-        worker_cfg = shard_exec.WorkerConfig(
+        worker_cfg = WorkerConfig(
             lar=cfg.lar, label_smoothing=cfg.label_smoothing
         )
         if plan.cold_histories:
             if batched and engine.supported:
-                self._submit_cold_groups(
-                    plan, records, engine, worker_cfg, shard_exec
-                )
+                self._submit_cold_groups(plan, records, worker_cfg)
             else:
                 shared = (
                     cfg.lar, cfg.label_smoothing, cfg.max_memory,
@@ -203,9 +283,7 @@ class AsyncRetrainPipeline:
                     ))
         if plan.inc_tasks:
             if batched and engine.relabel_supported:
-                self._submit_relabel_groups(
-                    plan, records, engine, worker_cfg, shard_exec
-                )
+                self._submit_relabel_groups(plan, records, engine, worker_cfg)
             else:
                 for name, task in zip(plan.inc_names, plan.inc_tasks):
                     self._track(_Burst(
@@ -214,10 +292,8 @@ class AsyncRetrainPipeline:
                         [records[name]],
                     ))
 
-    def _submit_cold_groups(
-        self, plan, records, engine, worker_cfg, shard_exec
-    ) -> None:
-        """Stacked cold refits: one future per equal-length row slice."""
+    def _submit_cold_groups(self, plan, records, worker_cfg) -> None:
+        """Stacked cold refits: one future per equal-length row chunk."""
         groups: dict[int, list[int]] = {}
         arrays = [
             np.ascontiguousarray(h, dtype=np.float64)
@@ -228,22 +304,15 @@ class AsyncRetrainPipeline:
         for indices in groups.values():
             stack = np.stack([arrays[i] for i in indices], axis=0)
             recs = [records[plan.cold_names[i]] for i in indices]
-            shards = engine._shard_count(len(indices))
-            for lo, hi in _shard_bounds(len(indices), shards):
+            for lo, hi in _chunk_bounds(len(indices)):
                 self._track(_Burst(
                     "cold_group",
-                    pool_submit(
-                        shard_exec.train_group_async,
-                        worker_cfg,
-                        stack[lo:hi],
-                    ),
+                    pool_submit(train_group_async, worker_cfg, stack[lo:hi]),
                     recs[lo:hi],
                     histories=stack[lo:hi],
                 ))
 
-    def _submit_relabel_groups(
-        self, plan, records, engine, worker_cfg, shard_exec
-    ) -> None:
+    def _submit_relabel_groups(self, plan, records, engine, worker_cfg) -> None:
         """Stacked relabels: one future per (length, geometry) group."""
         _, groups = engine._prepare_relabel_groups(plan.inc_tasks)
         for items in groups:
@@ -257,7 +326,7 @@ class AsyncRetrainPipeline:
             self._track(_Burst(
                 "relabel_group",
                 pool_submit(
-                    shard_exec.relabel_group_async,
+                    relabel_group_async,
                     worker_cfg,
                     engine._pack_relabel_group(local),
                 ),

@@ -22,8 +22,8 @@ serving layer:
   Eligible configurations run the whole burst through the
   :class:`~repro.serving.trainer.BatchedTrainEngine` (one stacked
   training computation for all due streams, bit-identical to the
-  per-stream path); others fall back to a
-  :func:`repro.parallel.parallel_map` burst across cores.
+  per-stream path); others fall back to a plain per-stream training
+  loop.
 * **Retrain budgeting** — ``max_retrains_per_tick`` caps how many
   scheduled (re)trains any single :meth:`ingest` call pays for; the
   rest stay queued oldest-breach-first and keep serving their current
@@ -46,7 +46,6 @@ serving layer:
 
 from __future__ import annotations
 
-import functools
 from collections import deque
 from collections.abc import Iterable, Mapping
 from contextlib import nullcontext
@@ -62,14 +61,13 @@ from repro.core.qa import AuditRecord, PredictionQualityAssuror
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.experiments.report import format_table
 from repro.obs import NULL_TELEMETRY, Telemetry
-from repro.parallel.pool_exec import ParallelConfig, parallel_map
 from repro.serving.engine import BatchedTickEngine
 from repro.serving.label_cache import (
     LabelCache,
     config_fingerprint,
     params_fingerprint,
 )
-from repro.serving.trainer import DEFAULT_MIN_SHARD_STREAMS, BatchedTrainEngine
+from repro.serving.trainer import BatchedTrainEngine
 
 __all__ = ["FleetConfig", "PredictionFleet", "FleetMetrics", "StreamMetrics"]
 
@@ -158,21 +156,6 @@ class FleetConfig:
         oldest-breach-first; streams over budget stay queued with their
         current model still serving, so one ingest call is never blocked
         on more than the budgeted trainings.
-    parallel:
-        Execution policy for the ``parallel_map`` fallback of the
-        out-of-band training burst (eligible configurations train
-        batched in-process instead; see
-        :class:`~repro.serving.trainer.BatchedTrainEngine`).
-    train_shards:
-        Worker-process cap for row-sharded training bursts (``None``,
-        the default, keeps every burst single-process). Big drift
-        storms split each equal-length group across a persistent pool
-        through shared-memory arenas — bit-identical output, see the
-        sharding section of :mod:`repro.serving.trainer`.
-    shard_min_streams:
-        Burst groups below this many streams stay single-process even
-        with ``train_shards`` set — the fork-dispatch and arena
-        round-trip only pay for themselves on big bursts.
     """
 
     lar: LARConfig = field(default_factory=LARConfig)
@@ -191,9 +174,6 @@ class FleetConfig:
     max_inflight_retrains: int | None = None
     max_integrations_per_tick: int | None = None
     max_retrains_per_tick: int | None = None
-    parallel: ParallelConfig = field(default_factory=ParallelConfig)
-    train_shards: int | None = None
-    shard_min_streams: int = DEFAULT_MIN_SHARD_STREAMS
 
     def __post_init__(self) -> None:
         # A series of length L yields L - window training pairs, and the
@@ -253,18 +233,6 @@ class FleetConfig:
             raise ConfigurationError(
                 f"max_integrations_per_tick must be a positive integer or "
                 f"None, got {self.max_integrations_per_tick!r}"
-            )
-        if self.train_shards is not None and (
-            not isinstance(self.train_shards, int) or self.train_shards < 1
-        ):
-            raise ConfigurationError(
-                f"train_shards must be a positive integer or None, "
-                f"got {self.train_shards!r}"
-            )
-        if not isinstance(self.shard_min_streams, int) or self.shard_min_streams < 1:
-            raise ConfigurationError(
-                f"shard_min_streams must be a positive integer, "
-                f"got {self.shard_min_streams!r}"
             )
 
 
@@ -416,11 +384,12 @@ class _StreamState:
 
 
 def _train_stream(shared, history) -> OnlineLARPredictor:
-    """Train one stream's model from its history (process-pool worker).
+    """Train one stream's model from its history.
 
     *shared* is the fleet-wide ``(lar, label_smoothing, max_memory,
-    history_limit)`` tuple; bound once with :func:`functools.partial` it
-    is pickled once per burst instead of once per due stream.
+    history_limit)`` tuple. The asynchronous per-stream fallback binds it
+    once with :func:`functools.partial`, so it is pickled once per burst
+    instead of once per due stream.
     """
     config, label_smoothing, max_memory, history_limit = shared
     return OnlineLARPredictor(
@@ -937,9 +906,8 @@ class PredictionFleet:
         hot loop. With ``batched=True`` (the default) and an eligible
         configuration, the whole burst runs as one stacked computation
         through the :class:`~repro.serving.trainer.BatchedTrainEngine`,
-        bit-identical to training each stream alone; otherwise the
-        burst spreads over cores via
-        :func:`~repro.parallel.pool_exec.parallel_map`.
+        bit-identical to training each stream alone; otherwise each
+        due stream trains in turn, in-process.
 
         *budget* caps how many due streams this call processes
         (defaulting to ``config.max_retrains_per_tick``); the queue is
@@ -1073,21 +1041,18 @@ class PredictionFleet:
                     cfg.lar, cfg.label_smoothing, cfg.max_memory,
                     cfg.history_limit,
                 )
-                if tel is not None:
-                    with tel.tracer.span(
-                        "train.parallel_map", batch=len(plan.cold_histories)
-                    ):
-                        trained = parallel_map(
-                            functools.partial(_train_stream, shared),
-                            plan.cold_histories,
-                            config=cfg.parallel,
-                        )
-                else:
-                    trained = parallel_map(
-                        functools.partial(_train_stream, shared),
-                        plan.cold_histories,
-                        config=cfg.parallel,
+                span = (
+                    tel.tracer.span(
+                        "train.per_stream", batch=len(plan.cold_histories)
                     )
+                    if tel is not None
+                    else nullcontext()
+                )
+                with span:
+                    trained = [
+                        _train_stream(shared, history)
+                        for history in plan.cold_histories
+                    ]
             new_predictors.update(zip(plan.cold_names, trained))
         if plan.inc_tasks:
             span = (
@@ -1399,10 +1364,7 @@ class PredictionFleet:
     def _get_train_engine(self) -> BatchedTrainEngine:
         if self._train_engine is None:
             self._train_engine = BatchedTrainEngine(
-                self.config,
-                telemetry=self._tel,
-                shards=self.config.train_shards,
-                min_shard_streams=self.config.shard_min_streams,
+                self.config, telemetry=self._tel
             )
         return self._train_engine
 

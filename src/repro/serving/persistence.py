@@ -35,7 +35,6 @@ from repro.core.persistence import (
     save_online_larpredictor,
 )
 from repro.exceptions import DataError
-from repro.parallel.pool_exec import ParallelConfig
 
 __all__ = ["save_fleet", "load_fleet", "FLEET_FORMAT_VERSION"]
 
@@ -71,11 +70,6 @@ def _fleet_config_meta(config) -> dict:
         "max_inflight_retrains": config.max_inflight_retrains,
         "max_integrations_per_tick": config.max_integrations_per_tick,
         "max_retrains_per_tick": config.max_retrains_per_tick,
-        "parallel": {
-            "max_workers": config.parallel.max_workers,
-            "min_items_per_worker": config.parallel.min_items_per_worker,
-            "chunksize": config.parallel.chunksize,
-        },
     }
 
 
@@ -133,7 +127,9 @@ def _fleet_config_from_meta(meta: dict):
                 if meta.get("max_integrations_per_tick") is None
                 else int(meta["max_integrations_per_tick"])
             ),
-            parallel=ParallelConfig(**meta["parallel"]),
+            # Manifests written before 2.0 also carry a "parallel" block
+            # (the removed per-stream parallel_map policy); it never
+            # changed a forecast, so it is ignored.
         )
     except (KeyError, TypeError) as exc:
         raise DataError(f"malformed fleet config in manifest: {exc}") from exc

@@ -31,22 +31,6 @@ recursion is O(p^2) on tiny inputs, and reusing
 :func:`repro.predictors.ar.yule_walker` verbatim is what guarantees the
 coefficients carry the per-stream bits.
 
-Sharded bursts
---------------
-Past a stream threshold the burst can additionally be split row-wise
-across worker processes (``BatchedTrainEngine(shards=...)``, or the
-:class:`ShardedTrainEngine` convenience subclass). Every kernel above is
-row-independent — each stream's fit reads only its own row — so a row
-partition of the group reproduces the single-process bits exactly. The
-histories are written once into a :class:`~repro.parallel.shm.ShmArena`
-(one ``multiprocessing.shared_memory`` block per burst) and workers
-receive only ``(segment, offset, shape, dtype)`` descriptors plus their
-row bounds; fitted tensors come back through a second shared output
-arena, so no history or result crosses the process boundary as a
-pickle. The worker-side kernels live in
-:mod:`repro.serving.shard_exec`; sharding auto-disables below
-``min_shard_streams`` so small bursts keep the proven in-process path.
-
 Bit-exactness contract
 ----------------------
 Like the tick engine, this is an execution strategy, not a model
@@ -60,15 +44,12 @@ slices hit the same BLAS calls, one shared LAPACK eigensolver); the
 parity suite in ``tests/test_serving_trainer.py`` locks it in. Configs
 the stacked kernels do not cover (extended pool, ``min_variance`` PCA —
 both imply per-stream shapes) report :attr:`BatchedTrainEngine.supported`
-as ``False`` and the fleet falls back to the ``parallel_map`` path.
+as ``False`` and the fleet falls back to a per-stream training loop.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
-from time import perf_counter
 from typing import NamedTuple
 
 import numpy as np
@@ -76,12 +57,6 @@ import numpy as np
 from repro.core.online import FittedParts, OnlineLARPredictor, RelabelResult
 from repro.core.relabel import SplicePlan, plan_splice, relabel_group
 from repro.exceptions import ConfigurationError, DataError
-from repro.parallel.pool_exec import (
-    notify_pool_failure,
-    persistent_pool,
-    shutdown_persistent_pool,
-)
-from repro.parallel.shm import ShmArena
 from repro.predictors.ar import yule_walker
 
 try:
@@ -100,30 +75,10 @@ from repro.predictors.stacked import (
 )
 from repro.preprocess.stacked import fit_stacked_normalizer, fit_stacked_pca
 
-__all__ = [
-    "BatchedTrainEngine",
-    "ShardedTrainEngine",
-    "GroupFit",
-    "RelabelGroupInputs",
-    "DEFAULT_MIN_SHARD_STREAMS",
-    "MIN_ROWS_PER_SHARD",
-]
+__all__ = ["BatchedTrainEngine", "GroupFit", "RelabelGroupInputs"]
 
 #: Shared inert context manager for the untraced path.
 _NULL_SPAN = nullcontext()
-
-#: The paper pool is fixed at three members (LAST/AR/SW) on every
-#: stacked-eligible config — extended pools fall back before this.
-_N_POOL = 3
-
-#: Bursts below this many streams in a group stay single-process: the
-#: fork-dispatch and arena round-trip only pay for themselves once the
-#: stacked kernels run long enough to amortize them.
-DEFAULT_MIN_SHARD_STREAMS = 256
-
-#: Never carve a shard thinner than this many rows — tiny shards spend
-#: more time in dispatch than in BLAS.
-MIN_ROWS_PER_SHARD = 8
 
 
 def _count_labels_rows(labels: np.ndarray, n_pool: int) -> np.ndarray:
@@ -141,25 +96,12 @@ def _count_labels_rows(labels: np.ndarray, n_pool: int) -> np.ndarray:
     return flat.reshape(n_streams, width)[:, 1:]
 
 
-def _shard_bounds(n_rows: int, shards: int) -> list[tuple[int, int]]:
-    """Contiguous, near-equal ``[lo, hi)`` row ranges covering *n_rows*."""
-    base, extra = divmod(n_rows, shards)
-    bounds = []
-    lo = 0
-    for index in range(shards):
-        hi = lo + base + (1 if index < extra else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
-
-
 class GroupFit(NamedTuple):
     """Stacked fitted tensors for one equal-length group.
 
     Everything :meth:`~repro.core.online.OnlineLARPredictor.from_fitted_parts`
-    needs, predictor-free — the unit that crosses the shard boundary
-    (workers fill row slices of these tensors in the output arena) and
-    the unit the shard-parity property tests compare bit-for-bit.
+    needs, predictor-free — the unit an asynchronous cold burst ships
+    back from the worker pool (see :mod:`repro.serving.async_trainer`).
     """
 
     norm_means: np.ndarray
@@ -185,7 +127,7 @@ class RelabelGroupInputs(NamedTuple):
     packed from live predictors at submission time. Pure ndarrays plus a
     :class:`~repro.core.relabel.SplicePlan`, so the whole record pickles
     — the unit an asynchronous burst ships to the persistent pool
-    (:func:`repro.serving.shard_exec.relabel_group_async`) while the
+    (:func:`repro.serving.async_trainer.relabel_group_async`) while the
     serving tick keeps running on the old models.
     """
 
@@ -221,42 +163,13 @@ class BatchedTrainEngine:
         Optional :class:`~repro.obs.Telemetry`; when set, every batched
         burst records per-phase tracing spans (``train.zscore_fit``,
         ``train.ar_fit``, ``train.labelling``, ``train.pca_eigh``,
-        ``train.rebuild``) with the group size as the batch. Sharded
-        bursts additionally record one ``train.shard`` span per worker
-        (worker-measured wall time), a ``repro_train_shm_bytes`` gauge
-        while the arenas are mapped, and ``shard_dispatch`` /
-        ``shard_complete`` events.
-    shards:
-        ``None`` (default) keeps every burst single-process. An integer
-        caps the worker count for row-sharded bursts; groups below
-        ``min_shard_streams`` (or too small to feed two shards of
-        :data:`MIN_ROWS_PER_SHARD` rows) stay in-process regardless.
-    min_shard_streams:
-        Stream threshold below which sharding auto-disables; defaults
-        to :data:`DEFAULT_MIN_SHARD_STREAMS`.
+        ``train.rebuild``) with the group size as the batch.
     """
 
-    def __init__(
-        self,
-        config,
-        *,
-        telemetry=None,
-        shards: int | None = None,
-        min_shard_streams: int | None = None,
-    ) -> None:
+    def __init__(self, config, *, telemetry=None) -> None:
         self._config = config
         self._tel = telemetry
         self._lar = config.lar
-        if shards is not None and shards < 1:
-            raise ConfigurationError(f"shards must be >= 1 or None, got {shards}")
-        if min_shard_streams is None:
-            min_shard_streams = DEFAULT_MIN_SHARD_STREAMS
-        if min_shard_streams < 1:
-            raise ConfigurationError(
-                f"min_shard_streams must be >= 1, got {min_shard_streams}"
-            )
-        self._shards = shards
-        self._min_shard_streams = min_shard_streams
         # min_variance lets each stream keep a different component
         # count and extended pools carry members without stacked
         # kernels; both fall back to the per-stream path.
@@ -290,26 +203,6 @@ class BatchedTrainEngine:
     def supported(self) -> bool:
         """Whether this config's training phase can run stacked."""
         return self._supported
-
-    @property
-    def shards(self) -> int | None:
-        """Configured shard cap (``None`` = sharding off)."""
-        return self._shards
-
-    def _shard_count(self, n_rows: int) -> int:
-        """Worker count for an *n_rows* group (1 = stay in-process).
-
-        Sharding needs the stacked kernels (``min_variance`` and
-        extended pools already fell back), a group at least
-        ``min_shard_streams`` tall, and enough rows that every shard
-        gets :data:`MIN_ROWS_PER_SHARD` of them.
-        """
-        if self._shards is None or not self._supported:
-            return 1
-        if n_rows < self._min_shard_streams:
-            return 1
-        count = min(self._shards, n_rows // MIN_ROWS_PER_SHARD)
-        return count if count >= 2 else 1
 
     @property
     def relabel_supported(self) -> bool:
@@ -500,15 +393,7 @@ class BatchedTrainEngine:
         )
 
     def _run_relabel_group(self, inputs: RelabelGroupInputs):
-        """Compute one packed group, sharded when the policy says so."""
-        shards = self._shard_count(inputs.histories.shape[0])
-        if shards > 1:
-            return self._relabel_group_sharded(
-                inputs.histories, inputs.norm_means, inputs.norm_stds,
-                inputs.ar_phi, inputs.ar_means, inputs.plan,
-                inputs.cached_sq, inputs.cached_labels, inputs.sw_window,
-                inputs.pca_means, inputs.pca_components, shards,
-            )
+        """Compute one packed group in-process."""
         return self._compute_relabel_group(
             inputs.histories, inputs.norm_means, inputs.norm_stds,
             inputs.ar_phi, inputs.ar_means, inputs.plan,
@@ -599,8 +484,8 @@ class BatchedTrainEngine:
         """The in-process relabel kernels for one grouped burst.
 
         Pure stacked computation on frozen parameters — no predictor
-        objects, so this is the unit workers run on their row slice
-        (and the unit the shard-parity property tests partition).
+        objects, so this is the unit an asynchronous relabel burst runs
+        in a pool worker.
         Returns ``(frames, targets, sq, labels, counts, features)``
         where ``features`` is ``None`` unless a stacked projection
         applies (fixed component counts).
@@ -639,297 +524,19 @@ class BatchedTrainEngine:
                 )
         return frames, targets, sq, labels, counts, features
 
-    def _relabel_group_sharded(
-        self,
-        histories: np.ndarray,
-        norm_means: np.ndarray,
-        norm_stds: np.ndarray,
-        ar_phi: np.ndarray,
-        ar_means: np.ndarray,
-        plan,
-        cached_sq,
-        cached_labels,
-        sw_window: int,
-        pca_means,
-        pca_components,
-        shards: int,
-    ):
-        """Row-sharded :meth:`_compute_relabel_group` over worker processes.
-
-        Frozen parameters (and the stacked label-cache slices, when the
-        group splices) go into one input arena; workers write their row
-        slices of every output tensor into the output arena. Outputs
-        are copied to the heap before both arenas are released — the
-        returned tensors never reference shared memory.
-        """
-        from repro.serving import shard_exec
-
-        lar = self._lar
-        w = lar.window
-        n_streams, length = histories.shape
-        n_frames = length - w
-        f8, i8 = np.float64, np.int64
-        in_layout = {
-            "histories": ((n_streams, length), f8),
-            "norm_means": ((n_streams,), f8),
-            "norm_stds": ((n_streams,), f8),
-            "ar_phi": (ar_phi.shape, f8),
-            "ar_means": ((n_streams,), f8),
-        }
-        if pca_means is not None:
-            in_layout["pca_means"] = (pca_means.shape, f8)
-            in_layout["pca_components"] = (pca_components.shape, f8)
-        if plan is not None:
-            in_layout["cached_sq"] = ((n_streams, plan.reuse, _N_POOL), f8)
-            in_layout["cached_labels"] = (
-                (n_streams, plan.label_hi - plan.label_lo),
-                i8,
-            )
-        out_layout = {
-            "frames": ((n_streams, n_frames, w), f8),
-            "targets": ((n_streams, n_frames), f8),
-            "sq": ((n_streams, n_frames, _N_POOL), f8),
-            "labels": ((n_streams, n_frames), i8),
-            "counts": ((n_streams, _N_POOL), i8),
-        }
-        if pca_means is not None:
-            out_layout["features"] = (
-                (n_streams, n_frames, pca_components.shape[1]),
-                f8,
-            )
-        in_arena = ShmArena(in_layout)
-        out_arena = None
-        try:
-            np.copyto(in_arena.array("histories"), histories)
-            np.copyto(in_arena.array("norm_means"), norm_means)
-            np.copyto(in_arena.array("norm_stds"), norm_stds)
-            np.copyto(in_arena.array("ar_phi"), ar_phi)
-            np.copyto(in_arena.array("ar_means"), ar_means)
-            if pca_means is not None:
-                np.copyto(in_arena.array("pca_means"), pca_means)
-                np.copyto(in_arena.array("pca_components"), pca_components)
-            if plan is not None:
-                sq_stack = in_arena.array("cached_sq")
-                label_stack = in_arena.array("cached_labels")
-                for s in range(n_streams):
-                    np.copyto(sq_stack[s], cached_sq[s])
-                    np.copyto(label_stack[s], cached_labels[s])
-            out_arena = ShmArena(out_layout)
-            self._set_shm_bytes(in_arena.nbytes + out_arena.nbytes)
-            inputs = {key: in_arena.spec(key) for key in in_layout}
-            outputs = {key: out_arena.spec(key) for key in out_layout}
-            worker_cfg = shard_exec.WorkerConfig(
-                lar=lar, label_smoothing=self._config.label_smoothing
-            )
-            self._run_shards(
-                shard_exec.relabel_shard,
-                lambda lo, hi: shard_exec.RelabelShardTask(
-                    config=worker_cfg,
-                    inputs=inputs,
-                    outputs=outputs,
-                    lo=lo,
-                    hi=hi,
-                    plan=plan,
-                    sw_window=sw_window,
-                ),
-                n_streams,
-                shards,
-                "relabel",
-            )
-            frames = out_arena.array("frames").copy()
-            targets = out_arena.array("targets").copy()
-            sq = out_arena.array("sq").copy()
-            labels = out_arena.array("labels").copy()
-            counts = out_arena.array("counts").copy()
-            features = (
-                out_arena.array("features").copy()
-                if pca_means is not None
-                else None
-            )
-        finally:
-            in_arena.release()
-            if out_arena is not None:
-                out_arena.release()
-            self._set_shm_bytes(0)
-        return frames, targets, sq, labels, counts, features
-
-    def _set_shm_bytes(self, value: int) -> None:
-        if self._tel is not None:
-            self._tel.registry.gauge(
-                "repro_train_shm_bytes",
-                "Shared-memory arena bytes mapped by the current training burst",
-            ).set(value)
-
-    def _run_shards(self, fn, make_task, n_rows, shards, kind) -> None:
-        """Dispatch row shards to the persistent pool and await them.
-
-        Workers return :class:`~repro.serving.shard_exec.ShardResult`
-        rows: their measured wall seconds, which the parent records as
-        ``train.shard`` spans (the span must not include queue wait,
-        which would double-count on an oversubscribed pool), plus their
-        own per-phase records, which the parent re-anchors onto its
-        clock — the task ended "now" and ran ``seconds``, so worker
-        offsets land at ``now - seconds + offset`` — and merges into
-        the tracer under ``shard=N`` labels. A worker crash notifies
-        the pool-failure hooks (flight dump) before tearing the pool
-        down.
-        """
-        pool = persistent_pool(shards)
-        bounds = _shard_bounds(n_rows, shards)
-        futures = []
-        for index, (lo, hi) in enumerate(bounds):
-            if self._tel is not None:
-                self._tel.events.emit(
-                    "shard_dispatch", burst=kind, shard=index, rows=hi - lo
-                )
-            futures.append(pool.submit(fn, make_task(lo, hi)))
-        for index, ((lo, hi), future) in enumerate(zip(bounds, futures)):
-            try:
-                result = future.result()
-            except BrokenProcessPool as exc:
-                notify_pool_failure(exc)
-                shutdown_persistent_pool()
-                raise
-            if self._tel is not None:
-                end = perf_counter()
-                tracer = self._tel.tracer
-                tracer.record(
-                    "train.shard",
-                    result.seconds,
-                    batch=hi - lo,
-                    start=end - result.seconds,
-                )
-                shard_start = end - result.seconds
-                for name, offset, duration, batch in result.phases:
-                    tracer.record_shard(
-                        name,
-                        duration,
-                        batch=batch,
-                        shard=index,
-                        start=shard_start + offset,
-                    )
-                self._tel.events.emit(
-                    "shard_complete",
-                    burst=kind,
-                    shard=index,
-                    rows=hi - lo,
-                    seconds=result.seconds,
-                )
-
     def _train_group(self, histories: np.ndarray) -> list[OnlineLARPredictor]:
         """Run the full training phase for one ``(S, T)`` equal-length group."""
-        shards = self._shard_count(histories.shape[0])
-        if shards > 1:
-            fit = self._train_group_sharded(histories, shards)
-        else:
-            fit = self._compute_train_group(histories)
-        return self._build_group_predictors(histories, fit)
-
-    def _train_group_sharded(self, histories: np.ndarray, shards: int) -> GroupFit:
-        """Row-sharded :meth:`_compute_train_group` over worker processes.
-
-        The equal-length history stack is written once into an input
-        arena; each worker attaches, runs the full in-process kernel
-        chain on its row slice, and writes every fitted tensor into the
-        matching rows of the output arena. The parent copies the
-        tensors to the heap and releases both arenas before building
-        predictors, so nothing downstream ever references shared
-        memory.
-        """
-        from repro.serving import shard_exec
-
-        lar = self._lar
-        w = lar.window
-        p = lar.effective_ar_order
-        n_streams, length = histories.shape
-        if length < w + 2:
-            raise DataError(
-                f"history has {length} values but at least {w + 2} are required"
-            )
-        if not np.isfinite(histories).all():
-            raise DataError("histories contain non-finite value(s)")
-        n_frames = length - w
-        n_components = lar.n_components
-        f8, i8 = np.float64, np.int64
-        out_layout = {
-            "norm_means": ((n_streams,), f8),
-            "norm_stds": ((n_streams,), f8),
-            "ar_means": ((n_streams,), f8),
-            "ar_phi": ((n_streams, p), f8),
-            "ar_noise": ((n_streams,), f8),
-            "frames": ((n_streams, n_frames, w), f8),
-            "targets": ((n_streams, n_frames), f8),
-            "labels": ((n_streams, n_frames), i8),
-            "counts": ((n_streams, _N_POOL), i8),
-        }
-        if n_components is not None:
-            out_layout["features"] = ((n_streams, n_frames, n_components), f8)
-            out_layout["pca_means"] = ((n_streams, w), f8)
-            out_layout["pca_components"] = ((n_streams, n_components, w), f8)
-            out_layout["pca_explained_variance"] = ((n_streams, n_components), f8)
-            out_layout["pca_explained_variance_ratio"] = (
-                (n_streams, n_components),
-                f8,
-            )
-        in_arena = ShmArena({"histories": ((n_streams, length), f8)})
-        out_arena = None
-        try:
-            np.copyto(in_arena.array("histories"), histories)
-            out_arena = ShmArena(out_layout)
-            self._set_shm_bytes(in_arena.nbytes + out_arena.nbytes)
-            inputs = {"histories": in_arena.spec("histories")}
-            outputs = {key: out_arena.spec(key) for key in out_layout}
-            worker_cfg = shard_exec.WorkerConfig(
-                lar=lar, label_smoothing=self._config.label_smoothing
-            )
-            self._run_shards(
-                shard_exec.train_shard,
-                lambda lo, hi: shard_exec.TrainShardTask(
-                    config=worker_cfg, inputs=inputs, outputs=outputs, lo=lo, hi=hi
-                ),
-                n_streams,
-                shards,
-                "train",
-            )
-
-            def take(key: str) -> np.ndarray:
-                return out_arena.array(key).copy()
-
-            frames = take("frames")
-            has_pca = n_components is not None
-            fit = GroupFit(
-                norm_means=take("norm_means"),
-                norm_stds=take("norm_stds"),
-                ar_means=take("ar_means"),
-                ar_phi=take("ar_phi"),
-                ar_noise=take("ar_noise"),
-                frames=frames,
-                targets=take("targets"),
-                features=take("features") if has_pca else frames,
-                labels=take("labels"),
-                counts=take("counts"),
-                pca_means=take("pca_means") if has_pca else None,
-                pca_components=take("pca_components") if has_pca else None,
-                pca_explained_variance=(
-                    take("pca_explained_variance") if has_pca else None
-                ),
-                pca_explained_variance_ratio=(
-                    take("pca_explained_variance_ratio") if has_pca else None
-                ),
-            )
-        finally:
-            in_arena.release()
-            if out_arena is not None:
-                out_arena.release()
-            self._set_shm_bytes(0)
-        return fit
+        return self._build_group_predictors(
+            histories, self._compute_train_group(histories)
+        )
 
     def _compute_train_group(self, histories: np.ndarray) -> GroupFit:
         """The in-process training kernels for one ``(S, T)`` group.
 
         Every kernel here reads only its own row of the stack, which is
-        the property that makes row sharding bit-safe — workers call
-        exactly this method on their slice.
+        the property that lets the asynchronous pipeline split a cold
+        group into row chunks bit-safely — pool workers call exactly
+        this method on their chunk.
         """
         lar = self._lar
         w = lar.window
@@ -1192,35 +799,3 @@ class BatchedTrainEngine:
         labels = np.argmin(sq, axis=2)
         labels += 1
         return labels
-
-
-class ShardedTrainEngine(BatchedTrainEngine):
-    """A :class:`BatchedTrainEngine` that shards every eligible burst.
-
-    Convenience front-end for callers who already know their bursts are
-    big: ``shards`` defaults to the machine's core count and the stream
-    threshold drops to the smallest group that can feed two shards, so
-    any burst with at least ``2 * MIN_ROWS_PER_SHARD`` rows fans out.
-    Unsupported configs (extended pool, ``min_variance`` PCA) and tiny
-    groups still take the single-process path — sharding is an
-    execution strategy, never a behavior change.
-    """
-
-    def __init__(
-        self,
-        config,
-        *,
-        telemetry=None,
-        shards: int | None = None,
-        min_shard_streams: int | None = None,
-    ) -> None:
-        super().__init__(
-            config,
-            telemetry=telemetry,
-            shards=(os.cpu_count() or 1) if shards is None else shards,
-            min_shard_streams=(
-                2 * MIN_ROWS_PER_SHARD
-                if min_shard_streams is None
-                else min_shard_streams
-            ),
-        )

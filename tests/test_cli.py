@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,18 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["--version"])
         assert exc.value.code == 0
+
+    def test_pyproject_reads_the_version_from_the_package(self):
+        """``repro._version`` is the one source of the version:
+        pyproject.toml declares it dynamic instead of repeating it."""
+        tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        meta = tomllib.loads(pyproject.read_text())
+        assert "version" not in meta["project"]
+        assert "version" in meta["project"]["dynamic"]
+        assert meta["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "repro._version.__version__"
+        }
 
 
 class TestArtifactCommands:
@@ -115,7 +129,7 @@ class TestFleetCommand:
     def test_fleet_simulation(self, capsys):
         assert main([
             "fleet", "--streams", "6", "--ticks", "120",
-            "--workers", "1", "--max-rows", "3",
+            "--max-rows", "3",
         ]) == 0
         out = capsys.readouterr().out
         assert "Fleet: 6 streams" in out
@@ -124,12 +138,11 @@ class TestFleetCommand:
 
     def test_fleet_rejects_bad_sizes(self, capsys):
         assert main(["fleet", "--streams", "0"]) == 2
-        assert main(["fleet", "--workers", "0"]) == 2
+        assert main(["fleet", "--ticks", "0"]) == 2
 
     def test_fleet_telemetry_flag(self, capsys):
         assert main([
-            "fleet", "--streams", "4", "--ticks", "120",
-            "--workers", "1", "--telemetry",
+            "fleet", "--streams", "4", "--ticks", "120", "--telemetry",
         ]) == 0
         out = capsys.readouterr().out
         assert "Phase spans" in out
@@ -141,7 +154,7 @@ class TestFleetCommand:
         stats = tmp_path / "telemetry.json"
         prom = tmp_path / "metrics.prom"
         assert main([
-            "fleet", "--streams", "4", "--ticks", "120", "--workers", "1",
+            "fleet", "--streams", "4", "--ticks", "120",
             "--stats-out", str(stats), "--prom-out", str(prom),
         ]) == 0
         doc = json.loads(stats.read_text())
@@ -214,7 +227,7 @@ class TestFleetFlightCommand:
     def test_flight_dir_arms_recorder(self, capsys, tmp_path):
         flight_dir = tmp_path / "flight"
         assert main([
-            "fleet", "--streams", "4", "--ticks", "100", "--workers", "1",
+            "fleet", "--streams", "4", "--ticks", "100",
             "--flight-dir", str(flight_dir),
         ]) == 0
         out = capsys.readouterr().out

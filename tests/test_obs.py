@@ -21,11 +21,9 @@ from repro.obs import (
     parse_prometheus_text,
     prometheus_text,
 )
-from repro.parallel.pool_exec import ParallelConfig
 from repro.serving import FleetConfig, PredictionFleet
 from repro.traces.synthetic import ar1_series
 
-SERIAL = ParallelConfig(max_workers=1)
 
 
 def small_config(**overrides):
@@ -35,7 +33,6 @@ def small_config(**overrides):
         qa_threshold=3.0,
         audit_window=16,
         audit_interval=8,
-        parallel=SERIAL,
     )
     defaults.update(overrides)
     return FleetConfig(**defaults)
@@ -936,84 +933,6 @@ class TestPrometheusEndpoint:
             _, body = self._scrape(endpoint.url)
         parsed = parse_prometheus_text(body)
         assert parsed[("repro_fleet_streams", ())] == 4.0
-
-
-# -- sharded-burst telemetry -------------------------------------------------
-
-
-class TestShardTelemetry:
-    def test_sharded_burst_emits_spans_gauge_and_events(self):
-        from repro.serving import BatchedTrainEngine
-
-        tel = Telemetry()
-        engine = BatchedTrainEngine(
-            small_config(), telemetry=tel, shards=2, min_shard_streams=1
-        )
-        n = 16
-        histories = [
-            10.0 + 3.0 * ar1_series(120, phi=0.85, seed=i) for i in range(n)
-        ]
-        engine.train_many(histories)
-        stats = tel.tracer.stats()
-        assert stats["train.shard"].count == 2
-        assert stats["train.shard"].batch_total == n
-        # worker-measured wall time rode along on every span
-        assert stats["train.shard"].total_seconds > 0.0
-        # the gauge rises during the burst and resets once arenas drop
-        snap = tel.registry.snapshot()
-        assert snap["repro_train_shm_bytes"]["series"][0]["value"] == 0
-        dispatched = tel.events.records(kind="shard_dispatch")
-        completed = tel.events.records(kind="shard_complete")
-        assert len(dispatched) == len(completed) == 2
-        assert sum(e.data["rows"] for e in dispatched) == n
-        for event in completed:
-            assert event.data["burst"] == "train"
-            assert event.data["seconds"] >= 0.0
-
-    def test_relabel_burst_tags_its_events(self):
-        from repro.core.relabel import CachedLabels
-        from repro.serving import BatchedTrainEngine
-
-        tel = Telemetry()
-        engine = BatchedTrainEngine(
-            small_config(label_smoothing=6),
-            telemetry=tel,
-            shards=2,
-            min_shard_streams=1,
-        )
-        n = 16
-        series = [
-            10.0 + 3.0 * ar1_series(200, phi=0.85, seed=i) for i in range(n)
-        ]
-        predictors = engine.train_many([s[:80] for s in series])
-        warm = engine.relabel_many(
-            [(predictors[i], series[i][:80], 0, None) for i in range(n)]
-        )
-        tails = [CachedLabels(0, r.sq, r.labels) for r in warm]
-        engine.relabel_many(
-            [
-                (warm[i].predictor, series[i][20:100], 20, tails[i])
-                for i in range(n)
-            ]
-        )
-        bursts = {
-            e.data["burst"] for e in tel.events.records(kind="shard_complete")
-        }
-        assert bursts == {"train", "relabel"}
-        snap = tel.registry.snapshot()
-        assert snap["repro_train_shm_bytes"]["series"][0]["value"] == 0
-
-    def test_unsharded_burst_stays_silent(self):
-        from repro.serving import BatchedTrainEngine
-
-        tel = Telemetry()
-        engine = BatchedTrainEngine(small_config(), telemetry=tel)
-        engine.train_many(
-            [10.0 + ar1_series(100, phi=0.8, seed=i) for i in range(4)]
-        )
-        assert "train.shard" not in tel.tracer.stats()
-        assert tel.events.records(kind="shard_dispatch") == ()
-        assert "repro_train_shm_bytes" not in tel.registry.snapshot()
 
 
 # -- async retrain pipeline exposition ---------------------------------------

@@ -1,10 +1,8 @@
 """Tests for the flight recorder leg (repro.obs.flight / quantiles).
 
 Covers the P² quantile digests, the bounded span ring, the Chrome
-trace-event exporter, the anomaly trigger's three trip wires, the
-fleet ``flight_dir`` wiring, and the cross-process shard telemetry
-merge (worker phases landing in the parent registry and ring under
-``shard=N`` labels).
+trace-event exporter, the anomaly trigger's three trip wires, and the
+fleet ``flight_dir`` wiring.
 """
 
 import json
@@ -25,11 +23,10 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.obs.events import EventLog
-from repro.parallel.pool_exec import ParallelConfig, notify_pool_failure
-from repro.serving import BatchedTrainEngine, FleetConfig, PredictionFleet
+from repro.parallel.pool_exec import notify_pool_failure
+from repro.serving import FleetConfig, PredictionFleet
 from repro.traces.synthetic import ar1_series
 
-SERIAL = ParallelConfig(max_workers=1)
 
 
 def small_config(**overrides):
@@ -39,7 +36,6 @@ def small_config(**overrides):
         qa_threshold=3.0,
         audit_window=16,
         audit_interval=8,
-        parallel=SERIAL,
     )
     defaults.update(overrides)
     return FleetConfig(**defaults)
@@ -127,15 +123,15 @@ class TestFlightRecorder:
         ticks = {r.name: r.tick for r in flight.records()}
         assert ticks == {"a": 0, "b": 42}
 
-    def test_filters_by_name_and_shard(self):
+    def test_filters_by_name(self):
         flight = FlightRecorder(capacity=8)
-        flight.record("train.ar_fit", 0.0, 0.01, batch=8, shard=0)
-        flight.record("train.ar_fit", 0.1, 0.01, batch=8, shard=1)
+        flight.record("train.ar_fit", 0.0, 0.01, batch=8)
+        flight.record("train.ar_fit", 0.1, 0.01, batch=9)
         flight.record("tick.audit", 0.2, 0.01)
-        assert len(flight.records(name="train.ar_fit")) == 2
-        assert len(flight.records(shard=1)) == 1
-        only = flight.records(name="train.ar_fit", shard=0)
-        assert len(only) == 1 and only[0].batch == 8
+        fits = flight.records(name="train.ar_fit")
+        assert [r.batch for r in fits] == [8, 9]
+        assert all(r.shard is None for r in flight.records())
+        assert flight.records(name="tick.knn_query") == ()
 
     def test_listeners_see_every_record(self):
         flight = FlightRecorder(capacity=4)
@@ -162,13 +158,12 @@ class TestFlightRecorder:
 
 
 def _loaded_flight():
-    """A recorder with main-lane and shard-lane records."""
+    """A recorder with a tick span and a training span."""
     flight = FlightRecorder(capacity=64)
     anchor = flight.mono_anchor
     flight.set_tick(5)
     flight.record("tick.audit", anchor + 0.001, 0.002, batch=4)
-    flight.record("train.ar_fit", anchor + 0.004, 0.003, batch=8, shard=0)
-    flight.record("train.ar_fit", anchor + 0.004, 0.004, batch=8, shard=1)
+    flight.record("train.ar_fit", anchor + 0.004, 0.003, batch=8)
     return flight
 
 
@@ -180,27 +175,25 @@ class TestChromeTrace:
         phases = {e["ph"] for e in doc["traceEvents"]}
         assert phases == {"M", "X"}
         spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
-        # Main-process work on lane 0, shard N on lane N + 1.
-        by_name = {(e["name"], e["tid"]) for e in spans}
-        assert ("tick.audit", 0) in by_name
-        assert ("train.ar_fit", 1) in by_name
-        assert ("train.ar_fit", 2) in by_name
+        # Every span runs in the serving process, on the main lane.
+        assert [(e["name"], e["tid"]) for e in spans] == [
+            ("tick.audit", 0), ("train.ar_fit", 0),
+        ]
         for span in spans:
             assert span["ts"] >= 0.0 and span["dur"] > 0.0
             assert span["args"]["tick"] == 5
-        shard_span = next(e for e in spans if e["tid"] == 2)
-        assert shard_span["args"]["shard"] == 1
+            assert "shard" not in span["args"]
 
-    def test_lane_metadata_names_shards(self):
+    def test_lane_metadata_names_main_lane(self):
         doc = chrome_trace(_loaded_flight(), process_name="unit-test")
         meta = [e for e in doc["traceEvents"] if e["ph"] == "M"]
         names = {
             (e["name"], e["tid"]): e["args"]["name"] for e in meta
         }
-        assert names[("process_name", 0)] == "unit-test"
-        assert names[("thread_name", 0)] == "main"
-        assert names[("thread_name", 1)] == "shard 0"
-        assert names[("thread_name", 2)] == "shard 1"
+        assert names == {
+            ("process_name", 0): "unit-test",
+            ("thread_name", 0): "main",
+        }
 
     def test_events_become_instant_markers(self):
         flight = _loaded_flight()
@@ -392,90 +385,3 @@ class TestFleetFlight:
         fleet = PredictionFleet(small_config(), telemetry=True)
         assert fleet.anomaly_trigger is None
         assert fleet.telemetry.flight is None
-
-
-# -- cross-process shard telemetry -------------------------------------------
-
-
-WORKER_PHASES = {
-    "train.zscore_fit", "train.ar_fit", "train.labelling", "train.pca_eigh",
-}
-
-
-def _histories(n, length=120):
-    return [
-        10.0 + 3.0 * ar1_series(length, phi=0.85, seed=i) for i in range(n)
-    ]
-
-
-class TestShardFlightTelemetry:
-    def test_worker_phases_merge_under_shard_labels(self):
-        """Acceptance: worker-side phases appear with shard=N labels."""
-        tel = Telemetry(flight=True)
-        engine = BatchedTrainEngine(
-            small_config(), telemetry=tel, shards=2, min_shard_streams=1
-        )
-        engine.train_many(_histories(16))
-        # Registry: repro_span_seconds children labelled span+shard.
-        series = tel.registry.snapshot()["repro_span_seconds"]["series"]
-        sharded = {
-            (s["labels"]["span"], s["labels"]["shard"])
-            for s in series
-            if "shard" in s["labels"]
-        }
-        assert sharded >= {
-            (phase, shard)
-            for phase in WORKER_PHASES
-            for shard in ("0", "1")
-        }
-        # Flight ring: the same phases, shard-stamped, re-anchored
-        # inside their parent train.shard span.
-        for shard in (0, 1):
-            recs = tel.flight.records(shard=shard)
-            assert {r.name for r in recs} >= WORKER_PHASES
-        dispatches = tel.flight.records(name="train.shard")
-        assert len(dispatches) == 2
-        t0 = min(r.start for r in dispatches)
-        t1 = max(r.start + r.duration for r in dispatches)
-        for shard in (0, 1):
-            for rec in tel.flight.records(shard=shard):
-                assert t0 - 1e-6 <= rec.start
-                assert rec.start + rec.duration <= t1 + 1e-6
-
-    def test_sharded_vs_single_span_parity(self):
-        """The same kernels are timed whether or not workers run them."""
-        histories = _histories(16)
-        single = Telemetry()
-        BatchedTrainEngine(small_config(), telemetry=single).train_many(
-            histories
-        )
-        sharded = Telemetry()
-        BatchedTrainEngine(
-            small_config(), telemetry=sharded, shards=2, min_shard_streams=1
-        ).train_many(histories)
-        single_stats = single.tracer.stats()
-        sharded_stats = sharded.tracer.stats()
-        # Same phase vocabulary (modulo the shard-dispatch span itself).
-        assert set(single_stats) == set(sharded_stats) - {"train.shard"}
-        # Every stream passed through every phase on both paths.
-        for name in WORKER_PHASES:
-            assert (
-                single_stats[name].batch_total
-                == sharded_stats[name].batch_total
-                == 16
-            )
-
-    def test_quantile_digests_cover_worker_phases(self):
-        tel = Telemetry()
-        engine = BatchedTrainEngine(
-            small_config(), telemetry=tel, shards=2, min_shard_streams=1
-        )
-        engine.train_many(_histories(16))
-        snap = tel.tracer.quantiles_snapshot()
-        assert WORKER_PHASES <= set(snap)
-        for name in WORKER_PHASES:
-            entry = snap[name]
-            assert entry["count"] >= 2
-            assert entry["p50"] <= entry["p95"] <= entry["p99"]
-        table = tel.tracer.render_quantiles()
-        assert "p99" in table and "train.ar_fit" in table

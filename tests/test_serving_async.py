@@ -28,15 +28,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import LARConfig
 from repro.obs import Telemetry
 from repro.obs.flight import AnomalyTrigger
-from repro.serving import FleetConfig, PredictionFleet
+from repro.serving import BatchedTrainEngine, FleetConfig, PredictionFleet
 from repro.serving import async_trainer
+from repro.serving.async_trainer import _chunk_bounds
 
 # The parity assertions reuse the trainer suite's field-by-field model
 # comparator; tests/ is not a package, so make the sibling importable.
 sys.path.insert(0, str(Path(__file__).parent))
-from test_serving_trainer import _assert_same_model  # noqa: E402
+from test_serving_trainer import _assert_same_model, _histories  # noqa: E402
 
 # ---------------------------------------------------------------------------
 # harness
@@ -229,6 +231,110 @@ class TestAsyncSyncBitParity:
                 sync._streams[name].predictor,
                 name=name,
             )
+
+
+# ---------------------------------------------------------------------------
+# cold-group chunking
+
+
+class TestChunkBounds:
+    def test_even_split(self):
+        assert _chunk_bounds(32) == [(0, 32)]
+        assert _chunk_bounds(40) == [(0, 20), (20, 40)]
+        assert _chunk_bounds(64) == [(0, 32), (32, 64)]
+
+    def test_uneven_extra_rows_go_first(self):
+        assert _chunk_bounds(65) == [(0, 22), (22, 44), (44, 65)]
+
+    def test_bounds_cover_exactly(self):
+        for n in (1, 7, 31, 33, 100, 250, 500):
+            bounds = _chunk_bounds(n)
+            assert bounds[0][0] == 0 and bounds[-1][1] == n
+            for (_, hi), (lo, _) in zip(bounds, bounds[1:]):
+                assert hi == lo
+            sizes = [hi - lo for lo, hi in bounds]
+            assert len(bounds) == -(-n // async_trainer._COLD_CHUNK_STREAMS)
+            assert max(sizes) <= async_trainer._COLD_CHUNK_STREAMS
+            assert max(sizes) - min(sizes) <= 1
+
+
+def _partition(n_rows, cuts):
+    """``[lo, hi)`` ranges covering *n_rows* split at *cuts*."""
+    edges = [0, *sorted(c for c in cuts if 0 < c < n_rows), n_rows]
+    return [(lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi]
+
+
+class TestChunkedColdGroups:
+    @given(
+        seed=st.integers(min_value=0, max_value=50),
+        cuts=st.sets(
+            st.integers(min_value=1, max_value=5), min_size=1, max_size=3
+        ),
+        pca=st.booleans(),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_train_fit_is_partition_invariant(self, seed, cuts, pca):
+        """Any contiguous row partition reproduces the unpartitioned
+        bits — the property chunked cold groups rely on: each future
+        runs ``_compute_train_group`` on its row chunk."""
+        n = 6
+        lar = LARConfig(window=5, n_components=2 if pca else None)
+        engine = BatchedTrainEngine(_config(lar=lar))
+        stacked = np.stack(_histories(n, length=90, seed=seed))
+        full = engine._compute_train_group(stacked)
+        parts = [
+            engine._compute_train_group(stacked[lo:hi])
+            for lo, hi in _partition(n, cuts)
+        ]
+        for field in full._fields:
+            whole = getattr(full, field)
+            pieces = [getattr(p, field) for p in parts]
+            if whole is None:
+                assert all(p is None for p in pieces), field
+            else:
+                np.testing.assert_array_equal(
+                    np.concatenate(pieces, axis=0), whole, err_msg=field
+                )
+
+    def test_initial_trains_go_out_in_chunks(self):
+        """40 streams due at once leave as two 20-stream futures, land
+        on consecutive ticks under a one-burst integration cap, and
+        end bit-identical to a sync fleet that trained them together."""
+        names = [f"s{i:02d}" for i in range(40)]
+        overrides = dict(qa_threshold=50.0, max_integrations_per_tick=1)
+        sync = PredictionFleet(_config(**overrides), streams=names)
+        fleet = PredictionFleet(
+            _config(retrain_mode="async", **overrides), streams=names
+        )
+        rng = np.random.default_rng(3)
+        ticks = [_values(names, t, rng) for t in range(48)]
+        with _inline_pool() as calls:
+            for vals in ticks[:40]:
+                sync.ingest(vals)
+                fleet.ingest(dict(vals))
+            assert sync.run_pending_retrains() == tuple(names)
+            assert fleet.run_pending_retrains() == ()
+            assert calls == [async_trainer.train_group_async] * 2
+            assert fleet._async.inflight == 40
+            integrated = []
+            for vals in ticks[40:]:
+                sync.forecast_all()
+                sync.ingest(vals)
+                fleet.forecast_all()
+                fleet.ingest(dict(vals))
+                integrated.append(fleet.run_pending_retrains())
+        assert integrated[:2] == [tuple(names[:20]), tuple(names[20:])]
+        assert all(not names_ for names_ in integrated[2:])
+        assert fleet._async.inflight == 0
+        for name in names:
+            _assert_same_model(
+                fleet._streams[name].predictor,
+                sync._streams[name].predictor,
+                name=name,
+            )
+        fa = sync.forecast_all()
+        fb = fleet.forecast_all()
+        assert fa == fb
 
 
 # ---------------------------------------------------------------------------

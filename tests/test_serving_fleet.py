@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.config import LARConfig
 from repro.exceptions import ConfigurationError, DataError, NotFittedError
-from repro.parallel.pool_exec import ParallelConfig
 from repro.serving import (
     FleetConfig,
     FleetMetrics,
@@ -15,7 +14,6 @@ from repro.serving import (
 )
 from repro.traces.synthetic import ar1_series, white_noise_series
 
-SERIAL = ParallelConfig(max_workers=1)
 
 
 def small_config(**overrides):
@@ -25,7 +23,6 @@ def small_config(**overrides):
         qa_threshold=3.0,
         audit_window=16,
         audit_interval=8,
-        parallel=SERIAL,
     )
     defaults.update(overrides)
     return FleetConfig(**defaults)
@@ -225,24 +222,6 @@ class TestRetraining:
         assert not state.qa.retraining_due
         assert state.qa.rolling_mse == 0.0
 
-    def test_retrain_burst_through_process_pool(self):
-        """A burst of due streams goes through one parallel_map call,
-        including across real worker processes."""
-        cfg = small_config(
-            auto_retrain=False,
-            parallel=ParallelConfig(max_workers=2, min_items_per_worker=1),
-        )
-        fleet = PredictionFleet(cfg, streams=["p", "q", "r", "s"])
-        feeds = {
-            name: 5.0 + ar1_series(40, phi=0.8, seed=i)
-            for i, name in enumerate(fleet.stream_names)
-        }
-        feed(fleet, feeds, 0, 30, forecast_first=False)
-        assert set(fleet.pending_retrains) == {"p", "q", "r", "s"}
-        done = fleet.run_pending_retrains()
-        assert set(done) == {"p", "q", "r", "s"}
-        assert len(fleet.forecast_all()) == 4
-
 
 class TestMetrics:
     def test_snapshot_fields(self, warm_fleet):
@@ -316,6 +295,31 @@ class TestPersistence:
         b = restored.forecast_all()
         for name in a:
             assert a[name].value == b[name].value
+
+    def test_manifest_with_parallel_block_still_loads(
+        self, warm_fleet, tmp_path
+    ):
+        """Manifests written before 2.0 carry the removed ``parallel``
+        policy block; loading ignores it."""
+        import json
+
+        fleet, feeds = warm_fleet
+        fleet.save(tmp_path / "f")
+        manifest_path = tmp_path / "f" / "fleet.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert "parallel" not in manifest["config"]
+        manifest["config"]["parallel"] = {
+            "max_workers": None,
+            "min_items_per_worker": 2,
+            "chunksize": 1,
+        }
+        manifest_path.write_text(json.dumps(manifest))
+        restored = load_fleet(tmp_path / "f")
+        assert restored.config == fleet.config
+        assert restored.forecast_all() == fleet.forecast_all()
+        feed(fleet, feeds, 60, 90)
+        feed(restored, feeds, 60, 90)
+        assert restored.forecast_all() == fleet.forecast_all()
 
     def test_not_a_fleet_directory(self, tmp_path):
         with pytest.raises(DataError):

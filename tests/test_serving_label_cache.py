@@ -38,7 +38,6 @@ from repro.core.relabel import (
     relabel_group,
     windowed_label_sums,
 )
-from repro.parallel.pool_exec import ParallelConfig
 from repro.serving import (
     BatchedTrainEngine,
     FleetConfig,
@@ -49,7 +48,6 @@ from repro.serving import (
 )
 from repro.traces.synthetic import ar1_series
 
-SERIAL = ParallelConfig(max_workers=1)
 
 
 def _fleet_config(**overrides):
@@ -60,7 +58,6 @@ def _fleet_config(**overrides):
         audit_window=8,
         audit_interval=4,
         retrain_window=40,
-        parallel=SERIAL,
     )
     defaults.update(overrides)
     return FleetConfig(**defaults)

@@ -19,11 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import LARConfig
-from repro.parallel.pool_exec import ParallelConfig
 from repro.serving import FleetConfig, PredictionFleet
 from repro.traces.synthetic import ar1_series
 
-SERIAL = ParallelConfig(max_workers=1)
 
 
 def _config(**overrides):
@@ -34,7 +32,6 @@ def _config(**overrides):
         audit_window=8,
         audit_interval=4,
         retrain_window=40,
-        parallel=SERIAL,
     )
     defaults.update(overrides)
     return FleetConfig(**defaults)

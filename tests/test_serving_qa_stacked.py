@@ -24,11 +24,9 @@ from hypothesis import strategies as st
 
 from repro.core.config import LARConfig
 from repro.core.qa import PredictionQualityAssuror
-from repro.parallel.pool_exec import ParallelConfig
 from repro.serving import FleetConfig, PredictionFleet
 from repro.traces.synthetic import ar1_series
 
-SERIAL = ParallelConfig(max_workers=1)
 
 
 def _config(audit_window, audit_interval, **overrides):
@@ -39,7 +37,6 @@ def _config(audit_window, audit_interval, **overrides):
         audit_window=audit_window,
         audit_interval=audit_interval,
         retrain_window=40,
-        parallel=SERIAL,
     )
     defaults.update(overrides)
     return FleetConfig(**defaults)

@@ -209,7 +209,7 @@ class TestFleetRetrainParity:
         assert batched.metrics().n_trained == 6
         _assert_same_fleet(batched, loop)
 
-    def test_ineligible_config_falls_back_to_parallel_map(self):
+    def test_ineligible_config_trains_per_stream(self):
         """min_variance PCA can't stack; run_pending_retrains must
         transparently serve it per stream, batched flag or not."""
         config = FleetConfig(
