@@ -534,7 +534,7 @@ def _order_storm(fleet: PredictionFleet, names) -> None:
     (same scheduler entry point, so the async in-flight guard and due
     bookkeeping all apply)."""
     for name in names:
-        fleet._schedule(fleet._streams[name], initial=False)
+        fleet._retrain.schedule(fleet._streams[name], initial=False)
 
 
 def test_async_retrain_tick_latency_gate(capsys):

@@ -41,7 +41,7 @@ from repro.core.config import LARConfig
 from repro.experiments.report import format_table
 from repro.parallel.pool_exec import ParallelConfig, parallel_map
 from repro.serving import BatchedTrainEngine, FleetConfig
-from repro.serving.fleet import _train_stream
+from repro.serving.retrain import _train_stream
 from repro.traces.synthetic import ar1_series
 
 #: History length per due stream (== FleetConfig's default retrain_window).
@@ -98,21 +98,17 @@ def _run_mode(
     """Time one burst. *engine* mirrors the fleet, which keeps one
     :class:`BatchedTrainEngine` (and its recycled scratch tensors) for
     its whole lifetime; omitting it builds a cold engine per burst."""
-    shared = (
-        config.lar, config.label_smoothing, config.max_memory,
-        config.history_limit,
-    )
     start = perf_counter()
     if mode == "batched":
         trained = (engine or BatchedTrainEngine(config)).train_many(histories)
     elif mode == "parallel_map":
         trained = parallel_map(
-            functools.partial(_train_stream, shared),
+            functools.partial(_train_stream, config),
             histories,
             config=ParallelConfig(),
         )
     elif mode == "serial":
-        trained = [_train_stream(shared, history) for history in histories]
+        trained = [_train_stream(config, history) for history in histories]
     else:  # pragma: no cover - bench-internal
         raise ValueError(mode)
     elapsed = perf_counter() - start
@@ -233,9 +229,8 @@ def test_label_cache_speedup_on_repeated_storms(capsys):
     overlaps the previous one by ~80% (stride ``CACHE_STRIDE`` over
     ``CACHE_HISTORY``-value windows). Cache-on serves the overlap from
     each stream's stored tail (``repro.serving.label_cache``); cache-off
-    — exactly what ``FleetConfig(label_cache=False)`` / ``repro fleet
-    --no-label-cache`` runs — relabels every window in full. Outputs
-    are bit-identical either way (pinned by
+    — what a fleet runs on a cache miss — relabels every window in
+    full. Outputs are bit-identical either way (pinned by
     ``tests/test_serving_label_cache.py``); this guards the speed.
     """
     from repro.core.relabel import CachedLabels

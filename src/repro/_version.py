@@ -1,3 +1,3 @@
 """Single source of the package version."""
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"

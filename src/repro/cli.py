@@ -101,10 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(sync, the default) or overlapped on the "
                             "worker pool with replay at integration "
                             "(async)")
-    fleet.add_argument("--no-label-cache", action="store_true",
-                       help="disable the incremental label cache on the "
-                            "retrain path (same output, relabels pay "
-                            "their full window)")
     fleet.add_argument("--max-rows", type=int, default=10,
                        help="per-stream rows to print (default 10)")
     fleet.add_argument("--telemetry", action="store_true",
@@ -297,9 +293,7 @@ def _build_fleet_feeds(n: int, ticks: int, seed: int) -> dict:
     return feeds
 
 
-def _fleet_demo_config(
-    ticks: int, label_cache: bool = True, retrain_mode: str = "sync"
-):
+def _fleet_demo_config(ticks: int, retrain_mode: str = "sync"):
     """The FleetConfig both serving demos run with."""
     from repro.core.config import LARConfig
     from repro.serving import FleetConfig
@@ -309,7 +303,6 @@ def _fleet_demo_config(
         lar=lar,
         min_train=min(40, max(lar.window + max(lar.k, 2), ticks // 2)),
         qa_threshold=2.0,
-        label_cache=label_cache,
         retrain_mode=retrain_mode,
     )
 
@@ -350,11 +343,7 @@ def _run_fleet(args) -> int:
         or args.prom_port is not None or args.flight_dir
     )
     feeds = _build_fleet_feeds(n, ticks, _seed(args))
-    config = _fleet_demo_config(
-        ticks,
-        label_cache=not args.no_label_cache,
-        retrain_mode=args.retrain_mode,
-    )
+    config = _fleet_demo_config(ticks, retrain_mode=args.retrain_mode)
     fleet = PredictionFleet(
         config,
         streams=feeds,

@@ -1,6 +1,5 @@
 """Multi-stream serving layer: the prediction fleet."""
 
-from repro.serving.async_trainer import AsyncRetrainPipeline
 from repro.serving.engine import BatchedTickEngine
 from repro.serving.fleet import (
     FleetConfig,
@@ -18,7 +17,6 @@ from repro.serving.persistence import load_fleet, save_fleet
 from repro.serving.trainer import BatchedTrainEngine
 
 __all__ = [
-    "AsyncRetrainPipeline",
     "BatchedTickEngine",
     "BatchedTrainEngine",
     "CacheTail",

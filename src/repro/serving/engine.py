@@ -936,7 +936,7 @@ class BatchedTickEngine:
         if audited.size:
             self._record_audits(entries, audited, mses, breached, steps)
         for i in np.flatnonzero(self._qa_due[sel]).tolist():
-            fleet._schedule(entries[i].state, initial=False)
+            fleet._retrain.schedule(entries[i].state, initial=False)
         if tracer is not None:
             tracer.record(
                 "tick.memory_learn", perf_counter() - t3, batch=n, start=t3

@@ -23,7 +23,8 @@ serving layer:
   :class:`~repro.serving.trainer.BatchedTrainEngine` (one stacked
   training computation for all due streams, bit-identical to the
   per-stream path); others fall back to a plain per-stream training
-  loop.
+  loop. Both retrain modes run this one path, in
+  :mod:`repro.serving.retrain`.
 * **Retrain budgeting** — ``max_retrains_per_tick`` caps how many
   scheduled (re)trains any single :meth:`ingest` call pays for; the
   rest stay queued oldest-breach-first and keep serving their current
@@ -48,25 +49,20 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Mapping
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.config import LARConfig
 from repro.core.larpredictor import Forecast
-from repro.core.online import OnlineLARPredictor, RelabelResult
+from repro.core.online import OnlineLARPredictor
 from repro.core.qa import AuditRecord, PredictionQualityAssuror
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.experiments.report import format_table
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.serving.engine import BatchedTickEngine
-from repro.serving.label_cache import (
-    LabelCache,
-    config_fingerprint,
-    params_fingerprint,
-)
+from repro.serving.label_cache import LabelCache, config_fingerprint
+from repro.serving.retrain import RetrainScheduler
 from repro.serving.trainer import BatchedTrainEngine
 
 __all__ = ["FleetConfig", "PredictionFleet", "FleetMetrics", "StreamMetrics"]
@@ -111,14 +107,6 @@ class FleetConfig:
         window has drifted too far from the fit) the retrain is a full
         cold refit. ``None`` disables incremental relabelling entirely:
         every retrain refits everything, the pre-1.4 behavior.
-    label_cache:
-        Keep each stream's labelling products between incremental
-        relabels so an overlapping window only computes the new suffix
-        and the smoothing boundary (see
-        :mod:`repro.serving.label_cache`). A pure execution
-        accelerator: spliced relabels are bit-identical to full ones,
-        so disabling it (``repro fleet --no-label-cache``) changes
-        speed, never output.
     auto_retrain:
         Run scheduled (re)trains at the end of each :meth:`ingest` call.
         ``False`` leaves them pending until
@@ -133,13 +121,7 @@ class FleetConfig:
         integrates whatever finished, replaying the in-flight ticks so
         the swapped-in model is bit-identical to one trained
         synchronously at the submission tick and served since (see
-        :mod:`repro.serving.async_trainer`).
-    max_inflight_retrains:
-        Cap on streams concurrently training in flight in ``"async"``
-        mode (``None`` = unlimited). Streams over the cap simply stay
-        queued — unlike the ``max_retrains_per_tick`` budget they are
-        not counted or narrated as deferrals, because nothing was
-        skipped: they are next in line as slots free up.
+        :mod:`repro.serving.retrain`).
     max_integrations_per_tick:
         Cap on how many landed bursts a single ``"async"`` tick
         boundary assembles and integrates (``None`` = all of them).
@@ -168,10 +150,8 @@ class FleetConfig:
     audit_interval: int = 8
     retrain_window: int | None = 256
     min_relabel_overlap: float | None = 0.5
-    label_cache: bool = True
     auto_retrain: bool = True
     retrain_mode: str = "sync"
-    max_inflight_retrains: int | None = None
     max_integrations_per_tick: int | None = None
     max_retrains_per_tick: int | None = None
 
@@ -217,14 +197,6 @@ class FleetConfig:
             raise ConfigurationError(
                 f"retrain_mode must be 'sync' or 'async', "
                 f"got {self.retrain_mode!r}"
-            )
-        if self.max_inflight_retrains is not None and (
-            not isinstance(self.max_inflight_retrains, int)
-            or self.max_inflight_retrains < 1
-        ):
-            raise ConfigurationError(
-                f"max_inflight_retrains must be a positive integer or None, "
-                f"got {self.max_inflight_retrains!r}"
             )
         if self.max_integrations_per_tick is not None and (
             not isinstance(self.max_integrations_per_tick, int)
@@ -383,40 +355,6 @@ class _StreamState:
         self.epoch = 0
 
 
-def _train_stream(shared, history) -> OnlineLARPredictor:
-    """Train one stream's model from its history.
-
-    *shared* is the fleet-wide ``(lar, label_smoothing, max_memory,
-    history_limit)`` tuple. The asynchronous per-stream fallback binds it
-    once with :func:`functools.partial`, so it is pickled once per burst
-    instead of once per due stream.
-    """
-    config, label_smoothing, max_memory, history_limit = shared
-    return OnlineLARPredictor(
-        config,
-        label_smoothing=label_smoothing,
-        max_memory=max_memory,
-        history_limit=history_limit,
-    ).train(history)
-
-
-class _BurstPlan(NamedTuple):
-    """One retrain round's partitioned work (see ``_partition_due``).
-
-    Self-contained: histories and cache tails are snapshotted, so the
-    plan outlives the tick that built it — the property the
-    asynchronous pipeline rests on.
-    """
-
-    cold_names: list
-    cold_histories: list
-    inc_names: list
-    inc_tasks: list
-    windows: dict
-    miss_reasons: dict
-    params_fps: dict
-
-
 class _FleetInstruments:
     """Fleet-level instruments, bound once so hooks skip registry lookups."""
 
@@ -534,18 +472,10 @@ class PredictionFleet:
         self._config_fp = config_fingerprint(self.config)
         # Monotonic ingest-tick counter; stamps when streams become due.
         self._due_seq = 0
-        # Live count of due streams, so the per-tick retrain check
-        # costs one comparison instead of an O(S) scan + sort when
-        # nothing is due (the overwhelmingly common tick).
-        self._due_count = 0
         # Model generation clock for _StreamState.epoch stamps.
         self._epoch_seq = 0
-        # The asynchronous retrain pipeline, created lazily on the
-        # first async-mode run_pending_retrains call.
-        self._async = None
-        # Lifetime count of budget deferrals (kept telemetry or not —
-        # FleetMetrics reports it either way).
-        self._deferred_total = 0
+        # The due queue and every retrain round, sync or async.
+        self._retrain = RetrainScheduler(self)
         # Selection counters are settled lazily: the tick paths bump
         # plain dicts (``state.selections``) and a registry collector
         # (:meth:`_flush_selections`) derives labelled-counter deltas
@@ -636,7 +566,7 @@ class PredictionFleet:
         recognized as stale and dropped at the next drain.
         """
         state = self._require_stream(name)
-        self._clear_due(state)
+        self._retrain.clear_due(state)
         # Settle any unflushed selections while the state still exists.
         # The registry keeps the stream's selection series (scrapes stay
         # monotone); only the local caches are pruned.
@@ -719,10 +649,10 @@ class PredictionFleet:
         # Streams with a retrain in flight served this tick on their old
         # model; record the value so the drained model replays it —
         # before any drain below, which must see this tick's values.
-        if self._async is not None and self._async.inflight:
+        if self._retrain.inflight:
             if by_name is None:
                 by_name = dict(zip(names, clean.tolist()))
-            self._async.note_values(by_name)
+            self._retrain.note_values(by_name)
 
         if self.config.auto_retrain:
             self.run_pending_retrains(batched=batched)
@@ -775,7 +705,7 @@ class PredictionFleet:
                 state.buffer.append(value)
                 state.ticks += 1
                 if len(state.buffer) >= self.config.min_train:
-                    self._schedule(state, initial=True)
+                    self._retrain.schedule(state, initial=True)
                 learned[name] = None
                 continue
             predictor = state.predictor
@@ -798,7 +728,7 @@ class PredictionFleet:
             learned[name] = predictor.observe(value)
             state.ticks += 1
             if state.qa.retraining_due:
-                self._schedule(state, initial=False)
+                self._retrain.schedule(state, initial=False)
         return learned
 
     def forecast_all(
@@ -887,15 +817,7 @@ class PredictionFleet:
         stream became due, then by registration order) — the order in
         which a budgeted :meth:`run_pending_retrains` serves them.
         """
-        if not self._due_count:
-            return ()
-        due = [
-            (state.due_at, index, name)
-            for index, (name, state) in enumerate(self._streams.items())
-            if state.train_due or state.retrain_due
-        ]
-        due.sort()
-        return tuple(name for _, _, name in due)
+        return self._retrain.pending()
 
     def run_pending_retrains(
         self, *, budget: int | None = None, batched: bool = True
@@ -930,12 +852,7 @@ class PredictionFleet:
             raise ConfigurationError(
                 f"budget must be >= 0 or None, got {budget}"
             )
-        if self.config.retrain_mode == "async":
-            return self._run_retrains_async(budget, batched)
-        due = self._take_due(budget)
-        if not due:
-            return ()
-        return self._execute_retrains(due, batched=batched)
+        return self._retrain.run(budget, batched)
 
     def drain_retrains(self, *, wait: bool = False) -> tuple[str, ...]:
         """Integrate finished asynchronous retrains, out of band.
@@ -947,333 +864,7 @@ class PredictionFleet:
         work in flight. Returns the integrated stream names; an empty
         tuple in sync mode or when nothing is in flight.
         """
-        if self._async is None or not self._async.inflight:
-            return ()
-        return self._drain_async(wait=wait)
-
-    def _take_due(self, budget: int | None) -> tuple[str, ...]:
-        """Pop the budgeted head of the due queue, narrating deferrals."""
-        tel = self._tel
-        due = self.pending_retrains
-        if budget is not None and len(due) > budget:
-            deferred = due[budget:]
-            due = due[:budget]
-            self._deferred_total += len(deferred)
-            if tel is not None:
-                self._m.deferrals.inc(len(deferred))
-                for name in deferred:
-                    tel.events.emit(
-                        "retrain_deferred", tick=self._due_seq, stream=name
-                    )
-        return due
-
-    def _partition_due(self, due: tuple[str, ...]) -> "_BurstPlan":
-        """Partition one retrain round into cold refits and relabels.
-
-        Streams whose new window still overlaps their parameters' fit
-        window enough run as incremental relabels (frozen parameters,
-        labels/memory rebuilt); the rest — initial trains, drifted-away
-        streams, policy off — refit cold. Each side runs as its own
-        stacked burst. Histories are snapshotted here, so the plan is
-        self-contained: the synchronous path executes it immediately,
-        the asynchronous pipeline ships it to the pool.
-        """
-        cfg = self.config
-        cold_names: list[str] = []
-        cold_histories: list[np.ndarray] = []
-        inc_names: list[str] = []
-        inc_tasks: list[tuple] = []
-        windows: dict[str, tuple[int, int]] = {}
-        miss_reasons: dict[str, str | None] = {}
-        params_fps: dict[str, str] = {}
-        for name in due:
-            state = self._streams[name]
-            if state.predictor is None:
-                history = np.asarray(state.buffer, dtype=np.float64)
-            else:
-                limit = cfg.retrain_window or state.predictor.history_length
-                history = state.predictor.recent_history(limit)
-            # Every ingested value bumped state.ticks, so the window's
-            # first value sits at this absolute lifetime index.
-            start = state.ticks - history.shape[0]
-            windows[name] = (start, history.shape[0])
-            if state.predictor is not None and self._relabel_eligible(
-                state, start, history.shape[0]
-            ):
-                cached = reason = None
-                if cfg.label_cache:
-                    fp = params_fingerprint(state.predictor)
-                    params_fps[name] = fp
-                    cached, reason = self._label_cache.lookup(
-                        name, self._config_fp, fp
-                    )
-                inc_names.append(name)
-                inc_tasks.append((state.predictor, history, start, cached))
-                miss_reasons[name] = reason
-            else:
-                cold_names.append(name)
-                cold_histories.append(history)
-        return _BurstPlan(
-            cold_names=cold_names,
-            cold_histories=cold_histories,
-            inc_names=inc_names,
-            inc_tasks=inc_tasks,
-            windows=windows,
-            miss_reasons=miss_reasons,
-            params_fps=params_fps,
-        )
-
-    def _execute_retrains(
-        self, due: tuple[str, ...], *, batched: bool
-    ) -> tuple[str, ...]:
-        """Run one retrain round to completion, synchronously."""
-        tel = self._tel
-        cfg = self.config
-        plan = self._partition_due(due)
-        engine = self._get_train_engine()
-        new_predictors: dict[str, OnlineLARPredictor] = {}
-        relabels: dict[str, RelabelResult] = {}
-        if plan.cold_histories:
-            if batched and engine.supported:
-                trained = engine.train_many(plan.cold_histories)
-            else:
-                shared = (
-                    cfg.lar, cfg.label_smoothing, cfg.max_memory,
-                    cfg.history_limit,
-                )
-                span = (
-                    tel.tracer.span(
-                        "train.per_stream", batch=len(plan.cold_histories)
-                    )
-                    if tel is not None
-                    else nullcontext()
-                )
-                with span:
-                    trained = [
-                        _train_stream(shared, history)
-                        for history in plan.cold_histories
-                    ]
-            new_predictors.update(zip(plan.cold_names, trained))
-        if plan.inc_tasks:
-            span = (
-                tel.tracer.span("train.label_cache", batch=len(plan.inc_tasks))
-                if tel is not None
-                else nullcontext()
-            )
-            with span:
-                if batched and engine.relabel_supported:
-                    results = engine.relabel_many(plan.inc_tasks)
-                else:
-                    results = [
-                        predictor.relabel(history, start=start, cached=cached)
-                        for predictor, history, start, cached in plan.inc_tasks
-                    ]
-            for name, result in zip(plan.inc_names, results):
-                relabels[name] = result
-                new_predictors[name] = result.predictor
-        for name in due:
-            state = self._streams[name]
-            was_retrain = self._integrate_stream(
-                state,
-                new_predictors[name],
-                relabels.get(name),
-                plan.windows[name],
-                plan.miss_reasons.get(name),
-                plan.params_fps.get(name),
-            )
-            if tel is not None:
-                tel.events.emit(
-                    "retrain_complete" if was_retrain else "train_complete",
-                    tick=self._due_seq,
-                    stream=name,
-                )
-        return due
-
-    def _integrate_stream(
-        self, state, predictor, result, window, miss_reason, params_fp
-    ) -> bool:
-        """Swap *predictor* in with full retrain bookkeeping.
-
-        The one place a (re)trained model becomes the serving model —
-        the synchronous round and the asynchronous drain both land
-        here, so cache bookkeeping, QA acknowledgement, and counters
-        cannot diverge between the modes. Returns whether the swap was
-        a retrain (vs. an initial train).
-        """
-        was_retrain = state.predictor is not None
-        if was_retrain:
-            state.retrain_count += 1
-        if result is None:
-            # Cold fit: fresh parameters, so the fit window becomes
-            # the new overlap reference and any cached tail (labels
-            # under the old parameters) can never splice again.
-            state.params_window = window
-            self._label_cache.drop(state.name)
-        elif self.config.label_cache:
-            self._note_label_cache(state.name, result, miss_reason)
-            # The relabel kept the frozen parameters, so the tail it
-            # produced is stored under the same fingerprint it was
-            # looked up with.
-            self._label_cache.store(
-                state.name,
-                window[0],
-                result.sq,
-                result.labels,
-                self._config_fp,
-                params_fp,
-            )
-        state.predictor = predictor
-        state.epoch = self._next_epoch()
-        state.buffer.clear()
-        state.pending = None
-        state.pending_at = -1
-        state.qa.acknowledge_retraining()
-        self._clear_due(state)
-        if self._tel is not None:
-            (self._m.retrains if was_retrain else self._m.trains).inc()
-        return was_retrain
-
-    def _run_retrains_async(self, budget, batched) -> tuple[str, ...]:
-        """One async-mode round: drain what finished, submit what's due.
-
-        Draining first means a burst submitted at tick T is eligible
-        for integration at the T+1 boundary, and a stream that drained
-        and immediately re-breached can be resubmitted within the same
-        call on its fresh model.
-        """
-        pipe = self._get_async()
-        tel = self._tel
-        integrated = self._drain_async(wait=False, batched=batched) \
-            if pipe.inflight else ()
-        if not self._due_count:
-            return integrated
-        due = self._take_due(budget)
-        cap = self.config.max_inflight_retrains
-        if cap is not None:
-            # Over-cap streams simply stay due (not a deferral: nothing
-            # was skipped, they are next in line as slots free up).
-            due = due[: max(cap - pipe.inflight, 0)]
-        if not due:
-            return integrated
-        pipe.submit(due, self._partition_due(due), batched=batched)
-        for name in due:
-            self._clear_due(self._streams[name])
-            if tel is not None:
-                tel.events.emit(
-                    "retrain_submitted", tick=self._due_seq, stream=name
-                )
-        if tel is not None:
-            self._m.inflight.set(pipe.inflight)
-        return integrated
-
-    def _drain_async(
-        self, *, wait: bool, batched: bool = True
-    ) -> tuple[str, ...]:
-        """Collect landed bursts and integrate their models."""
-        pipe = self._async
-        tel = self._tel
-        if wait and tel is not None and pipe.inflight:
-            with tel.tracer.span("train.async_wait", batch=pipe.inflight):
-                ready, failed = pipe.drain(wait=True)
-        else:
-            ready, failed = pipe.drain(
-                wait=wait, limit=self.config.max_integrations_per_tick
-            )
-        integrated: list[str] = []
-        if ready:
-            span = (
-                tel.tracer.span("train.integrate", batch=len(ready))
-                if tel is not None
-                else nullcontext()
-            )
-            with span:
-                for rec, predictor, result in ready:
-                    if self._integrate_async(rec, predictor, result):
-                        integrated.append(rec.name)
-        if tel is not None:
-            self._m.inflight.set(pipe.inflight)
-        if failed:
-            integrated.extend(self._requeue_failed(failed, batched))
-        return tuple(integrated)
-
-    def _integrate_async(self, rec, predictor, result) -> bool:
-        """Integrate one drained burst result (or drop it as stale)."""
-        tel = self._tel
-        state = self._streams.get(rec.name)
-        reason = None
-        if state is None:
-            reason = "removed"
-        elif state.epoch != rec.epoch:
-            reason = "stale"
-        elif rec.config_fp != self._config_fp:
-            reason = "config"
-        if reason is not None:
-            if tel is not None:
-                tel.events.emit(
-                    "retrain_dropped",
-                    tick=self._due_seq,
-                    stream=rec.name,
-                    reason=reason,
-                )
-            return False
-        # Replay the ticks that arrived while the burst ran: the old
-        # model served them, the new model learns them, and the result
-        # is bit-identical to a model trained synchronously at the
-        # submission tick and served since — observe() is the
-        # deterministic primitive both histories share.
-        predictor.observe_many(rec.replay)
-        was_retrain = self._integrate_stream(
-            state, predictor, result, rec.window, rec.miss_reason,
-            rec.params_fp,
-        )
-        if tel is not None:
-            tel.events.emit(
-                "retrain_integrated",
-                tick=self._due_seq,
-                stream=rec.name,
-                replayed=len(rec.replay),
-                retrain=was_retrain,
-            )
-        return True
-
-    def _requeue_failed(self, failed, batched: bool) -> tuple[str, ...]:
-        """Pool died mid-flight: fall back to the synchronous path.
-
-        The affected streams go back on the due queue with their
-        original due stamps and are retrained immediately, in-process —
-        the burst they lost ran on histories that are still prefixes of
-        the live ones, so a fresh synchronous round on current state is
-        always correct (just not overlapped).
-        """
-        tel = self._tel
-        if tel is not None:
-            tel.events.emit(
-                "pool_failure", tick=self._due_seq, streams=len(failed)
-            )
-        requeued: list[tuple[int, str]] = []
-        for rec in failed:
-            state = self._streams.get(rec.name)
-            if state is None or state.epoch != rec.epoch:
-                if tel is not None:
-                    tel.events.emit(
-                        "retrain_dropped",
-                        tick=self._due_seq,
-                        stream=rec.name,
-                        reason="removed" if state is None else "stale",
-                    )
-                continue
-            if not (state.train_due or state.retrain_due):
-                self._due_count += 1
-            state.due_at = rec.due_at
-            state.train_due = not rec.was_retrain
-            state.retrain_due = rec.was_retrain
-            requeued.append((rec.due_at, rec.name))
-        if not requeued:
-            return ()
-        requeued.sort()
-        return self._execute_retrains(
-            tuple(name for _, name in requeued), batched=batched
-        )
+        return self._retrain.drain(wait=wait)
 
     # -- observability -------------------------------------------------------
 
@@ -1313,7 +904,7 @@ class PredictionFleet:
                 )
             )
         pending = len(self.pending_retrains)
-        inflight = self._async.inflight if self._async is not None else 0
+        inflight = self._retrain.inflight
         telemetry = None
         if self._tel is not None:
             self._m.trained.set(n_trained)
@@ -1327,7 +918,7 @@ class PredictionFleet:
             total_ticks=total_ticks,
             total_retrains=total_retrains,
             pending_retrains=pending,
-            deferred_retrains=self._deferred_total,
+            deferred_retrains=self._retrain.deferred_total,
             selections=merged,
             telemetry=telemetry,
             inflight_retrains=inflight,
@@ -1368,105 +959,9 @@ class PredictionFleet:
             )
         return self._train_engine
 
-    def _get_async(self):
-        if self._async is None:
-            from repro.serving.async_trainer import AsyncRetrainPipeline
-
-            self._async = AsyncRetrainPipeline(self)
-        return self._async
-
     def _next_epoch(self) -> int:
         self._epoch_seq += 1
         return self._epoch_seq
-
-    def _clear_due(self, state: _StreamState) -> None:
-        """Take *state* off the due queue (idempotent)."""
-        if state.train_due or state.retrain_due:
-            self._due_count -= 1
-            state.train_due = False
-            state.retrain_due = False
-
-    def _schedule(self, state: _StreamState, *, initial: bool) -> None:
-        """Mark *state* due for (re)training.
-
-        Stamps the due clock and emits the order event only on the
-        not-due -> due transition, preserving the oldest breach for
-        queue ordering (re-breaching while queued is not a new order).
-        A stream whose retrain is already in flight is never re-marked:
-        its QA stays latched until the integration acknowledges it, and
-        double-submitting the same stream would race its own result.
-        """
-        if self._async is not None and self._async.blocks(
-            state.name, state.epoch
-        ):
-            return
-        newly = not (state.train_due or state.retrain_due)
-        if newly:
-            state.due_at = self._due_seq
-            self._due_count += 1
-        if initial:
-            state.train_due = True
-        else:
-            state.retrain_due = True
-        if newly and self._tel is not None:
-            self._tel.events.emit(
-                "train_order" if initial else "retrain_order",
-                tick=self._due_seq,
-                stream=state.name,
-            )
-
-    def _relabel_eligible(
-        self, state: _StreamState, start: int, length: int
-    ) -> bool:
-        """Whether this retrain may keep frozen parameters and relabel.
-
-        True when the policy is on, the pool is relabellable (extended
-        pools carry members that must be refitted per window), the
-        stream has a known parameter fit window, and the new window
-        still overlaps that fit window by at least
-        ``min_relabel_overlap`` of its length.
-        """
-        cfg = self.config
-        if cfg.min_relabel_overlap is None or cfg.lar.extended_pool:
-            return False
-        if state.params_window is None:
-            return False
-        p_start, p_len = state.params_window
-        shared = min(p_start + p_len, start + length) - max(p_start, start)
-        return shared / length >= cfg.min_relabel_overlap
-
-    def _note_label_cache(
-        self, name: str, result: RelabelResult, reason: str | None
-    ) -> None:
-        """Record one cache consultation with the telemetry, if any.
-
-        Both relabel paths — the stacked burst and the per-stream loop
-        — funnel through here with path-independent inputs, so the
-        counters and events are identical whichever executed the burst
-        (the obs parity suite pins this). A looked-up tail that shares
-        no frames with the new window counts as a ``"disjoint"`` miss.
-        """
-        tel = self._tel
-        if tel is None:
-            return
-        if result.reused > 0:
-            self._m.cache_hits.inc()
-            self._m.cache_spliced.inc(result.reused)
-            tel.events.emit(
-                "label_cache_hit",
-                tick=self._due_seq,
-                stream=name,
-                reused=result.reused,
-                labels_reused=result.labels_reused,
-            )
-        else:
-            self._m.cache_misses.inc()
-            tel.events.emit(
-                "label_cache_miss",
-                tick=self._due_seq,
-                stream=name,
-                reason=reason if reason is not None else "disjoint",
-            )
 
     def _flush_selections(self) -> None:
         """Settle ``state.selections`` into labelled registry counters.

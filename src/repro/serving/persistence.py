@@ -64,10 +64,8 @@ def _fleet_config_meta(config) -> dict:
         "audit_interval": config.audit_interval,
         "retrain_window": config.retrain_window,
         "min_relabel_overlap": config.min_relabel_overlap,
-        "label_cache": config.label_cache,
         "auto_retrain": config.auto_retrain,
         "retrain_mode": config.retrain_mode,
-        "max_inflight_retrains": config.max_inflight_retrains,
         "max_integrations_per_tick": config.max_integrations_per_tick,
         "max_retrains_per_tick": config.max_retrains_per_tick,
     }
@@ -105,7 +103,6 @@ def _fleet_config_from_meta(meta: dict):
                 if meta.get("min_relabel_overlap") is None
                 else float(meta["min_relabel_overlap"])
             ),
-            label_cache=bool(meta.get("label_cache", True)),
             auto_retrain=bool(meta["auto_retrain"]),
             # .get(): manifests written before the retrain budget existed
             # load as unlimited, which is what they ran with.
@@ -117,19 +114,15 @@ def _fleet_config_from_meta(meta: dict):
             # .get(): manifests written before asynchronous retraining
             # existed load in sync mode, which is what they ran with.
             retrain_mode=str(meta.get("retrain_mode", "sync")),
-            max_inflight_retrains=(
-                None
-                if meta.get("max_inflight_retrains") is None
-                else int(meta["max_inflight_retrains"])
-            ),
             max_integrations_per_tick=(
                 None
                 if meta.get("max_integrations_per_tick") is None
                 else int(meta["max_integrations_per_tick"])
             ),
-            # Manifests written before 2.0 also carry a "parallel" block
-            # (the removed per-stream parallel_map policy); it never
-            # changed a forecast, so it is ignored.
+            # Older manifests also carry keys for removed options: a
+            # "parallel" block (before 2.0), "label_cache" and
+            # "max_inflight_retrains" (before 3.0). None of them ever
+            # changed a forecast, so they are ignored.
         )
     except (KeyError, TypeError) as exc:
         raise DataError(f"malformed fleet config in manifest: {exc}") from exc
@@ -193,7 +186,7 @@ def save_fleet(fleet, directory) -> None:
     manifest = {
         "format_version": FLEET_FORMAT_VERSION,
         "config": _fleet_config_meta(fleet.config),
-        "deferred_retrains": fleet._deferred_total,
+        "deferred_retrains": fleet._retrain.deferred_total,
         "streams": streams,
     }
     (directory / _MANIFEST).write_text(json.dumps(manifest, indent=2))
@@ -236,7 +229,7 @@ def load_fleet(directory, *, telemetry=None):
     )
     # .get(): manifests written before the deferral aggregate existed
     # resume with a zero count, the only value they could have reported.
-    fleet._deferred_total = int(manifest.get("deferred_retrains", 0))
+    fleet._retrain.deferred_total = int(manifest.get("deferred_retrains", 0))
     for entry in manifest.get("streams", []):
         try:
             name = entry["name"]
@@ -284,17 +277,6 @@ def load_fleet(directory, *, telemetry=None):
                 raise DataError(
                     f"malformed label-cache entry for stream {name!r}: {exc}"
                 ) from exc
-    # Resume the due-stamp clock past every persisted stamp: streams
-    # that become due after the restore sort strictly behind everything
-    # already queued, exactly as they would have in the original fleet.
-    fleet._due_seq = max(
-        (s.due_at for s in fleet._streams.values()), default=0
-    )
-    # The due flags above were set directly, bypassing the scheduler
-    # that normally maintains the fast-path counter.
-    fleet._due_count = sum(
-        1
-        for s in fleet._streams.values()
-        if s.train_due or s.retrain_due
-    )
+    # The due flags above were set directly, bypassing the scheduler.
+    fleet._retrain.restore()
     return fleet

@@ -96,12 +96,33 @@ def _count_labels_rows(labels: np.ndarray, n_pool: int) -> np.ndarray:
     return flat.reshape(n_streams, width)[:, 1:]
 
 
+def _stack_by_length(histories) -> list[tuple[list[int], np.ndarray]]:
+    """Group 1-D histories by exact length, in first-seen order.
+
+    Returns one ``(indices, stack)`` pair per length: the input
+    positions and their ``(S, T)`` float64 stack. Padding mixed lengths
+    into one matrix was rejected: the normalizer and AR fits reduce
+    over the whole history, so padded rows could not stay bit-identical
+    to their per-stream fits.
+    """
+    arrays = [np.ascontiguousarray(h, dtype=np.float64) for h in histories]
+    groups: dict[int, list[int]] = {}
+    for index, arr in enumerate(arrays):
+        if arr.ndim != 1:
+            raise DataError(f"history must be 1-D, got shape {arr.shape}")
+        groups.setdefault(arr.shape[0], []).append(index)
+    return [
+        (indices, np.stack([arrays[i] for i in indices], axis=0))
+        for indices in groups.values()
+    ]
+
+
 class GroupFit(NamedTuple):
     """Stacked fitted tensors for one equal-length group.
 
     Everything :meth:`~repro.core.online.OnlineLARPredictor.from_fitted_parts`
-    needs, predictor-free — the unit an asynchronous cold burst ships
-    back from the worker pool (see :mod:`repro.serving.async_trainer`).
+    needs, predictor-free — what an asynchronous cold-group unit ships
+    back from the worker pool (see :mod:`repro.serving.retrain`).
     """
 
     norm_means: np.ndarray
@@ -126,9 +147,9 @@ class RelabelGroupInputs(NamedTuple):
     Everything :meth:`BatchedTrainEngine._compute_relabel_group` reads,
     packed from live predictors at submission time. Pure ndarrays plus a
     :class:`~repro.core.relabel.SplicePlan`, so the whole record pickles
-    — the unit an asynchronous burst ships to the persistent pool
-    (:func:`repro.serving.async_trainer.relabel_group_async`) while the
-    serving tick keeps running on the old models.
+    — what an asynchronous relabel-group unit ships to the persistent
+    pool (see :mod:`repro.serving.retrain`) while the serving tick keeps
+    running on the old models.
     """
 
     histories: np.ndarray
@@ -222,12 +243,10 @@ class BatchedTrainEngine:
     def train_many(self, histories) -> list[OnlineLARPredictor]:
         """Train one predictor per history, batched.
 
-        Histories are grouped by exact length and each group trained as
-        one stacked computation; ragged tails (streams mid-warm-up,
-        short history limits) simply form smaller groups. Padding mixed
-        lengths into one matrix was rejected: the normalizer and AR fits
-        reduce over the whole history, so padded rows could not stay
-        bit-identical to their per-stream fits.
+        Histories are grouped by exact length (:func:`_stack_by_length`)
+        and each group trained as one stacked computation; ragged tails
+        (streams mid-warm-up, short history limits) simply form smaller
+        groups.
 
         Returns predictors in input order, each indistinguishable from
         ``OnlineLARPredictor(config.lar, ...).train(history)``.
@@ -237,18 +256,8 @@ class BatchedTrainEngine:
                 "this configuration cannot be trained batched "
                 "(extended pool or min_variance PCA); use the per-stream path"
             )
-        arrays = [np.ascontiguousarray(h, dtype=np.float64) for h in histories]
-        groups: dict[int, list[int]] = {}
-        for index, arr in enumerate(arrays):
-            if arr.ndim != 1:
-                raise DataError(
-                    f"history must be 1-D, got shape {arr.shape}"
-                )
-            groups.setdefault(arr.shape[0], []).append(index)
-        out: list[OnlineLARPredictor | None] = [None] * len(arrays)
-        for length in groups:
-            indices = groups[length]
-            stacked = np.stack([arrays[i] for i in indices], axis=0)
+        out: list[OnlineLARPredictor | None] = [None] * len(histories)
+        for indices, stacked in _stack_by_length(histories):
             for position, predictor in zip(
                 indices, self._train_group(stacked)
             ):
@@ -290,8 +299,8 @@ class BatchedTrainEngine:
 
         Returns ``(n_tasks, groups)`` where each group is a list of
         ``(index, predictor, history, plan, cached)`` items sharing one
-        window length and cache-reuse shape — the unit both the
-        synchronous burst and the asynchronous pipeline dispatch.
+        window length and cache-reuse shape — one stacked relabel unit
+        (see :func:`repro.serving.retrain.build_units`).
         """
         lar = self._lar
         w = lar.window
@@ -332,7 +341,7 @@ class BatchedTrainEngine:
 
         Reads every live predictor exactly once, so the result is a
         self-contained (and picklable) compute input: an asynchronous
-        burst packs at submission and the predictors are free to keep
+        round packs at submission and the predictors are free to keep
         serving — later observations never touch frozen parameters.
         """
         lar = self._lar
@@ -484,8 +493,8 @@ class BatchedTrainEngine:
         """The in-process relabel kernels for one grouped burst.
 
         Pure stacked computation on frozen parameters — no predictor
-        objects, so this is the unit an asynchronous relabel burst runs
-        in a pool worker.
+        objects, so a pool worker can run it on an asynchronous relabel
+        unit.
         Returns ``(frames, targets, sq, labels, counts, features)``
         where ``features`` is ``None`` unless a stacked projection
         applies (fixed component counts).
@@ -534,9 +543,9 @@ class BatchedTrainEngine:
         """The in-process training kernels for one ``(S, T)`` group.
 
         Every kernel here reads only its own row of the stack, which is
-        the property that lets the asynchronous pipeline split a cold
-        group into row chunks bit-safely — pool workers call exactly
-        this method on their chunk.
+        the property that lets an asynchronous round split a cold group
+        into row chunks bit-safely — pool workers call exactly this
+        method on their chunk.
         """
         lar = self._lar
         w = lar.window

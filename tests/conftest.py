@@ -7,6 +7,9 @@ stochastic fixtures are seeded — a failing test reproduces exactly.
 
 from __future__ import annotations
 
+from concurrent.futures import Future
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -50,3 +53,33 @@ def trained_lar():
     """A LARPredictor trained on a smooth synthetic series."""
     series = ar1_series(400, phi=0.9, mean=5.0, std=1.0, seed=41)
     return LARPredictor(LARConfig(window=5)).train(series), series
+
+
+@contextmanager
+def inline_pool():
+    """Run asynchronous retrain units inline instead of on the pool.
+
+    Each future resolves at submission, while the fleet still drains it
+    at its own tick boundaries, so the submit -> serve stale -> drain ->
+    replay sequence stays intact and deterministic. Yields the list of
+    submitted argument tuples, ``(config, kind, payload)`` per unit.
+    """
+    from repro.serving import retrain
+
+    calls = []
+
+    def inline_submit(fn, /, *args, workers=None):
+        calls.append(args)
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:  # raised when the fleet drains it
+            future.set_exception(exc)
+        return future
+
+    original = retrain.pool_submit
+    retrain.pool_submit = inline_submit
+    try:
+        yield calls
+    finally:
+        retrain.pool_submit = original

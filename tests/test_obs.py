@@ -23,6 +23,7 @@ from repro.obs import (
 )
 from repro.serving import FleetConfig, PredictionFleet
 from repro.traces.synthetic import ar1_series
+from tests.conftest import inline_pool
 
 
 
@@ -670,7 +671,7 @@ class TestFleetTelemetryPersistence:
 # -- label-cache telemetry ---------------------------------------------------
 
 
-def jump_storm_fleet(*, batched=True, label_cache=True, telemetry=True):
+def jump_storm_fleet(*, batched=True, telemetry=True):
     """A retrain-*cluster* storm: runs of abrupt level shifts a few
     audit intervals apart re-breach the QA after every retrain, so one
     stream retrains several times over heavily overlapping windows —
@@ -683,7 +684,6 @@ def jump_storm_fleet(*, batched=True, label_cache=True, telemetry=True):
         audit_window=8,
         audit_interval=4,
         retrain_window=40,
-        label_cache=label_cache,
     )
     fleet = PredictionFleet(
         config, streams=["a", "b", "c", "d"], telemetry=telemetry
@@ -724,19 +724,6 @@ class TestLabelCacheTelemetry:
         stats = fleet.telemetry.tracer.stats()
         assert "train.label_cache" in stats
         assert stats["train.label_cache"].count > 0
-
-    def test_cache_disabled_stays_silent(self):
-        """label_cache=False skips the lookup entirely: zero counters,
-        zero events — not a stream of misses."""
-        fleet = jump_storm_fleet(label_cache=False)
-        assert fleet.metrics().total_retrains > 0
-        snap = fleet.telemetry.registry.snapshot()
-        get = lambda name: snap[name]["series"][0]["value"]
-        assert get("repro_fleet_label_cache_hits_total") == 0
-        assert get("repro_fleet_label_cache_misses_total") == 0
-        assert get("repro_fleet_label_cache_spliced_frames_total") == 0
-        assert fleet.telemetry.events.records(kind="label_cache_hit") == ()
-        assert fleet.telemetry.events.records(kind="label_cache_miss") == ()
 
     def test_batched_vs_loop_cache_telemetry_parity(self):
         """The parity contract extends to the cache instruments: the
@@ -941,43 +928,29 @@ class TestPrometheusEndpoint:
 class TestAsyncPipelineExposition:
     """The inflight gauge and pipeline events reach every export surface."""
 
-    @staticmethod
-    def _inline(monkeypatch):
-        """Resolve burst futures at submission; drain stays deferred."""
-        from concurrent.futures import Future
-
-        from repro.serving import async_trainer
-
-        def inline_submit(fn, /, *args, workers=None):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-        monkeypatch.setattr(async_trainer, "pool_submit", inline_submit)
-
-    def _async_storm(self, monkeypatch):
+    def _async_storm(self):
         """An async-mode storm fleet paused mid-flight."""
-        self._inline(monkeypatch)
         config = small_config(retrain_mode="async", auto_retrain=False)
         fleet = PredictionFleet(
             config, streams=["a", "b", "c", "d"], telemetry=True
         )
         feeds = drift_feeds(fleet.stream_names, 240, drift_at=80)
-        serve(fleet, feeds, 0, 60)  # warm-up + initial trains
-        fleet.drain_retrains(wait=True)
-        # Ingest-only through the drift so due streams pile up instead
-        # of being consumed by the per-tick retrain call.
-        t = 60
-        while not fleet.pending_retrains and t < 240:
-            fleet.forecast_all()
-            fleet.ingest({n: feeds[n][t] for n in fleet.stream_names})
-            t += 1
-        assert fleet.pending_retrains
-        fleet.run_pending_retrains()
+        with inline_pool():
+            serve(fleet, feeds, 0, 60)  # warm-up + initial trains
+            fleet.drain_retrains(wait=True)
+            # Ingest-only through the drift so due streams pile up
+            # instead of being consumed by the per-tick retrain call.
+            t = 60
+            while not fleet.pending_retrains and t < 240:
+                fleet.forecast_all()
+                fleet.ingest({n: feeds[n][t] for n in fleet.stream_names})
+                t += 1
+            assert fleet.pending_retrains
+            fleet.run_pending_retrains()
         return fleet
 
-    def test_inflight_gauge_round_trips_mid_flight(self, monkeypatch):
-        fleet = self._async_storm(monkeypatch)
+    def test_inflight_gauge_round_trips_mid_flight(self):
+        fleet = self._async_storm()
         inflight = fleet.metrics().inflight_retrains
         assert inflight > 0
         parsed = parse_prometheus_text(
@@ -990,12 +963,12 @@ class TestAsyncPipelineExposition:
         )
         assert parsed[("repro_fleet_retrains_inflight", ())] == 0.0
 
-    def test_endpoint_scrape_carries_the_gauge(self, monkeypatch):
+    def test_endpoint_scrape_carries_the_gauge(self):
         import urllib.request
 
         from repro.obs import serve_prometheus
 
-        fleet = self._async_storm(monkeypatch)
+        fleet = self._async_storm()
         inflight = fleet.metrics().inflight_retrains
         with serve_prometheus(fleet.telemetry.registry) as endpoint:
             with urllib.request.urlopen(endpoint.url, timeout=5) as response:
@@ -1004,8 +977,8 @@ class TestAsyncPipelineExposition:
         assert parsed[("repro_fleet_retrains_inflight", ())] == float(inflight)
         fleet.drain_retrains(wait=True)
 
-    def test_pipeline_events_reach_snapshot_and_summary(self, monkeypatch):
-        fleet = self._async_storm(monkeypatch)
+    def test_pipeline_events_reach_snapshot_and_summary(self):
+        fleet = self._async_storm()
         fleet.drain_retrains(wait=True)
         tel = fleet.telemetry
         kinds = {e.kind for e in tel.events.tail(64)}

@@ -17,9 +17,8 @@ pool-free; one slow test exercises the real process pool end to end.
 from __future__ import annotations
 
 import dataclasses
-import sys
+import os
 from concurrent.futures import Future
-from pathlib import Path
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 
@@ -29,16 +28,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import LARConfig
+from repro.core.online import OnlineLARPredictor
 from repro.obs import Telemetry
 from repro.obs.flight import AnomalyTrigger
 from repro.serving import BatchedTrainEngine, FleetConfig, PredictionFleet
-from repro.serving import async_trainer
-from repro.serving.async_trainer import _chunk_bounds
-
+from repro.serving import retrain
+from repro.serving.retrain import _chunk_bounds
+from tests.conftest import inline_pool
 # The parity assertions reuse the trainer suite's field-by-field model
-# comparator; tests/ is not a package, so make the sibling importable.
-sys.path.insert(0, str(Path(__file__).parent))
-from test_serving_trainer import _assert_same_model, _histories  # noqa: E402
+# comparator.
+from tests.test_serving_trainer import _assert_same_model, _histories
 
 # ---------------------------------------------------------------------------
 # harness
@@ -78,33 +77,6 @@ def _drive(fleet, names, ticks, rng, *, shift=0.0, start=0):
 
 
 @contextmanager
-def _inline_pool(monkeypatch=None):
-    """Run bursts inline: futures resolve at submission, drain later.
-
-    Keeps the submit → serve-stale → drain → replay sequencing (drain
-    only happens at the fleet's boundaries) while removing the process
-    pool, so tests are deterministic and cheap.
-    """
-    calls = []
-
-    def inline_submit(fn, /, *args, workers=None):
-        calls.append(fn)
-        future: Future = Future()
-        try:
-            future.set_result(fn(*args))
-        except BaseException as exc:  # pragma: no cover - surfaced in drain
-            future.set_exception(exc)
-        return future
-
-    original = async_trainer.pool_submit
-    async_trainer.pool_submit = inline_submit
-    try:
-        yield calls
-    finally:
-        async_trainer.pool_submit = original
-
-
-@contextmanager
 def _broken_pool():
     """Every burst future raises BrokenProcessPool at drain time."""
 
@@ -113,12 +85,12 @@ def _broken_pool():
         future.set_exception(BrokenProcessPool("worker died"))
         return future
 
-    original = async_trainer.pool_submit
-    async_trainer.pool_submit = broken_submit
+    original = retrain.pool_submit
+    retrain.pool_submit = broken_submit
     try:
         yield
     finally:
-        async_trainer.pool_submit = original
+        retrain.pool_submit = original
 
 
 def _due_fleet(tmp_path, *, seed=42, shift=20.0, n=6, telemetry=None,
@@ -181,11 +153,11 @@ class TestAsyncSyncBitParity:
             tmp_path, seed=seed, shift=shift
         )
         sync = PredictionFleet.load(directory)
-        with _inline_pool():
+        with inline_pool():
             async_fleet = _load_async(directory)
             sync.run_pending_retrains()  # swaps now
             async_fleet.run_pending_retrains()  # submits, returns
-            assert async_fleet._async.inflight == len(due)
+            assert async_fleet._retrain.inflight == len(due)
             rng = np.random.default_rng(seed + 1)
             for t in range(120, 120 + inflight_ticks):
                 vals = _values(names, t, rng, shift=shift)
@@ -195,7 +167,7 @@ class TestAsyncSyncBitParity:
                 async_fleet.ingest(dict(vals))
             integrated = async_fleet.drain_retrains(wait=True)
         assert sorted(integrated) == sorted(due)
-        assert async_fleet._async.inflight == 0
+        assert async_fleet._retrain.inflight == 0
         for name in due:
             _assert_same_model(
                 async_fleet._streams[name].predictor,
@@ -212,7 +184,7 @@ class TestAsyncSyncBitParity:
         """Per-stream (non-stacked) bursts carry the same bits."""
         directory, names, due = _due_fleet(tmp_path)
         sync = PredictionFleet.load(directory)
-        with _inline_pool():
+        with inline_pool():
             async_fleet = _load_async(directory)
             sync.run_pending_retrains(batched=False)
             async_fleet.run_pending_retrains(batched=False)
@@ -253,8 +225,8 @@ class TestChunkBounds:
             for (_, hi), (lo, _) in zip(bounds, bounds[1:]):
                 assert hi == lo
             sizes = [hi - lo for lo, hi in bounds]
-            assert len(bounds) == -(-n // async_trainer._COLD_CHUNK_STREAMS)
-            assert max(sizes) <= async_trainer._COLD_CHUNK_STREAMS
+            assert len(bounds) == -(-n // retrain._COLD_CHUNK_STREAMS)
+            assert max(sizes) <= retrain._COLD_CHUNK_STREAMS
             assert max(sizes) - min(sizes) <= 1
 
 
@@ -308,14 +280,14 @@ class TestChunkedColdGroups:
         )
         rng = np.random.default_rng(3)
         ticks = [_values(names, t, rng) for t in range(48)]
-        with _inline_pool() as calls:
+        with inline_pool() as calls:
             for vals in ticks[:40]:
                 sync.ingest(vals)
                 fleet.ingest(dict(vals))
             assert sync.run_pending_retrains() == tuple(names)
             assert fleet.run_pending_retrains() == ()
-            assert calls == [async_trainer.train_group_async] * 2
-            assert fleet._async.inflight == 40
+            assert [kind for _, kind, _ in calls] == [retrain.COLD] * 2
+            assert fleet._retrain.inflight == 40
             integrated = []
             for vals in ticks[40:]:
                 sync.forecast_all()
@@ -325,7 +297,7 @@ class TestChunkedColdGroups:
                 integrated.append(fleet.run_pending_retrains())
         assert integrated[:2] == [tuple(names[:20]), tuple(names[20:])]
         assert all(not names_ for names_ in integrated[2:])
-        assert fleet._async.inflight == 0
+        assert fleet._retrain.inflight == 0
         for name in names:
             _assert_same_model(
                 fleet._streams[name].predictor,
@@ -344,7 +316,7 @@ class TestChunkedColdGroups:
 class TestStalenessGuards:
     def test_mid_flight_removal_drops_result(self, tmp_path):
         directory, names, due = _due_fleet(tmp_path)
-        with _inline_pool():
+        with inline_pool():
             fleet = _load_async(directory, telemetry=Telemetry())
             fleet.run_pending_retrains()
             removed = due[0]
@@ -361,7 +333,7 @@ class TestStalenessGuards:
         """A same-named stream added after removal is a new generation;
         the old burst's result must never land on it."""
         directory, names, due = _due_fleet(tmp_path)
-        with _inline_pool():
+        with inline_pool():
             fleet = _load_async(directory, telemetry=Telemetry())
             fleet.run_pending_retrains()
             victim = due[0]
@@ -377,10 +349,10 @@ class TestStalenessGuards:
 
     def test_inflight_stream_never_rescheduled(self, tmp_path):
         directory, names, due = _due_fleet(tmp_path)
-        with _inline_pool():
+        with inline_pool():
             fleet = _load_async(directory)
             fleet.run_pending_retrains()
-            pipe = fleet._async
+            pipe = fleet._retrain
             for name in due:
                 assert pipe.blocks(name, fleet._streams[name].epoch)
             # In-flight streams keep serving and cannot re-enter the due
@@ -395,17 +367,17 @@ class TestStalenessGuards:
 
 
 # ---------------------------------------------------------------------------
-# budgets, caps, and the due-counter fast path
+# budgets and the due-counter fast path
 
 
 class TestBudgetsAndDueCounter:
     def test_budget_defers_in_async_mode(self, tmp_path):
         directory, names, due = _due_fleet(tmp_path)
         assert len(due) >= 2
-        with _inline_pool():
+        with inline_pool():
             fleet = _load_async(directory, telemetry=Telemetry())
             fleet.run_pending_retrains(budget=1)
-            assert fleet._async.inflight == 1
+            assert fleet._retrain.inflight == 1
             # Deferred streams stay due, narrated as deferrals.
             assert len(fleet.pending_retrains) == len(due) - 1
             deferred = _events(fleet, "retrain_deferred")
@@ -421,46 +393,25 @@ class TestBudgetsAndDueCounter:
         for name in due:
             assert fleet._streams[name].retrain_count >= 1
 
-    def test_max_inflight_cap_holds_overflow_without_deferring(
-        self, tmp_path
-    ):
-        directory, names, due = _due_fleet(tmp_path)
-        assert len(due) >= 2
-        with _inline_pool():
-            fleet = _load_async(
-                directory, telemetry=Telemetry(), max_inflight_retrains=1
-            )
-            fleet.run_pending_retrains()
-            assert fleet._async.inflight == 1
-            # Over-cap streams simply stay due — no deferral events.
-            assert len(fleet.pending_retrains) == len(due) - 1
-            assert not _events(fleet, "retrain_deferred")
-            rounds = 0
-            while fleet.pending_retrains and rounds < 10:
-                fleet.run_pending_retrains()  # drains, then refills the slot
-                rounds += 1
-            fleet.drain_retrains(wait=True)
-        submitted = _events(fleet, "retrain_submitted")
-        assert sorted(e["stream"] for e in submitted) == sorted(due)
-
     def test_due_counter_tracks_scan(self, tmp_path):
         """The O(1) fast-path counter never drifts from the O(S) scan."""
         directory, names, due = _due_fleet(tmp_path)
-        with _inline_pool():
+        with inline_pool():
             fleet = _load_async(directory)
-            assert fleet._due_count == len(fleet.pending_retrains) == len(due)
+            queue = fleet._retrain
+            assert queue.due_count == len(fleet.pending_retrains) == len(due)
             fleet.run_pending_retrains()
-            assert fleet._due_count == len(fleet.pending_retrains) == 0
+            assert queue.due_count == len(fleet.pending_retrains) == 0
             rng = np.random.default_rng(3)
             for t in range(120, 160):
                 fleet.forecast_all()
                 fleet.ingest(_values(names, t, rng, shift=25.0))
-                assert fleet._due_count == len(fleet.pending_retrains)
+                assert queue.due_count == len(fleet.pending_retrains)
             fleet.drain_retrains(wait=True)
             for t in range(160, 200):
                 fleet.forecast_all()
                 fleet.ingest(_values(names, t, rng, shift=25.0))
-                assert fleet._due_count == len(fleet.pending_retrains)
+                assert queue.due_count == len(fleet.pending_retrains)
 
     def test_empty_fleet_fast_path(self):
         fleet = PredictionFleet(_config())
@@ -476,12 +427,12 @@ class TestIntegrationCap:
     def test_tick_drain_integrates_at_most_cap_bursts(self, tmp_path):
         directory, names, due = _due_fleet(tmp_path)
         assert len(due) >= 2
-        with _inline_pool():
+        with inline_pool():
             fleet = _load_async(directory, max_integrations_per_tick=1)
-            pipe = fleet._get_async()
+            pipe = fleet._retrain
             # Two separate submissions land two resolved bursts.
             for name in due[:2]:
-                pipe.submit((name,), fleet._partition_due((name,)))
+                pipe.submit((name,), batched=True)
             assert pipe.inflight == 2
             first = fleet.drain_retrains()
             assert len(first) == 1
@@ -494,11 +445,11 @@ class TestIntegrationCap:
     def test_flush_ignores_the_cap(self, tmp_path):
         directory, names, due = _due_fleet(tmp_path)
         assert len(due) >= 2
-        with _inline_pool():
+        with inline_pool():
             fleet = _load_async(directory, max_integrations_per_tick=1)
-            pipe = fleet._get_async()
+            pipe = fleet._retrain
             for name in due[:2]:
-                pipe.submit((name,), fleet._partition_due((name,)))
+                pipe.submit((name,), batched=True)
             assert pipe.inflight == 2
             flushed = fleet.drain_retrains(wait=True)
             assert sorted(flushed) == sorted(due[:2])
@@ -524,15 +475,15 @@ class TestIntegrationCap:
 class TestPersistenceFlush:
     def test_save_flushes_inflight_bursts(self, tmp_path):
         directory, names, due = _due_fleet(tmp_path)
-        with _inline_pool():
+        with inline_pool():
             fleet = _load_async(directory)
             fleet.run_pending_retrains()
             rng = np.random.default_rng(11)
             _drive(fleet, names, 8, rng, shift=20.0, start=120)
-            assert fleet._async.inflight == len(due)
+            assert fleet._retrain.inflight == len(due)
             flushed_dir = tmp_path / "flushed"
             fleet.save(flushed_dir)  # drains wait=True first
-            assert fleet._async.inflight == 0
+            assert fleet._retrain.inflight == 0
         restored = PredictionFleet.load(flushed_dir)
         # The restored fleet carries the integrated models and forecasts
         # exactly as the flushed original does.
@@ -549,16 +500,13 @@ class TestPersistenceFlush:
                 fleet._streams[name].predictor.recent_history(),
                 err_msg=name,
             )
-        assert restored._due_count == len(restored.pending_retrains)
+        assert restored._retrain.due_count == len(restored.pending_retrains)
 
     def test_config_round_trip(self, tmp_path):
-        fleet = PredictionFleet(
-            _config(retrain_mode="async", max_inflight_retrains=4)
-        )
+        fleet = PredictionFleet(_config(retrain_mode="async"))
         fleet.save(tmp_path / "cfg")
         restored = PredictionFleet.load(tmp_path / "cfg")
         assert restored.config.retrain_mode == "async"
-        assert restored.config.max_inflight_retrains == 4
 
 
 # ---------------------------------------------------------------------------
@@ -581,13 +529,13 @@ class TestBrokenPoolDegradation:
             with _broken_pool():
                 fleet = _load_async(directory, telemetry=Telemetry())
                 fleet.run_pending_retrains()
-                assert fleet._async.inflight == len(due)
+                assert fleet._retrain.inflight == len(due)
                 integrated = fleet.drain_retrains(wait=True)
         finally:
             unregister_pool_failure_hook(hook_errors.append)
         # The lost burst fell back to an immediate synchronous round...
         assert sorted(integrated) == sorted(due)
-        assert fleet._async.inflight == 0
+        assert fleet._retrain.inflight == 0
         assert not fleet.pending_retrains
         failures = _events(fleet, "pool_failure")
         assert len(failures) == 1
@@ -629,13 +577,68 @@ class TestBrokenPoolDegradation:
 
 
 # ---------------------------------------------------------------------------
+# a failed sync round (also the broken-pool fallback)
+
+
+class TestFailedSyncRound:
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_failed_round_integrates_nothing(
+        self, tmp_path, monkeypatch, batched
+    ):
+        """A unit that raises leaves every stream as it was: the same
+        model objects, retrain counts and due queue. The retry then
+        trains what a clean sync clone trains."""
+        directory, names, due = _due_fleet(tmp_path)
+        fleet = PredictionFleet.load(directory)
+        before = {
+            name: (state.predictor, state.retrain_count)
+            for name, state in fleet._streams.items()
+        }
+        if batched:
+            def fail(self, histories):
+                raise RuntimeError("stacked kernel failed")
+
+            monkeypatch.setattr(
+                BatchedTrainEngine, "_compute_train_group", fail
+            )
+        else:
+            train = OnlineLARPredictor.train
+            trains = []
+
+            def fail_second(self, history):
+                trains.append(history)
+                if len(trains) == 2:
+                    raise RuntimeError("second per-stream train failed")
+                return train(self, history)
+
+            monkeypatch.setattr(OnlineLARPredictor, "train", fail_second)
+        with pytest.raises(RuntimeError):
+            fleet.run_pending_retrains(batched=batched)
+        for name, state in fleet._streams.items():
+            predictor, retrain_count = before[name]
+            assert state.predictor is predictor, name
+            assert state.retrain_count == retrain_count, name
+        assert fleet.pending_retrains == due
+        monkeypatch.undo()
+        clean = PredictionFleet.load(directory)
+        assert fleet.run_pending_retrains(batched=batched) == due
+        assert clean.run_pending_retrains(batched=batched) == due
+        for name in due:
+            _assert_same_model(
+                fleet._streams[name].predictor,
+                clean._streams[name].predictor,
+                name=name,
+            )
+
+
+# ---------------------------------------------------------------------------
 # events and the inflight gauge
 
 
 class TestObservability:
     def test_lifecycle_events_and_gauge(self, tmp_path):
         directory, names, due = _due_fleet(tmp_path)
-        with _inline_pool():
+        with inline_pool():
             fleet = _load_async(directory, telemetry=Telemetry())
             fleet.run_pending_retrains()
             submitted = _events(fleet, "retrain_submitted")
@@ -651,12 +654,13 @@ class TestObservability:
             assert event["data"]["retrain"] is True
         assert fleet.metrics().inflight_retrains == 0
 
-    def test_sync_mode_never_builds_pipeline(self, tmp_path):
+    def test_sync_mode_never_submits_to_the_pool(self, tmp_path):
         directory, names, due = _due_fleet(tmp_path)
         fleet = PredictionFleet.load(directory)
-        fleet.run_pending_retrains()
-        assert fleet._async is None
-        assert fleet.drain_retrains(wait=True) == ()
+        with inline_pool() as calls:
+            assert fleet.run_pending_retrains() == due
+            assert fleet.drain_retrains(wait=True) == ()
+        assert calls == []
         assert fleet.metrics().inflight_retrains == 0
 
 
@@ -667,8 +671,6 @@ class TestObservability:
 @pytest.mark.slow
 class TestRealPool:
     def test_async_fleet_serves_and_integrates(self, tmp_path):
-        import os
-
         if (os.cpu_count() or 1) < 2:
             pytest.skip("needs >= 2 cores for a worker pool")
         directory, names, due = _due_fleet(tmp_path)
@@ -684,4 +686,32 @@ class TestRealPool:
         fleet.drain_retrains(wait=True)
         integrated = _events(fleet, "retrain_integrated")
         assert integrated, "no async burst landed within 300 ticks"
-        assert fleet._async.inflight == 0
+        assert fleet._retrain.inflight == 0
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_real_pool_matches_sync_clone(self, tmp_path, batched):
+        """Unit inputs and results pickled through real workers carry
+        the sync round's bits, for stacked and per-stream units."""
+        if (os.cpu_count() or 1) < 2:
+            pytest.skip("needs >= 2 cores for a worker pool")
+        directory, names, due = _due_fleet(tmp_path)
+        sync = PredictionFleet.load(directory)
+        async_fleet = _load_async(directory)
+        sync.run_pending_retrains(batched=batched)
+        async_fleet.run_pending_retrains(batched=batched)
+        rng = np.random.default_rng(23)
+        for t in range(120, 130):
+            vals = _values(names, t, rng, shift=20.0)
+            sync.forecast_all()
+            sync.ingest(vals)
+            async_fleet.forecast_all()
+            async_fleet.ingest(dict(vals))
+        integrated = async_fleet.drain_retrains(wait=True)
+        assert sorted(integrated) == sorted(due)
+        for name in due:
+            _assert_same_model(
+                async_fleet._streams[name].predictor,
+                sync._streams[name].predictor,
+                name=name,
+            )
+        assert async_fleet.forecast_all() == sync.forecast_all()

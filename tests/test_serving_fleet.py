@@ -300,19 +300,23 @@ class TestPersistence:
         self, warm_fleet, tmp_path
     ):
         """Manifests written before 2.0 carry the removed ``parallel``
-        policy block; loading ignores it."""
+        policy block, and before 3.0 the removed ``label_cache`` and
+        ``max_inflight_retrains`` keys; loading ignores them."""
         import json
 
         fleet, feeds = warm_fleet
         fleet.save(tmp_path / "f")
         manifest_path = tmp_path / "f" / "fleet.json"
         manifest = json.loads(manifest_path.read_text())
-        assert "parallel" not in manifest["config"]
+        removed = ("parallel", "label_cache", "max_inflight_retrains")
+        assert not set(removed) & set(manifest["config"])
         manifest["config"]["parallel"] = {
             "max_workers": None,
             "min_items_per_worker": 2,
             "chunksize": 1,
         }
+        manifest["config"]["label_cache"] = False
+        manifest["config"]["max_inflight_retrains"] = 4
         manifest_path.write_text(json.dumps(manifest))
         restored = load_fleet(tmp_path / "f")
         assert restored.config == fleet.config

@@ -13,8 +13,9 @@ and the batched path. This suite pins that contract:
   recomputation safe;
 * hypothesis splice-parity over overlapping, disjoint, and shrinking
   window geometries, per-stream and batched vs loop;
-* fleet-level storm parity: ``label_cache=True`` and ``False`` fleets
-  produce identical forecasts tick for tick;
+* fleet-level storm parity: a fleet whose cache splices and one whose
+  cache is emptied before every retrain round produce identical
+  forecasts tick for tick;
 * invalidation: config/params fingerprint mismatches miss (and drop the
   stale tail), stream removal drops the tail;
 * persistence: cache tails survive a save/load round trip and the
@@ -309,13 +310,18 @@ def _drifting_feeds(names, n):
     return feeds
 
 
-def _serve(fleet, feeds, ticks):
+def _serve(fleet, feeds, ticks, *, forget_labels=False):
+    """Serve *ticks* ticks; with *forget_labels*, empty the fleet's label
+    cache before every ingest (and so before every retrain round), so
+    each relabel misses and relabels its full window."""
     out = []
     for t in range(ticks):
         out.append(
             {n: (fc.value, fc.predictor_label)
              for n, fc in fleet.forecast_all().items()}
         )
+        if forget_labels:
+            fleet._label_cache.clear()
         fleet.ingest({name: feeds[name][t] for name in fleet.stream_names})
     return out
 
@@ -345,13 +351,11 @@ class TestFleetStormParity:
         names = ["a", "b", "c"]
         ticks = 150
         feeds = _drifting_feeds(names, ticks)
-        on = PredictionFleet(
-            _fleet_config(label_cache=True), streams=names, telemetry=True
+        on = PredictionFleet(_fleet_config(), streams=names, telemetry=True)
+        off = PredictionFleet(_fleet_config(), streams=names)
+        assert _serve(on, feeds, ticks) == _serve(
+            off, feeds, ticks, forget_labels=True
         )
-        off = PredictionFleet(
-            _fleet_config(label_cache=False), streams=names
-        )
-        assert _serve(on, feeds, ticks) == _serve(off, feeds, ticks)
         retrains = on.metrics().total_retrains
         assert retrains == off.metrics().total_retrains
         assert retrains > 0

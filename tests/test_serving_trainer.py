@@ -17,6 +17,7 @@ from repro.core.config import LARConfig
 from repro.core.online import OnlineLARPredictor
 from repro.exceptions import ConfigurationError, DataError
 from repro.serving import BatchedTrainEngine, FleetConfig, PredictionFleet
+from repro.serving.retrain import RetrainScheduler
 from repro.traces.synthetic import ar1_series
 
 
@@ -276,13 +277,13 @@ class TestRetrainBudget:
         names = [f"s{i}" for i in range(8)]
         fleet = PredictionFleet(config, streams=names)
         bursts = []
-        orig = BatchedTrainEngine.train_many
+        orig = RetrainScheduler.run_sync
 
-        def counting(self, histories):
-            bursts.append(len(histories))
-            return orig(self, histories)
+        def counting(self, due, *, batched):
+            bursts.append(len(due))
+            return orig(self, due, batched=batched)
 
-        monkeypatch.setattr(BatchedTrainEngine, "train_many", counting)
+        monkeypatch.setattr(RetrainScheduler, "run_sync", counting)
         feed = _drift_feed(9)
         for t in range(300):
             fleet.forecast_all()
