@@ -508,9 +508,6 @@ def _storm_fleet(feeds: dict, mode: str) -> PredictionFleet:
         qa_threshold=50.0,
         retrain_window=STORM_HISTORY,
         history_limit=STORM_HISTORY,
-        # Cold refits only: relabel bursts would shrink over the run as
-        # windows overlap, and the gate wants a uniform storm cost.
-        min_relabel_overlap=None,
         retrain_mode=mode,
         # The async pipeline sends each storm's cold group out in
         # futures of at most 32 streams, and its tick boundary

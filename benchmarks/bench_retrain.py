@@ -49,22 +49,6 @@ HISTORY = 256
 #: Due-stream burst sizes (capped by RETRAIN_BENCH_MAX_STREAMS).
 BURST_SIZES = (50, 500, 2000)
 
-#: Relabel window of the repeated-storm label-cache bench. Much longer
-#: than HISTORY so the tensor work the cache elides dominates the fixed
-#: per-stream rebuild costs both modes share (the rebuilt classifiers
-#: still evict straight down to the default ``max_memory``, so their
-#: cost stays flat).
-CACHE_HISTORY = 4096
-#: Forward shift between successive storms (~80% window overlap).
-CACHE_STRIDE = 820
-#: Label-smoothing width of the cache bench workload (heavier than the
-#: serving default: smoothing cost scales with the width, and it is
-#: exactly the per-frame labelling work the cache elides).
-CACHE_SMOOTHING = 40
-#: Timed storm rounds (after one untimed warm round); the gate compares
-#: best-of-rounds per mode, as the 5x gate above compares best-of-5.
-CACHE_ROUNDS = 5
-
 _JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_retrain.json"
 
 
@@ -220,110 +204,3 @@ def test_batched_retrain_faster_than_parallel_map(capsys):
         f"the gate requires 5x"
     )
 
-
-def test_label_cache_speedup_on_repeated_storms(capsys):
-    """CI gate: spliced relabels must beat full relabels by >= 1.5x.
-
-    The workload the label cache exists for: the same streams breach
-    their QA storm after storm, and each retrain relabels a window that
-    overlaps the previous one by ~80% (stride ``CACHE_STRIDE`` over
-    ``CACHE_HISTORY``-value windows). Cache-on serves the overlap from
-    each stream's stored tail (``repro.serving.label_cache``); cache-off
-    — what a fleet runs on a cache miss — relabels every window in
-    full. Outputs are bit-identical either way (pinned by
-    ``tests/test_serving_label_cache.py``); this guards the speed.
-    """
-    from repro.core.relabel import CachedLabels
-
-    n = min(500, int(os.environ.get("RETRAIN_BENCH_MAX_STREAMS", 500)))
-    rounds = CACHE_ROUNDS
-    config = FleetConfig(
-        lar=LARConfig(window=5),
-        label_smoothing=CACHE_SMOOTHING,
-        retrain_window=CACHE_HISTORY,
-    )
-    engine = BatchedTrainEngine(config)
-    length = CACHE_HISTORY + CACHE_STRIDE * rounds
-    series = []
-    for i in range(n):
-        s = 10.0 + 3.0 * ar1_series(length, phi=0.85, seed=i)
-        s[length // 2 :] += 4.0
-        series.append(np.ascontiguousarray(s))
-
-    def window(i: int, r: int) -> np.ndarray:
-        start = CACHE_STRIDE * r
-        return series[i][start : start + CACHE_HISTORY]
-
-    # Cold fits, then one untimed warm relabel round: it populates the
-    # tails (the first relabel after a cold fit is always a full-window
-    # miss), first-touches the scratch tensors, and warms BLAS.
-    predictors = engine.train_many([window(i, 0) for i in range(n)])
-    warm = engine.relabel_many(
-        [(predictors[i], window(i, 0), 0, None) for i in range(n)]
-    )
-    tails = [CachedLabels(0, r.sq, r.labels) for r in warm]
-    predictors = [r.predictor for r in warm]
-
-    # Best-of-rounds per mode, as the 5x gate above takes best-of-5:
-    # both bursts allocate tens of MB of fresh result tensors per call,
-    # and the page-fault cost of those allocations varies several-fold
-    # between otherwise identical rounds. The floors are the comparable
-    # numbers; a sum would gate on allocator noise.
-    off_times = []
-    on_times = []
-    hits = 0
-    reused_frames = 0
-    total_frames = 0
-    for r in range(1, rounds + 1):
-        start = CACHE_STRIDE * r
-        tasks_off = [
-            (predictors[i], window(i, r), start, None) for i in range(n)
-        ]
-        tasks_on = [
-            (predictors[i], window(i, r), start, tails[i]) for i in range(n)
-        ]
-        t0 = perf_counter()
-        full = engine.relabel_many(tasks_off)
-        off_times.append(perf_counter() - t0)
-        t0 = perf_counter()
-        spliced = engine.relabel_many(tasks_on)
-        on_times.append(perf_counter() - t0)
-        for i, (a, b) in enumerate(zip(full, spliced)):
-            hits += b.reused > 0
-            reused_frames += b.reused
-            total_frames += b.labels.shape[0]
-            if i < 3:  # the full parity matrix lives in the test suite
-                assert np.array_equal(a.labels, b.labels)
-                assert np.array_equal(a.sq, b.sq)
-        tails = [
-            CachedLabels(start, res.sq, res.labels) for res in spliced
-        ]
-        predictors = [res.predictor for res in spliced]
-
-    t_off = min(off_times)
-    t_on = min(on_times)
-    speedup = t_off / t_on
-    hit_rate = hits / (n * rounds)
-    emit(
-        capsys,
-        format_table(
-            ["mode", "burst seconds (best)", "retrains/sec", "speedup"],
-            [
-                ["cache off", t_off, n / t_off, 1.0],
-                ["cache on", t_on, n / t_on, speedup],
-            ],
-            precision=4,
-            title=(
-                f"repeated-storm relabels: {n} streams, best of {rounds} "
-                f"rounds, ~{1 - CACHE_STRIDE / CACHE_HISTORY:.0%} overlap, "
-                f"hit rate {hit_rate:.0%}, "
-                f"{reused_frames / total_frames:.0%} of frames spliced"
-            ),
-        ),
-    )
-    assert hit_rate == 1.0, f"expected every relabel to splice, got {hit_rate:.0%}"
-    assert speedup >= 1.5, (
-        f"label-cache relabel burst ({t_on:.4f}s) is only {speedup:.2f}x "
-        f"faster than cache-off ({t_off:.4f}s) at {n} streams with "
-        f"~80% window overlap; the gate requires 1.5x"
-    )

@@ -31,14 +31,13 @@ import numpy as np
 
 from repro.core.config import LARConfig
 from repro.core.larpredictor import Forecast
-from repro.core.relabel import CachedLabels, plan_splice, relabel_group
 from repro.core.runner import StrategyRunner
 from repro.exceptions import ConfigurationError, InsufficientDataError, NotFittedError
 from repro.learn.knn import KNNClassifier
 from repro.preprocess.pipeline import PreparedData
 from repro.util.validation import as_series
 
-__all__ = ["OnlineLARPredictor", "FittedParts", "RelabelResult"]
+__all__ = ["OnlineLARPredictor", "FittedParts"]
 
 
 @dataclass(frozen=True)
@@ -72,26 +71,6 @@ class FittedParts:
     #: producer count whole bursts in one vectorized pass instead of a
     #: per-classifier reduction. ``None`` means "count them here".
     label_counts: dict[int, int] | None = None
-
-
-@dataclass(frozen=True)
-class RelabelResult:
-    """What one incremental relabel produced.
-
-    ``predictor`` is the *new* predictor (relabelling swaps the object,
-    like a retrain, so fleet engines that track predictor identity
-    refresh naturally). ``sq`` and ``labels`` cover the whole relabel
-    window — they are the rows a label cache stores for the next storm.
-    ``reused`` counts the ``sq`` rows spliced from the cache (0 on a
-    full relabel) and ``labels_reused`` the labels among them that were
-    taken as-is rather than recomputed at the smoothing boundary.
-    """
-
-    predictor: "OnlineLARPredictor"
-    sq: np.ndarray
-    labels: np.ndarray
-    reused: int
-    labels_reused: int
 
 
 class OnlineLARPredictor:
@@ -292,110 +271,6 @@ class OnlineLARPredictor:
             self._require_trained()
             recent_series = np.asarray(self._history)
         return self.train(recent_series)
-
-    def relabel(
-        self, recent_series, *, start: int = 0, cached: CachedLabels | None = None
-    ) -> RelabelResult:
-        """Incremental retrain: keep the frozen parameters, relabel.
-
-        Where :meth:`retrain` refits everything on the new window, this
-        keeps the normalizer coefficients, the AR parameters, and the
-        PCA basis exactly as fitted — the same freeze contract
-        :meth:`observe` relies on between retrains — and re-derives
-        only the window-dependent products: frames, targets, pool
-        errors, smoothed labels, and a rebuilt classifier memory.
-        Returns a :class:`RelabelResult` whose ``predictor`` is a *new*
-        object (parameters shared bitwise, window products fresh), so
-        callers that track predictor identity treat it like any
-        retrain.
-
-        *start* is the absolute lifetime index of ``recent_series[0]``;
-        with *cached* (a :class:`~repro.core.relabel.CachedLabels` from
-        a previous relabel of this stream under the same parameters)
-        the overlapping ``(sq, label)`` rows are spliced in and only
-        the new suffix plus the smoothing boundary is computed — bit
-        for bit what the full relabel would produce (the contract
-        ``tests/test_serving_label_cache.py`` pins). Only the paper
-        pool can be relabelled; extended pools take the full
-        :meth:`retrain` path.
-        """
-        self._require_trained()
-        if self.config.extended_pool:
-            raise ConfigurationError(
-                "relabel only supports the paper pool; extended pools "
-                "carry members that must be refitted per window"
-            )
-        x = as_series(
-            recent_series, name="recent_series", min_length=self.config.window + 2
-        )
-        w = self.config.window
-        n = x.shape[0] - w
-        plan = None
-        cached_sq = cached_labels = None
-        if cached is not None:
-            plan = plan_splice(
-                cached.start, cached.labels.shape[0], start, n,
-                self.label_smoothing,
-            )
-        if plan is not None:
-            cached_sq = [cached.sq[plan.delta : plan.delta + plan.reuse]]
-            cached_labels = [
-                cached.labels[
-                    plan.delta + plan.label_lo : plan.delta + plan.label_hi
-                ]
-            ]
-        pipeline = self._runner.pipeline
-        normalizer = pipeline.normalizer
-        ar = self._runner.pool[1]
-        frames, targets, sq, labels = relabel_group(
-            x[None],
-            np.array([normalizer.mean]),
-            np.array([normalizer.std]),
-            np.ascontiguousarray(ar.coefficients_)[None],
-            np.array([ar.mean_]),
-            window=w,
-            smooth=self.label_smoothing,
-            sw_window=self._runner.pool[2].window,
-            plan=plan,
-            cached_sq=cached_sq,
-            cached_labels=cached_labels,
-        )
-        pca = pipeline.pca
-        features = pca.transform(frames[0]) if pca is not None else frames[0]
-        parts = FittedParts(
-            history=x,
-            norm_mean=normalizer.mean,
-            norm_std=normalizer.std,
-            ar_mean=ar.mean_,
-            ar_coefficients=ar.coefficients_,
-            ar_noise_variance=ar.noise_variance_,
-            frames=frames[0],
-            targets=targets[0],
-            features=features,
-            labels=labels[0],
-            pca_mean=None if pca is None else pca.mean_,
-            pca_components=None if pca is None else pca.components_,
-            pca_explained_variance=(
-                None if pca is None else pca.explained_variance_
-            ),
-            pca_explained_variance_ratio=(
-                None if pca is None else pca.explained_variance_ratio_
-            ),
-        )
-        predictor = OnlineLARPredictor.from_fitted_parts(
-            self.config,
-            parts,
-            label_smoothing=self.label_smoothing,
-            max_memory=self.max_memory,
-            history_limit=self.history_limit,
-        )
-        return RelabelResult(
-            predictor=predictor,
-            sq=sq[0],
-            labels=labels[0],
-            reused=0 if plan is None else plan.reuse,
-            labels_reused=0 if plan is None else plan.label_hi - plan.label_lo,
-        )
 
     # -- streaming ------------------------------------------------------------
 

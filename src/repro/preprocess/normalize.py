@@ -15,7 +15,20 @@ import numpy as np
 from repro.exceptions import NotFittedError
 from repro.util.validation import as_series
 
-__all__ = ["ZScoreNormalizer"]
+__all__ = ["ZScoreNormalizer", "scaled_moments"]
+
+
+def scaled_moments(x: np.ndarray) -> tuple[float, float]:
+    """Mean and standard deviation of a finite 1-D *x*, computed on
+    ``x / max|x|`` and scaled back.
+
+    The fallback for data whose plain moments overflow: a finite value
+    past about 1.3e154 squares to infinity, and the plain ``std()``
+    then reads ``inf`` (a model fitted with it forecasts NaN).
+    """
+    scale = float(np.abs(x).max())
+    y = x / scale
+    return float(y.mean()) * scale, float(y.std()) * scale
 
 
 class ZScoreNormalizer:
@@ -69,8 +82,11 @@ class ZScoreNormalizer:
     def fit(self, series) -> "ZScoreNormalizer":
         """Estimate the coefficients from *series* and return ``self``."""
         x = as_series(series, name="series")
-        self._mean = float(x.mean())
-        self._std = max(float(x.std()), self.min_std)
+        mean, std = float(x.mean()), float(x.std())
+        if not (np.isfinite(mean) and np.isfinite(std)):
+            mean, std = scaled_moments(x)
+        self._mean = mean
+        self._std = max(std, self.min_std)
         return self
 
     # -- transforms ---------------------------------------------------------

@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.preprocess.normalize import scaled_moments
 
 __all__ = [
     "StackedNormalizer",
@@ -118,11 +119,15 @@ def fit_stacked_normalizer(
     :meth:`~repro.preprocess.normalize.ZScoreNormalizer.fit` calls.
     NumPy's pairwise summation evaluates each row of ``mean(axis=1)`` /
     ``std(axis=1)`` exactly as it evaluates the row alone, so the
-    stacked coefficients carry the per-stream bits.
+    stacked coefficients carry the per-stream bits. Rows whose moments
+    overflow take the per-stream fallback,
+    :func:`~repro.preprocess.normalize.scaled_moments`.
     """
     means = histories.mean(axis=1)
-    stds = np.maximum(histories.std(axis=1), min_std)
-    return StackedNormalizer(means, stds)
+    stds = histories.std(axis=1)
+    for s in np.flatnonzero(~(np.isfinite(means) & np.isfinite(stds))):
+        means[s], stds[s] = scaled_moments(histories[s])
+    return StackedNormalizer(means, np.maximum(stds, min_std))
 
 
 class StackedPCAFit:

@@ -19,6 +19,9 @@ serving layer:
 * **QA-driven retraining, out of band** — every ingested observation is
   audited against the forecast that predicted it; streams whose audit
   window breaches the threshold are *scheduled* and retrained together.
+  A retrain refits the stream's whole model (normalizer, predictors,
+  PCA basis, k-NN memory) on its last ``retrain_window`` values, as the
+  paper's QA orders.
   Eligible configurations run the whole burst through the
   :class:`~repro.serving.trainer.BatchedTrainEngine` (one stacked
   training computation for all due streams, bit-identical to the
@@ -61,7 +64,6 @@ from repro.exceptions import ConfigurationError, NotFittedError
 from repro.experiments.report import format_table
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.serving.engine import BatchedTickEngine
-from repro.serving.label_cache import LabelCache, config_fingerprint
 from repro.serving.retrain import RetrainScheduler
 from repro.serving.trainer import BatchedTrainEngine
 
@@ -81,9 +83,10 @@ class FleetConfig:
         at least ``lar.window + max(lar.k, 2)`` so training yields enough
         (frame, label) pairs to fit the k-NN selector.
     label_smoothing:
-        Trailing window of the online labelling rule.
+        Trailing window of the online labelling rule (an integer >= 1).
     max_memory:
-        Per-stream cap on stored k-NN windows (``None`` = unbounded).
+        Per-stream cap on stored k-NN windows, at least ``lar.k``
+        (``None`` = unbounded).
         Serving many long-running streams, a cap keeps both memory and
         query cost flat.
     history_limit:
@@ -94,19 +97,9 @@ class FleetConfig:
         The QA's audit geometry (see
         :class:`~repro.core.qa.PredictionQualityAssuror`).
     retrain_window:
-        History tail a QA-ordered retrain refits on (``None`` = all
-        stored history).
-    min_relabel_overlap:
-        QA-ordered retrains whose new window overlaps the window the
-        stream's parameters were fitted on by at least this fraction
-        run as *incremental relabels*: the normalizer, AR fit, and PCA
-        basis stay frozen (the same freeze contract
-        :meth:`~repro.core.online.OnlineLARPredictor.observe` relies
-        on between retrains) and only the window products — labels and
-        classifier memory — are rebuilt. Below the threshold (the
-        window has drifted too far from the fit) the retrain is a full
-        cold refit. ``None`` disables incremental relabelling entirely:
-        every retrain refits everything, the pre-1.4 behavior.
+        History tail a QA-ordered retrain refits everything on: the
+        normalizer, the predictors, the PCA basis and the k-NN memory
+        (``None`` = all stored history).
     auto_retrain:
         Run scheduled (re)trains at the end of each :meth:`ingest` call.
         ``False`` leaves them pending until
@@ -149,7 +142,6 @@ class FleetConfig:
     audit_window: int = 32
     audit_interval: int = 8
     retrain_window: int | None = 256
-    min_relabel_overlap: float | None = 0.5
     auto_retrain: bool = True
     retrain_mode: str = "sync"
     max_integrations_per_tick: int | None = None
@@ -174,14 +166,21 @@ class FleetConfig:
                 f"retrain_window must be >= window + max(k, 2) ({floor}), "
                 f"got {self.retrain_window}"
             )
-        if self.min_relabel_overlap is not None and not (
-            0.0 < self.min_relabel_overlap <= 1.0
+        if not isinstance(self.label_smoothing, int) or self.label_smoothing < 1:
+            raise ConfigurationError(
+                f"label_smoothing must be an integer >= 1, "
+                f"got {self.label_smoothing!r}"
+            )
+        if self.max_memory is not None and (
+            not isinstance(self.max_memory, int) or self.max_memory < self.lar.k
         ):
             raise ConfigurationError(
-                f"min_relabel_overlap must be in (0, 1] or None, "
-                f"got {self.min_relabel_overlap!r}"
+                f"max_memory must be an integer >= k ({self.lar.k}) or "
+                f"None, got {self.max_memory!r}"
             )
-        if self.qa_threshold <= 0.0:
+        # Written so that NaN fails too: every comparison with NaN is
+        # false, and a NaN threshold would never order a retrain.
+        if not self.qa_threshold > 0.0:
             raise ConfigurationError(
                 f"qa_threshold must be positive, got {self.qa_threshold}"
             )
@@ -318,7 +317,7 @@ class _StreamState:
     __slots__ = (
         "name", "buffer", "predictor", "qa", "pending", "pending_at",
         "ticks", "retrain_count", "selections", "train_due", "retrain_due",
-        "due_at", "params_window", "epoch",
+        "due_at", "epoch",
     )
 
     def __init__(self, name: str, config: FleetConfig):
@@ -340,12 +339,6 @@ class _StreamState:
         # Ingest-tick sequence number at which this stream first became
         # due; orders the retrain queue oldest-breach-first.
         self.due_at = 0
-        # (absolute start, length) of the history window the current
-        # predictor's parameters were cold-fitted on — the reference
-        # the incremental-relabel overlap policy measures against.
-        # None until the first cold fit (and for fleets restored from
-        # pre-1.4 manifests, which therefore always refit cold).
-        self.params_window: tuple[int, int] | None = None
         # Fleet-unique model generation stamp, advanced on every
         # predictor swap (and at registration, so a removed-then-readded
         # name never matches). An asynchronous burst records it at
@@ -361,7 +354,7 @@ class _FleetInstruments:
     __slots__ = (
         "ticks", "observations", "forecasts", "audits", "breaches",
         "trains", "retrains", "deferrals", "streams", "trained", "pending",
-        "inflight", "cache_hits", "cache_misses", "cache_spliced",
+        "inflight",
     )
 
     def __init__(self, registry):
@@ -390,18 +383,6 @@ class _FleetInstruments:
         self.deferrals = registry.counter(
             "repro_fleet_retrain_deferrals_total",
             "Times the retrain budget passed over a due stream.",
-        )
-        self.cache_hits = registry.counter(
-            "repro_fleet_label_cache_hits_total",
-            "Incremental relabels that spliced cached label rows.",
-        )
-        self.cache_misses = registry.counter(
-            "repro_fleet_label_cache_misses_total",
-            "Incremental relabels that relabelled their full window.",
-        )
-        self.cache_spliced = registry.counter(
-            "repro_fleet_label_cache_spliced_frames_total",
-            "Cached pool-error frame rows spliced into relabels.",
         )
         self.streams = registry.gauge(
             "repro_fleet_streams", "Registered streams."
@@ -466,10 +447,6 @@ class PredictionFleet:
         # depend on the engine's internal tensors.
         self._engine: "BatchedTickEngine | None" = None
         self._train_engine: "BatchedTrainEngine | None" = None
-        # Per-stream labelling tails for incremental relabels, plus the
-        # labelling-config fingerprint every lookup is keyed under.
-        self._label_cache = LabelCache()
-        self._config_fp = config_fingerprint(self.config)
         # Monotonic ingest-tick counter; stamps when streams become due.
         self._due_seq = 0
         # Model generation clock for _StreamState.epoch stamps.
@@ -572,7 +549,6 @@ class PredictionFleet:
         # monotone); only the local caches are pruned.
         self._flush_selections()
         del self._streams[name]
-        self._label_cache.drop(name)
         for key in [k for k in self._sel_counters if k[0] == name]:
             del self._sel_counters[key]
             self._sel_flushed.pop(key, None)

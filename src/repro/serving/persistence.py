@@ -9,14 +9,10 @@ Layout: one directory per fleet —
   :func:`~repro.core.persistence.save_online_larpredictor` archive per
   trained stream (stream names can contain characters that are not
   filename-safe, so archives are numbered and mapped in the manifest).
-* ``streams/cache_NNNN.npz`` — the stream's label-cache tail (squared
-  pool errors + smoothed labels), when one exists: a restored fleet
-  must make the same splice-vs-relabel decisions the original would
-  have, so the tails travel with it (fingerprints live in the
-  manifest).
 
-Everything is JSON + ``.npz`` — no pickle — so a fleet directory is
-safe to load from untrusted sources, and a restored fleet resumes with
+Everything is JSON + ``.npz`` — no pickle — and :func:`load_fleet`
+reads no archive outside the fleet directory, so a fleet directory is
+safe to load from untrusted sources. A restored fleet resumes with
 exactly the forecasts the original would have produced (the pending
 forecast cache is not persisted; it is recomputed, deterministically,
 on the next read).
@@ -25,9 +21,8 @@ on the next read).
 from __future__ import annotations
 
 import json
+import zipfile
 from pathlib import Path
-
-import numpy as np
 
 from repro.core.config import LARConfig
 from repro.core.persistence import (
@@ -63,7 +58,6 @@ def _fleet_config_meta(config) -> dict:
         "audit_window": config.audit_window,
         "audit_interval": config.audit_interval,
         "retrain_window": config.retrain_window,
-        "min_relabel_overlap": config.min_relabel_overlap,
         "auto_retrain": config.auto_retrain,
         "retrain_mode": config.retrain_mode,
         "max_integrations_per_tick": config.max_integrations_per_tick,
@@ -95,14 +89,6 @@ def _fleet_config_from_meta(meta: dict):
                 if meta["retrain_window"] is None
                 else int(meta["retrain_window"])
             ),
-            # .get(): manifests written before incremental relabelling
-            # existed load with the policy off — every retrain refits
-            # cold, exactly what they ran with.
-            min_relabel_overlap=(
-                None
-                if meta.get("min_relabel_overlap") is None
-                else float(meta["min_relabel_overlap"])
-            ),
             auto_retrain=bool(meta["auto_retrain"]),
             # .get(): manifests written before the retrain budget existed
             # load as unlimited, which is what they ran with.
@@ -121,11 +107,39 @@ def _fleet_config_from_meta(meta: dict):
             ),
             # Older manifests also carry keys for removed options: a
             # "parallel" block (before 2.0), "label_cache" and
-            # "max_inflight_retrains" (before 3.0). None of them ever
-            # changed a forecast, so they are ignored.
+            # "max_inflight_retrains" (before 3.0), and before 4.0
+            # "min_relabel_overlap" plus per-stream "params_window" and
+            # "label_cache" entries. All of them are ignored; a fleet
+            # that relabelled before 4.0 refits cold from now on.
         )
     except (KeyError, TypeError) as exc:
         raise DataError(f"malformed fleet config in manifest: {exc}") from exc
+
+
+def _load_stream_archive(directory: Path, name: str, archive):
+    """Load stream *name*'s model from *archive*, a path relative to
+    *directory*.
+
+    The resolved path must stay inside *directory*: a manifest naming an
+    absolute path or one that climbs out with ``..`` would otherwise
+    load a model from anywhere on the file system.
+    """
+    root = directory.resolve()
+    path = (root / str(archive)).resolve()
+    if not path.is_relative_to(root):
+        raise DataError(
+            f"archive {archive!r} of stream {name!r} lies outside the "
+            f"fleet directory {directory}"
+        )
+    try:
+        return load_online_larpredictor(path)
+    except (
+        DataError, OSError, KeyError, TypeError, ValueError,
+        zipfile.BadZipFile,
+    ) as exc:
+        raise DataError(
+            f"cannot read archive {archive!r} of stream {name!r}: {exc}"
+        ) from exc
 
 
 def save_fleet(fleet, directory) -> None:
@@ -154,33 +168,12 @@ def save_fleet(fleet, directory) -> None:
             "due_at": state.due_at,
             "qa": state.qa.state_dict(),
             "buffer": [float(v) for v in state.buffer],
-            "params_window": (
-                None
-                if state.params_window is None
-                else list(state.params_window)
-            ),
             "archive": None,
-            "label_cache": None,
         }
         if state.predictor is not None:
             archive = f"{_STREAM_DIR}/stream_{index:04d}.npz"
             save_online_larpredictor(state.predictor, directory / archive)
             entry["archive"] = archive
-        tail = fleet._label_cache.tail(name)
-        if tail is not None:
-            cache_archive = f"{_STREAM_DIR}/cache_{index:04d}.npz"
-            np.savez_compressed(
-                directory / cache_archive, sq=tail.sq, labels=tail.labels
-            )
-            # The fingerprints are stored as written, not recomputed at
-            # load: a manifest edited to a different labelling config
-            # then correctly misses instead of splicing stale rows.
-            entry["label_cache"] = {
-                "archive": cache_archive,
-                "start": tail.start,
-                "config_fp": tail.config_fp,
-                "params_fp": tail.params_fp,
-            }
         streams.append(entry)
 
     manifest = {
@@ -245,38 +238,11 @@ def load_fleet(directory, *, telemetry=None):
             state.due_at = int(entry.get("due_at", 0))
             state.qa.load_state_dict(entry["qa"])
             state.buffer.extend(float(v) for v in entry["buffer"])
-            # .get(): pre-1.4 manifests have no fit window on record, so
-            # the restored stream refits cold on its next retrain (the
-            # only behavior those fleets had).
-            window_meta = entry.get("params_window")
-            if window_meta is not None:
-                state.params_window = (
-                    int(window_meta[0]),
-                    int(window_meta[1]),
-                )
             archive = entry["archive"]
-            cache_meta = entry.get("label_cache")
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise DataError(f"malformed stream entry in manifest: {exc}") from exc
         if archive is not None:
-            state.predictor = load_online_larpredictor(directory / archive)
-        if cache_meta is not None:
-            try:
-                with np.load(directory / cache_meta["archive"]) as arrays:
-                    fleet._label_cache.store(
-                        name,
-                        int(cache_meta["start"]),
-                        arrays["sq"],
-                        np.ascontiguousarray(
-                            arrays["labels"], dtype=np.int64
-                        ),
-                        str(cache_meta["config_fp"]),
-                        str(cache_meta["params_fp"]),
-                    )
-            except (KeyError, TypeError, ValueError, OSError) as exc:
-                raise DataError(
-                    f"malformed label-cache entry for stream {name!r}: {exc}"
-                ) from exc
+            state.predictor = _load_stream_archive(directory, name, archive)
     # The due flags above were set directly, bypassing the scheduler.
     fleet._retrain.restore()
     return fleet

@@ -10,12 +10,14 @@ to one :class:`RetrainScheduler`:
   due, stamped with the ingest tick, and
   :meth:`~RetrainScheduler.take_due` pops the budgeted head of the queue
   oldest-breach-first.
-* **Work units.** :meth:`~RetrainScheduler.partition` splits a round
-  into cold refits and incremental relabels, snapshotting every
+* **Work units.** Every (re)train is a full refit: an initial train
+  fits the warm-up buffer, and a QA-ordered retrain refits the
+  normalizer, the predictors, the PCA basis and the k-NN memory on the
+  last ``retrain_window`` stored values, as the paper's QA orders.
+  :meth:`~RetrainScheduler.snapshot` copies each due stream's
   history, and :func:`build_units` turns that plan into work units of
-  three kinds: a stacked cold group per history length, a stacked
-  relabel group per (length, splice geometry), and one per-stream unit
-  per stream when the round is not batched or the config has no
+  two kinds: a stacked group per history length, or one per-stream
+  unit per stream when the round is not batched or the config has no
   stacked kernels. :func:`run_unit` computes a unit from picklable
   inputs; :func:`assemble` builds its result into predictors.
 * **Sync** (``retrain_mode="sync"``) runs a round's units in-process on
@@ -48,7 +50,6 @@ from __future__ import annotations
 
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
-from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -59,7 +60,6 @@ from repro.parallel.pool_exec import (
     shutdown_persistent_pool,
     submit as pool_submit,
 )
-from repro.serving.label_cache import params_fingerprint
 from repro.serving.trainer import BatchedTrainEngine, _stack_by_length
 
 __all__ = ["RetrainScheduler", "assemble", "build_units", "run_unit"]
@@ -74,18 +74,7 @@ __all__ = ["RetrainScheduler", "assemble", "build_units", "run_unit"]
 _COLD_CHUNK_STREAMS = 32
 
 #: Work-unit kinds (see :func:`build_units`).
-COLD, RELABEL, COLD_ONE, RELABEL_ONE = (
-    "cold", "relabel", "cold_one", "relabel_one",
-)
-
-#: The span a sync round records around each kind's units; stacked cold
-#: groups record only the engine's own ``train.*`` phase spans.
-_SYNC_SPANS = {
-    COLD: None,
-    COLD_ONE: "train.per_stream",
-    RELABEL: "train.label_cache",
-    RELABEL_ONE: "train.label_cache",
-}
+COLD, COLD_ONE = "cold", "cold_one"
 
 
 def _chunk_bounds(n_rows: int) -> list[tuple[int, int]]:
@@ -117,20 +106,15 @@ def _train_stream(config, history) -> OnlineLARPredictor:
 
 
 class _BurstPlan(NamedTuple):
-    """One retrain round's partitioned work (see ``partition``).
+    """One retrain round's work (see ``RetrainScheduler.snapshot``).
 
-    Self-contained: histories and cache tails are snapshotted, so the
-    plan outlives the tick that built it, which is what lets an
-    asynchronous round train on it while the streams keep serving.
+    Self-contained: histories are snapshotted, so the plan outlives the
+    tick that built it, which is what lets an asynchronous round train
+    on it while the streams keep serving.
     """
 
-    cold_names: list
-    cold_histories: list
-    inc_names: list
-    inc_tasks: list
-    windows: dict
-    miss_reasons: dict
-    params_fps: dict
+    names: list
+    histories: list
 
 
 class _Unit(NamedTuple):
@@ -139,11 +123,9 @@ class _Unit(NamedTuple):
     kind: str
     #: The unit's streams, in row order.
     names: list
-    #: Picklable input :func:`run_unit` computes from.
+    #: Picklable input :func:`run_unit` computes from; :func:`assemble`
+    #: reads it again to build the predictors.
     payload: object
-    #: What :func:`assemble` needs besides the result: the history stack
-    #: of a cold group, the re-indexed items of a relabel group.
-    context: object = None
 
 
 def build_units(
@@ -153,49 +135,27 @@ def build_units(
     batched: bool,
     chunk: bool = False,
 ) -> list[_Unit]:
-    """Turn a partitioned round into work units, cold refits first.
+    """Turn a planned round into work units, all of one kind.
 
-    Stacked units run when *batched* and the engine has kernels for the
-    side; otherwise every stream is its own unit. With *chunk*, cold
-    groups split into row chunks of at most :data:`_COLD_CHUNK_STREAMS`
-    streams. Every training kernel reads only its own row, so a chunk
-    fits exactly like the whole group.
+    Stacked units run when *batched* and the engine has stacked kernels
+    for the config; otherwise every stream is its own unit. With
+    *chunk*, stacked groups split into row chunks of at most
+    :data:`_COLD_CHUNK_STREAMS` streams. Every training kernel reads
+    only its own row, so a chunk fits exactly like the whole group.
     """
+    if not (batched and engine.supported):
+        return [
+            _Unit(COLD_ONE, [name], history)
+            for name, history in zip(plan.names, plan.histories)
+        ]
     units: list[_Unit] = []
-    if plan.cold_histories:
-        if batched and engine.supported:
-            for indices, stack in _stack_by_length(plan.cold_histories):
-                names = [plan.cold_names[i] for i in indices]
-                bounds = (
-                    _chunk_bounds(len(names)) if chunk
-                    else [(0, len(names))]
-                )
-                units.extend(
-                    _Unit(COLD, names[lo:hi], stack[lo:hi], stack[lo:hi])
-                    for lo, hi in bounds
-                )
-        else:
-            units.extend(
-                _Unit(COLD_ONE, [name], history)
-                for name, history in zip(plan.cold_names, plan.cold_histories)
-            )
-    if plan.inc_tasks:
-        if batched and engine.relabel_supported:
-            for items in engine._prepare_relabel_groups(plan.inc_tasks)[1]:
-                # Re-index within the group so assembly writes a dense
-                # [0, len(group)) output list.
-                local = [(j, *item[1:]) for j, item in enumerate(items)]
-                units.append(_Unit(
-                    RELABEL,
-                    [plan.inc_names[item[0]] for item in items],
-                    engine._pack_relabel_group(local),
-                    local,
-                ))
-        else:
-            units.extend(
-                _Unit(RELABEL_ONE, [name], task)
-                for name, task in zip(plan.inc_names, plan.inc_tasks)
-            )
+    for indices, stack in _stack_by_length(plan.histories):
+        names = [plan.names[i] for i in indices]
+        bounds = _chunk_bounds(len(names)) if chunk else [(0, len(names))]
+        units.extend(
+            _Unit(COLD, names[lo:hi], stack[lo:hi])
+            for lo, hi in bounds
+        )
     return units
 
 
@@ -204,29 +164,17 @@ def run_unit(engine: BatchedTrainEngine, kind: str, payload):
     engine and async on a pool worker's."""
     if kind == COLD:
         return engine._compute_train_group(payload)
-    if kind == RELABEL:
-        return engine._run_relabel_group(payload)
-    if kind == COLD_ONE:
-        return _train_stream(engine._config, payload)
-    predictor, history, start, cached = payload
-    return predictor.relabel(history, start=start, cached=cached)
+    return _train_stream(engine._config, payload)
 
 
-def assemble(engine: BatchedTrainEngine, kind: str, context, value) -> list:
-    """Build one unit's computed *value* into ``(predictor, relabel
-    result or None)`` rows in the unit's row order."""
+def assemble(
+    engine: BatchedTrainEngine, kind: str, payload, value
+) -> list[OnlineLARPredictor]:
+    """Build the *value* :func:`run_unit` computed from *payload* into
+    predictors, in the unit's row order."""
     if kind == COLD:
-        return [
-            (predictor, None)
-            for predictor in engine._build_group_predictors(context, value)
-        ]
-    if kind == RELABEL:
-        out: list = [None] * len(context)
-        engine._finish_relabel_group(context, value, out)
-        return [(result.predictor, result) for result in out]
-    if kind == COLD_ONE:
-        return [(value, None)]
-    return [(value.predictor, value)]
+        return engine._build_group_predictors(payload, value)
+    return [value]
 
 
 # -- worker side --------------------------------------------------------------
@@ -254,18 +202,12 @@ def _run_in_worker(config, kind: str, payload):
 class _PendingStream:
     """Submission-time snapshot of one in-flight stream (internal)."""
 
-    __slots__ = (
-        "name", "epoch", "was_retrain", "window", "miss_reason",
-        "params_fp", "due_at", "replay",
-    )
+    __slots__ = ("name", "epoch", "was_retrain", "due_at", "replay")
 
-    def __init__(self, state, window, miss_reason, params_fp):
+    def __init__(self, state):
         self.name = state.name
         self.epoch = state.epoch
         self.was_retrain = state.predictor is not None
-        self.window = window
-        self.miss_reason = miss_reason
-        self.params_fp = params_fp
         self.due_at = state.due_at
         # Values the stream ingests while its unit flies, in tick
         # order; integration replays them through observe().
@@ -276,7 +218,7 @@ class _Burst(NamedTuple):
     """One submitted unit: its future plus what assembly needs."""
 
     kind: str
-    context: object
+    payload: object
     future: object
     records: list
 
@@ -287,8 +229,8 @@ class RetrainScheduler:
     Created by :class:`~repro.serving.fleet.PredictionFleet`, which
     delegates ``pending_retrains``, ``run_pending_retrains`` and
     ``drain_retrains`` here. Reads and updates the fleet's stream
-    states, label cache and telemetry; owns the due count, the deferral
-    total and the in-flight bookkeeping.
+    states and telemetry; owns the due count, the deferral total and
+    the in-flight bookkeeping.
     """
 
     def __init__(self, fleet) -> None:
@@ -399,75 +341,28 @@ class RetrainScheduler:
 
     # -- planning -------------------------------------------------------------
 
-    def partition(self, due: tuple[str, ...]) -> _BurstPlan:
-        """Partition one retrain round into cold refits and relabels.
+    def snapshot(self, due: tuple[str, ...]) -> _BurstPlan:
+        """Snapshot the history each due stream (re)trains on.
 
-        Streams whose new window still overlaps their parameters' fit
-        window enough run as incremental relabels (frozen parameters,
-        labels/memory rebuilt); the rest (initial trains, drifted-away
-        streams, policy off) refit cold. Histories are snapshotted here,
-        so the plan is self-contained.
+        An initial train fits the warm-up buffer; a QA-ordered retrain
+        refits on the last ``retrain_window`` stored values (all of
+        them when ``None``). The snapshot makes the plan
+        self-contained.
         """
         fleet = self._fleet
-        cfg = fleet.config
-        cold_names: list[str] = []
-        cold_histories: list[np.ndarray] = []
-        inc_names: list[str] = []
-        inc_tasks: list[tuple] = []
-        windows: dict[str, tuple[int, int]] = {}
-        miss_reasons: dict[str, str | None] = {}
-        params_fps: dict[str, str] = {}
+        limit = fleet.config.retrain_window
+        histories: list[np.ndarray] = []
         for name in due:
             state = fleet._streams[name]
-            if state.predictor is None:
+            predictor = state.predictor
+            if predictor is None:
                 history = np.asarray(state.buffer, dtype=np.float64)
             else:
-                limit = cfg.retrain_window or state.predictor.history_length
-                history = state.predictor.recent_history(limit)
-            # Every ingested value bumped state.ticks, so the window's
-            # first value sits at this absolute lifetime index.
-            start = state.ticks - history.shape[0]
-            windows[name] = (start, history.shape[0])
-            if state.predictor is not None and self._relabel_eligible(
-                state, start, history.shape[0]
-            ):
-                fp = params_fingerprint(state.predictor)
-                params_fps[name] = fp
-                cached, miss_reasons[name] = fleet._label_cache.lookup(
-                    name, fleet._config_fp, fp
+                history = predictor.recent_history(
+                    limit or predictor.history_length
                 )
-                inc_names.append(name)
-                inc_tasks.append((state.predictor, history, start, cached))
-            else:
-                cold_names.append(name)
-                cold_histories.append(history)
-        return _BurstPlan(
-            cold_names=cold_names,
-            cold_histories=cold_histories,
-            inc_names=inc_names,
-            inc_tasks=inc_tasks,
-            windows=windows,
-            miss_reasons=miss_reasons,
-            params_fps=params_fps,
-        )
-
-    def _relabel_eligible(self, state, start: int, length: int) -> bool:
-        """Whether this retrain may keep frozen parameters and relabel.
-
-        True when the policy is on, the pool is relabellable (extended
-        pools carry members that must be refitted per window), the
-        stream has a known parameter fit window, and the new window
-        still overlaps that fit window by at least
-        ``min_relabel_overlap`` of its length.
-        """
-        cfg = self._fleet.config
-        if cfg.min_relabel_overlap is None or cfg.lar.extended_pool:
-            return False
-        if state.params_window is None:
-            return False
-        p_start, p_len = state.params_window
-        shared = min(p_start + p_len, start + length) - max(p_start, start)
-        return shared / length >= cfg.min_relabel_overlap
+            histories.append(history)
+        return _BurstPlan(names=list(due), histories=histories)
 
     # -- rounds ---------------------------------------------------------------
 
@@ -492,29 +387,21 @@ class RetrainScheduler:
         stream in due order. A unit that raises leaves every stream as
         it was."""
         fleet = self._fleet
-        plan = self.partition(due)
         engine = fleet._get_train_engine()
-        fitted: dict[str, tuple] = {}
-        units = build_units(plan, engine, batched=batched)
-        for span, run in groupby(units, key=lambda u: _SYNC_SPANS[u.kind]):
-            run = list(run)
-            with self._span(span, sum(len(u.names) for u in run)):
-                for unit in run:
-                    value = run_unit(engine, unit.kind, unit.payload)
-                    fitted.update(zip(
-                        unit.names,
-                        assemble(engine, unit.kind, unit.context, value),
-                    ))
+        units = build_units(self.snapshot(due), engine, batched=batched)
+        fitted: dict[str, OnlineLARPredictor] = {}
+        # Stacked groups record only the engine's own train.* phase
+        # spans; the per-stream loop records one span around the round.
+        span = "train.per_stream" if units[0].kind == COLD_ONE else None
+        with self._span(span, len(due)):
+            for unit in units:
+                value = run_unit(engine, unit.kind, unit.payload)
+                fitted.update(zip(
+                    unit.names,
+                    assemble(engine, unit.kind, unit.payload, value),
+                ))
         for name in due:
-            predictor, result = fitted[name]
-            was_retrain = self._integrate(
-                fleet._streams[name],
-                predictor,
-                result,
-                plan.windows[name],
-                plan.miss_reasons.get(name),
-                plan.params_fps.get(name),
-            )
+            was_retrain = self._integrate(fleet._streams[name], fitted[name])
             self._emit(
                 "retrain_complete" if was_retrain else "train_complete",
                 stream=name,
@@ -528,21 +415,13 @@ class RetrainScheduler:
         current model until a drain integrates its unit.
         """
         fleet = self._fleet
-        plan = self.partition(due)
+        plan = self.snapshot(due)
         engine = fleet._get_train_engine()
-        records = {
-            name: _PendingStream(
-                fleet._streams[name],
-                plan.windows[name],
-                plan.miss_reasons.get(name),
-                plan.params_fps.get(name),
-            )
-            for name in due
-        }
+        records = {name: _PendingStream(fleet._streams[name]) for name in due}
         for unit in build_units(plan, engine, batched=batched, chunk=True):
             burst = _Burst(
                 unit.kind,
-                unit.context,
+                unit.payload,
                 pool_submit(
                     _run_in_worker, engine._config, unit.kind, unit.payload
                 ),
@@ -585,8 +464,8 @@ class RetrainScheduler:
         integrated: list[str] = []
         if ready:
             with self._span("train.integrate", len(ready)):
-                for rec, (predictor, result) in ready:
-                    if self._integrate_landed(rec, predictor, result):
+                for rec, predictor in ready:
+                    if self._integrate_landed(rec, predictor):
                         integrated.append(rec.name)
         if fleet._tel is not None:
             fleet._m.inflight.set(self.inflight)
@@ -598,7 +477,7 @@ class RetrainScheduler:
         """Take landed units off the in-flight list and assemble them.
 
         Returns ``(ready, failed)``: *ready* rows are ``(record,
-        (predictor, relabel result or None))``; *failed* records lost
+        predictor)``; *failed* records lost
         their unit to a broken pool (hooks already notified, pool
         already torn down).
         """
@@ -629,7 +508,7 @@ class RetrainScheduler:
                 continue
             ready.extend(zip(
                 burst.records,
-                assemble(engine, burst.kind, burst.context, value),
+                assemble(engine, burst.kind, burst.payload, value),
             ))
             assembled += 1
         self._bursts = keep
@@ -660,7 +539,7 @@ class RetrainScheduler:
         )
         return None
 
-    def _integrate_landed(self, rec, predictor, result) -> bool:
+    def _integrate_landed(self, rec, predictor) -> bool:
         """Integrate one landed result (or drop it as stale)."""
         state = self._live(rec)
         if state is None:
@@ -671,10 +550,7 @@ class RetrainScheduler:
         # submission tick and served since (observe() is the
         # deterministic primitive both histories share).
         predictor.observe_many(rec.replay)
-        was_retrain = self._integrate(
-            state, predictor, result, rec.window, rec.miss_reason,
-            rec.params_fp,
-        )
+        was_retrain = self._integrate(state, predictor)
         self._emit(
             "retrain_integrated",
             stream=rec.name,
@@ -712,39 +588,18 @@ class RetrainScheduler:
 
     # -- integration ----------------------------------------------------------
 
-    def _integrate(
-        self, state, predictor, result, window, miss_reason, params_fp
-    ) -> bool:
+    def _integrate(self, state, predictor) -> bool:
         """Swap *predictor* in with full retrain bookkeeping.
 
         The one place a (re)trained model becomes the serving model, for
-        sync rounds and async drains alike, so cache bookkeeping, QA
-        acknowledgement, and counters cannot diverge between the modes.
-        Returns whether the swap was a retrain (vs. an initial train).
+        sync rounds and async drains alike, so QA acknowledgement and
+        counters cannot diverge between the modes. Returns whether the
+        swap was a retrain (vs. an initial train).
         """
         fleet = self._fleet
         was_retrain = state.predictor is not None
         if was_retrain:
             state.retrain_count += 1
-        if result is None:
-            # Cold fit: fresh parameters, so the fit window becomes
-            # the new overlap reference and any cached tail (labels
-            # under the old parameters) can never splice again.
-            state.params_window = window
-            fleet._label_cache.drop(state.name)
-        else:
-            self._note_label_cache(state.name, result, miss_reason)
-            # The relabel kept the frozen parameters, so the tail it
-            # produced is stored under the same fingerprint it was
-            # looked up with.
-            fleet._label_cache.store(
-                state.name,
-                window[0],
-                result.sq,
-                result.labels,
-                fleet._config_fp,
-                params_fp,
-            )
         state.predictor = predictor
         state.epoch = fleet._next_epoch()
         state.buffer.clear()
@@ -755,32 +610,3 @@ class RetrainScheduler:
         if fleet._tel is not None:
             (fleet._m.retrains if was_retrain else fleet._m.trains).inc()
         return was_retrain
-
-    def _note_label_cache(self, name: str, result, reason) -> None:
-        """Record one cache consultation with the telemetry, if any.
-
-        Every relabel funnels through here with path-independent
-        inputs, so the counters and events are identical whichever unit
-        kind ran it (the obs parity suite pins this). A looked-up tail
-        that shares no frames with the new window counts as a
-        ``"disjoint"`` miss.
-        """
-        fleet = self._fleet
-        if fleet._tel is None:
-            return
-        if result.reused > 0:
-            fleet._m.cache_hits.inc()
-            fleet._m.cache_spliced.inc(result.reused)
-            self._emit(
-                "label_cache_hit",
-                stream=name,
-                reused=result.reused,
-                labels_reused=result.labels_reused,
-            )
-        else:
-            fleet._m.cache_misses.inc()
-            self._emit(
-                "label_cache_miss",
-                stream=name,
-                reason=reason if reason is not None else "disjoint",
-            )

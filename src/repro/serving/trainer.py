@@ -1,12 +1,10 @@
 """The batched fleet retraining engine: one training burst, stacked.
 
-PR 2's tick engine made the fleet's *read* path a handful of NumPy ops,
-which moved the cost center to the *write* path: every QA-ordered
-retrain re-runs the full per-stream training phase — normalizer fit,
-pool fits, per-frame best-predictor labelling, PCA eigendecomposition,
-k-NN memory rebuild — one Python call chain (or one pickled
-``parallel_map`` payload) per due stream. A drift storm across hundreds
-of streams therefore paid hundreds of serialized trainings.
+Every QA-ordered retrain is a full refit on the recent window, as in
+the paper (§3.2): normalizer fit, pool fits, per-frame best-predictor
+labelling, PCA eigendecomposition and k-NN memory rebuild. Run one
+stream at a time, a drift storm across hundreds of streams pays
+hundreds of Python call chains.
 
 :class:`BatchedTrainEngine` runs the whole burst as one stacked
 computation. Due histories are grouped by length into ``(S, T)``
@@ -54,8 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.online import FittedParts, OnlineLARPredictor, RelabelResult
-from repro.core.relabel import SplicePlan, plan_splice, relabel_group
+from repro.core.online import FittedParts, OnlineLARPredictor
 from repro.exceptions import ConfigurationError, DataError
 from repro.predictors.ar import yule_walker
 
@@ -75,7 +72,7 @@ from repro.predictors.stacked import (
 )
 from repro.preprocess.stacked import fit_stacked_normalizer, fit_stacked_pca
 
-__all__ = ["BatchedTrainEngine", "GroupFit", "RelabelGroupInputs"]
+__all__ = ["BatchedTrainEngine", "GroupFit"]
 
 #: Shared inert context manager for the untraced path.
 _NULL_SPAN = nullcontext()
@@ -141,30 +138,6 @@ class GroupFit(NamedTuple):
     pca_explained_variance_ratio: np.ndarray | None
 
 
-class RelabelGroupInputs(NamedTuple):
-    """Frozen-parameter tensors for one relabel group, predictor-free.
-
-    Everything :meth:`BatchedTrainEngine._compute_relabel_group` reads,
-    packed from live predictors at submission time. Pure ndarrays plus a
-    :class:`~repro.core.relabel.SplicePlan`, so the whole record pickles
-    — what an asynchronous relabel-group unit ships to the persistent
-    pool (see :mod:`repro.serving.retrain`) while the serving tick keeps
-    running on the old models.
-    """
-
-    histories: np.ndarray
-    norm_means: np.ndarray
-    norm_stds: np.ndarray
-    ar_phi: np.ndarray
-    ar_means: np.ndarray
-    plan: SplicePlan | None
-    cached_sq: tuple | None
-    cached_labels: tuple | None
-    sw_window: int
-    pca_means: np.ndarray | None
-    pca_components: np.ndarray | None
-
-
 class BatchedTrainEngine:
     """Stacked training-phase kernels for one fleet configuration.
 
@@ -225,19 +198,6 @@ class BatchedTrainEngine:
         """Whether this config's training phase can run stacked."""
         return self._supported
 
-    @property
-    def relabel_supported(self) -> bool:
-        """Whether incremental relabels can run stacked.
-
-        Broader than :attr:`supported`: ``min_variance`` PCA only breaks
-        the stacked *fit* (per-stream component counts), but a relabel
-        keeps each stream's frozen basis and projects features
-        per-stream, so ragged components are fine. Extended pools stay
-        out — their members must be refitted per window, which is a
-        full retrain by definition.
-        """
-        return not self._lar.extended_pool
-
     # -- the batched burst ----------------------------------------------------
 
     def train_many(self, histories) -> list[OnlineLARPredictor]:
@@ -264,274 +224,7 @@ class BatchedTrainEngine:
                 out[position] = predictor
         return out  # type: ignore[return-value]
 
-    def relabel_many(self, tasks) -> list[RelabelResult]:
-        """Incremental relabels for one burst, batched.
-
-        Each task is ``(predictor, history, start, cached)``: the
-        stream's current (frozen-parameter) predictor, its new raw
-        window, the absolute lifetime index of ``history[0]``, and the
-        stream's :class:`~repro.core.relabel.CachedLabels` tail (or
-        ``None`` for a full relabel). Tasks are grouped by window length
-        *and* splice geometry — streams whose caches reuse the same row
-        ranges stack into one :func:`~repro.core.relabel.relabel_group`
-        call; cache misses form their own full-relabel groups.
-
-        Returns :class:`~repro.core.online.RelabelResult` rows in input
-        order, each bit-identical to the per-stream
-        :meth:`~repro.core.online.OnlineLARPredictor.relabel` — the
-        contract the label-cache parity suite pins for both paths.
-        """
-        if not self.relabel_supported:
-            raise ConfigurationError(
-                "this configuration cannot be relabelled "
-                "(extended pool); use the full retrain path"
-            )
-        n_tasks, groups = self._prepare_relabel_groups(tasks)
-        out: list[RelabelResult | None] = [None] * n_tasks
-        for items in groups:
-            self._relabel_group_tasks(items, out)
-        return out  # type: ignore[return-value]
-
     # -- internals -------------------------------------------------------------
-
-    def _prepare_relabel_groups(self, tasks):
-        """Validate tasks and bucket them by (length, splice geometry).
-
-        Returns ``(n_tasks, groups)`` where each group is a list of
-        ``(index, predictor, history, plan, cached)`` items sharing one
-        window length and cache-reuse shape — one stacked relabel unit
-        (see :func:`repro.serving.retrain.build_units`).
-        """
-        lar = self._lar
-        w = lar.window
-        smooth = self._config.label_smoothing
-        prepared = []
-        for index, (predictor, history, start, cached) in enumerate(tasks):
-            arr = np.ascontiguousarray(history, dtype=np.float64)
-            if arr.ndim != 1:
-                raise DataError(f"history must be 1-D, got shape {arr.shape}")
-            if arr.shape[0] < w + 2:
-                raise DataError(
-                    f"history has {arr.shape[0]} values but at least "
-                    f"{w + 2} are required"
-                )
-            plan = None
-            if cached is not None:
-                plan = plan_splice(
-                    cached.start,
-                    cached.labels.shape[0],
-                    int(start),
-                    arr.shape[0] - w,
-                    smooth,
-                )
-            prepared.append((index, predictor, arr, plan, cached))
-        groups: dict[tuple, list] = {}
-        for item in prepared:
-            plan = item[3]
-            geometry = (
-                None
-                if plan is None
-                else (plan.reuse, plan.label_lo, plan.label_hi)
-            )
-            groups.setdefault((item[2].shape[0], geometry), []).append(item)
-        return len(prepared), list(groups.values())
-
-    def _pack_relabel_group(self, items) -> RelabelGroupInputs:
-        """Snapshot one group's frozen parameters into pure tensors.
-
-        Reads every live predictor exactly once, so the result is a
-        self-contained (and picklable) compute input: an asynchronous
-        round packs at submission and the predictors are free to keep
-        serving — later observations never touch frozen parameters.
-        """
-        lar = self._lar
-        histories = np.stack([item[2] for item in items], axis=0)
-        predictors = [item[1] for item in items]
-        plan = items[0][3]
-        cached_sq = cached_labels = None
-        if plan is not None:
-            # Per-stream deltas differ; the reuse/label bounds are the
-            # group key, so the sliced views share a shape and
-            # relabel_group copies them straight into its output
-            # tensors (no intermediate stack).
-            cached_sq = tuple(
-                item[4].sq[p.delta : p.delta + p.reuse]
-                for item in items
-                for p in (item[3],)
-            )
-            cached_labels = tuple(
-                item[4].labels[p.delta + p.label_lo : p.delta + p.label_hi]
-                for item in items
-                for p in (item[3],)
-            )
-        runners = [p._runner for p in predictors]
-        norm_means = np.array(
-            [r.pipeline.normalizer.mean for r in runners], dtype=np.float64
-        )
-        norm_stds = np.array(
-            [r.pipeline.normalizer.std for r in runners], dtype=np.float64
-        )
-        ar_members = [r.pool[1] for r in runners]
-        ar_phi = np.stack(
-            [np.ascontiguousarray(m.coefficients_) for m in ar_members]
-        )
-        ar_means = np.array([m.mean_ for m in ar_members], dtype=np.float64)
-        sw_window = runners[0].pool[2].window
-        # Fixed component counts: stack the frozen bases so the group
-        # projects every stream's features in one stacked matmul — the
-        # same per-slice gemm the per-stream ``pca.transform`` issues.
-        # Ragged bases (min_variance) keep the per-stream loop below.
-        pca_means = pca_components = None
-        if lar.n_components is not None and lar.min_variance is None:
-            pca_means = np.stack([r.pipeline.pca.mean_ for r in runners])
-            pca_components = np.stack(
-                [r.pipeline.pca.components_ for r in runners]
-            )
-        return RelabelGroupInputs(
-            histories=histories,
-            norm_means=norm_means,
-            norm_stds=norm_stds,
-            ar_phi=ar_phi,
-            ar_means=ar_means,
-            plan=plan,
-            cached_sq=cached_sq,
-            cached_labels=cached_labels,
-            sw_window=sw_window,
-            pca_means=pca_means,
-            pca_components=pca_components,
-        )
-
-    def _run_relabel_group(self, inputs: RelabelGroupInputs):
-        """Compute one packed group in-process."""
-        return self._compute_relabel_group(
-            inputs.histories, inputs.norm_means, inputs.norm_stds,
-            inputs.ar_phi, inputs.ar_means, inputs.plan,
-            inputs.cached_sq, inputs.cached_labels, inputs.sw_window,
-            inputs.pca_means, inputs.pca_components,
-        )
-
-    def _relabel_group_tasks(self, items, out) -> None:
-        """Relabel one equal-(length, splice-geometry) group of tasks."""
-        computed = self._run_relabel_group(self._pack_relabel_group(items))
-        self._finish_relabel_group(items, computed, out)
-
-    def _finish_relabel_group(self, items, computed, out) -> None:
-        """Assemble one group's computed tensors into RelabelResults."""
-        lar = self._lar
-        cfg = self._config
-        smooth = cfg.label_smoothing
-        frames, targets, sq, labels, counts, features_stack = computed
-        counts_rows = counts.tolist()
-        for s, (index, predictor, arr, task_plan, _cached) in enumerate(items):
-            pipeline = predictor._runner.pipeline
-            normalizer = pipeline.normalizer
-            ar = predictor._runner.pool[1]
-            pca = pipeline.pca
-            if features_stack is not None:
-                features = features_stack[s]
-            elif pca is not None:
-                features = pca.transform(frames[s])
-            else:
-                features = frames[s]
-            parts = FittedParts(
-                history=arr,
-                norm_mean=normalizer.mean,
-                norm_std=normalizer.std,
-                ar_mean=ar.mean_,
-                ar_coefficients=ar.coefficients_,
-                ar_noise_variance=ar.noise_variance_,
-                frames=frames[s],
-                targets=targets[s],
-                features=features,
-                labels=labels[s],
-                pca_mean=None if pca is None else pca.mean_,
-                pca_components=None if pca is None else pca.components_,
-                pca_explained_variance=(
-                    None if pca is None else pca.explained_variance_
-                ),
-                pca_explained_variance_ratio=(
-                    None if pca is None else pca.explained_variance_ratio_
-                ),
-                label_counts={
-                    v: c
-                    for v, c in enumerate(counts_rows[s], start=1)
-                    if c
-                },
-            )
-            out[index] = RelabelResult(
-                predictor=OnlineLARPredictor.from_fitted_parts(
-                    lar,
-                    parts,
-                    label_smoothing=smooth,
-                    max_memory=cfg.max_memory,
-                    history_limit=cfg.history_limit,
-                ),
-                sq=sq[s],
-                labels=labels[s],
-                reused=0 if task_plan is None else task_plan.reuse,
-                labels_reused=(
-                    0
-                    if task_plan is None
-                    else task_plan.label_hi - task_plan.label_lo
-                ),
-            )
-
-    def _compute_relabel_group(
-        self,
-        histories: np.ndarray,
-        norm_means: np.ndarray,
-        norm_stds: np.ndarray,
-        ar_phi: np.ndarray,
-        ar_means: np.ndarray,
-        plan,
-        cached_sq,
-        cached_labels,
-        sw_window: int,
-        pca_means,
-        pca_components,
-    ):
-        """The in-process relabel kernels for one grouped burst.
-
-        Pure stacked computation on frozen parameters — no predictor
-        objects, so a pool worker can run it on an asynchronous relabel
-        unit.
-        Returns ``(frames, targets, sq, labels, counts, features)``
-        where ``features`` is ``None`` unless a stacked projection
-        applies (fixed component counts).
-        """
-        lar = self._lar
-        n_streams = histories.shape[0]
-        with self._span("train.relabel", n_streams):
-            frames, targets, sq, labels = relabel_group(
-                histories,
-                norm_means,
-                norm_stds,
-                ar_phi,
-                ar_means,
-                window=lar.window,
-                smooth=self._config.label_smoothing,
-                sw_window=sw_window,
-                plan=plan,
-                cached_sq=cached_sq,
-                cached_labels=cached_labels,
-                sums_out=self._scratch_buf(
-                    "relabel_sums",
-                    (n_streams, histories.shape[1] - lar.window, 3),
-                ),
-            )
-            counts = _count_labels_rows(labels, sq.shape[2])
-        features = None
-        if pca_means is not None:
-            with self._span("train.relabel_project", n_streams):
-                centered = np.subtract(
-                    frames,
-                    pca_means[:, None, :],
-                    out=self._scratch_buf("relabel_centered", frames.shape),
-                )
-                features = np.matmul(
-                    centered, pca_components.transpose(0, 2, 1)
-                )
-        return frames, targets, sq, labels, counts, features
 
     def _train_group(self, histories: np.ndarray) -> list[OnlineLARPredictor]:
         """Run the full training phase for one ``(S, T)`` equal-length group."""

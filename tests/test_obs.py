@@ -668,89 +668,6 @@ class TestFleetTelemetryPersistence:
         assert len(adds) == len(fleet.stream_names)
 
 
-# -- label-cache telemetry ---------------------------------------------------
-
-
-def jump_storm_fleet(*, batched=True, telemetry=True):
-    """A retrain-*cluster* storm: runs of abrupt level shifts a few
-    audit intervals apart re-breach the QA after every retrain, so one
-    stream retrains several times over heavily overlapping windows —
-    the access pattern the label cache serves. (The plain drift storm
-    shifts once per stream; its retrains land too far apart for a tail
-    to ever be consulted.)"""
-    config = small_config(
-        min_train=20,
-        qa_threshold=2.0,
-        audit_window=8,
-        audit_interval=4,
-        retrain_window=40,
-    )
-    fleet = PredictionFleet(
-        config, streams=["a", "b", "c", "d"], telemetry=telemetry
-    )
-    n = 150
-    feeds = {}
-    for i, name in enumerate(fleet.stream_names):
-        series = 10.0 + 2.0 * ar1_series(n, phi=0.9, seed=7 * i + 1)
-        for storm in (50, 100):
-            for j in range(3):
-                series[storm + 10 * j :] += 15.0
-        feeds[name] = series
-    serve(fleet, feeds, 0, n, batched=batched)
-    return fleet
-
-
-class TestLabelCacheTelemetry:
-    def test_storm_counters_agree_with_the_event_log(self):
-        """Acceptance: every cache consultation shows up in both legs —
-        one counter increment and one event, with matching totals."""
-        fleet = jump_storm_fleet()
-        snap = fleet.telemetry.registry.snapshot()
-        get = lambda name: snap[name]["series"][0]["value"]
-        hits = fleet.telemetry.events.records(kind="label_cache_hit")
-        misses = fleet.telemetry.events.records(kind="label_cache_miss")
-        assert get("repro_fleet_label_cache_hits_total") == len(hits) > 0
-        assert get("repro_fleet_label_cache_misses_total") == len(misses) > 0
-        assert get("repro_fleet_label_cache_spliced_frames_total") == sum(
-            e.data["reused"] for e in hits
-        )
-        for e in hits:
-            assert e.data["reused"] >= e.data["labels_reused"] >= 0
-        for e in misses:
-            assert e.data["reason"] in {"cold", "config", "params", "disjoint"}
-
-    def test_incremental_retrains_trace_their_own_span(self):
-        fleet = jump_storm_fleet()
-        stats = fleet.telemetry.tracer.stats()
-        assert "train.label_cache" in stats
-        assert stats["train.label_cache"].count > 0
-
-    def test_batched_vs_loop_cache_telemetry_parity(self):
-        """The parity contract extends to the cache instruments: the
-        stacked burst and the per-stream loop consult and splice
-        identically, event for event."""
-        batched = jump_storm_fleet(batched=True)
-        loop = jump_storm_fleet(batched=False)
-
-        def cache_state(fleet):
-            snap = fleet.telemetry.registry.snapshot()
-            counters = {
-                name: snap[name]["series"][0]["value"]
-                for name in snap
-                if "label_cache" in name
-            }
-            narrative = sorted(
-                (e.tick, e.kind, e.stream, tuple(sorted(e.data.items())))
-                for e in fleet.telemetry.events.records()
-                if e.kind.startswith("label_cache")
-            )
-            return counters, narrative
-
-        counters, narrative = cache_state(batched)
-        assert counters["repro_fleet_label_cache_hits_total"] > 0
-        assert (counters, narrative) == cache_state(loop)
-
-
 # -- predictor-selection counters -------------------------------------------
 
 

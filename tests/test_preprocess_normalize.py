@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.exceptions import NotFittedError
 from repro.preprocess.normalize import ZScoreNormalizer
+from repro.preprocess.stacked import fit_stacked_normalizer
 
 series_strategy = arrays(
     np.float64,
@@ -45,6 +46,22 @@ class TestFitTransform:
     def test_bad_min_std(self):
         with pytest.raises(ValueError):
             ZScoreNormalizer(min_std=0.0)
+
+    def test_overflowing_moments_stay_finite(self):
+        """A finite 1e200 spike squares past float64's range; the fit
+        falls back to scaled moments, and the stacked fit takes the same
+        fallback for that row only."""
+        x = np.full(64, 10.0)
+        x[40] = 1e200
+        y = np.arange(64.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = ZScoreNormalizer().fit(x)
+            stacked = fit_stacked_normalizer(np.stack([x, y]))
+        assert np.isfinite(norm.std) and norm.std > 1e198
+        assert np.isfinite(norm.transform(x)).all()
+        assert stacked.means[0] == norm.mean and stacked.stds[0] == norm.std
+        # The row whose moments are finite keeps the plain formulas.
+        assert stacked.means[1] == y.mean() and stacked.stds[1] == y.std()
 
     @given(series_strategy)
     @settings(max_examples=50, deadline=None)

@@ -44,7 +44,7 @@ from tests.test_serving_trainer import _assert_same_model, _histories
 
 
 def _config(**overrides):
-    """Small, fast fleet that still exercises retrains and relabels."""
+    """Small, fast fleet that still exercises retrains."""
     defaults = dict(
         min_train=40,
         label_smoothing=5,

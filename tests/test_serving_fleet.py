@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import LARConfig
+from repro.core.online import OnlineLARPredictor
 from repro.exceptions import ConfigurationError, DataError, NotFittedError
 from repro.serving import (
     FleetConfig,
@@ -13,6 +14,8 @@ from repro.serving import (
     save_fleet,
 )
 from repro.traces.synthetic import ar1_series, white_noise_series
+# Field-by-field model comparison, shared with the trainer suite.
+from tests.test_serving_trainer import _assert_same_model
 
 
 
@@ -63,6 +66,34 @@ class TestFleetConfig:
     def test_threshold_positive(self):
         with pytest.raises(ConfigurationError):
             FleetConfig(qa_threshold=0.0)
+
+    def test_threshold_rejects_nan_and_keeps_inf(self):
+        """A NaN threshold compares false against every audit and would
+        silently disable retraining; an infinite one is a legal way to
+        ask for no QA-ordered retrains."""
+        with pytest.raises(ConfigurationError, match="qa_threshold"):
+            FleetConfig(qa_threshold=float("nan"))
+        assert FleetConfig(qa_threshold=float("inf")).qa_threshold == float(
+            "inf"
+        )
+
+    @pytest.mark.parametrize("value", [0, -3, 2.5, None])
+    def test_label_smoothing_is_a_positive_integer(self, value):
+        with pytest.raises(ConfigurationError, match="label_smoothing"):
+            FleetConfig(label_smoothing=value)
+
+    @pytest.mark.parametrize("value", [2, 0, 64.0])
+    def test_max_memory_floor(self, value):
+        """max_memory must hold at least k windows (k=3 by default)."""
+        with pytest.raises(ConfigurationError, match="max_memory"):
+            FleetConfig(max_memory=value)
+
+    def test_memory_and_smoothing_floors_are_legal(self):
+        config = FleetConfig(
+            lar=LARConfig(k=5), max_memory=5, label_smoothing=1
+        )
+        assert (config.max_memory, config.label_smoothing) == (5, 1)
+        assert FleetConfig(max_memory=None).max_memory is None
 
 
 class TestStreamLifecycle:
@@ -212,6 +243,34 @@ class TestRetraining:
         by_name = {m.name: m for m in fleet.metrics().streams}
         assert by_name["drift"].retrain_count >= 1
 
+    def test_qa_ordered_retrain_refits_everything(self):
+        """The paper's QA orders a plain retrain (§3.2): the new model is
+        exactly a fresh train on the retrain window, so a level shift
+        inside that window moves the normalizer too."""
+        cfg = small_config(
+            min_train=128, history_limit=128, retrain_window=128
+        )
+        fleet = PredictionFleet(cfg, streams=["s"])
+        series = 20.0 + 4.0 * ar1_series(150, phi=0.9, seed=3)
+        series[140:] += 25.0
+        feed(fleet, {"s": series}, 0, 143)
+        state = fleet._streams["s"]
+        old = state.predictor
+        assert state.retrain_count == 0
+        feed(fleet, {"s": series}, 143, 144)  # the QA orders a retrain
+        assert state.retrain_count == 1
+        new = state.predictor
+        reference = OnlineLARPredictor(
+            cfg.lar,
+            label_smoothing=cfg.label_smoothing,
+            max_memory=cfg.max_memory,
+            history_limit=cfg.history_limit,
+        ).train(new.recent_history())
+        _assert_same_model(new, reference)
+        before = old._runner.pipeline.normalizer
+        after = new._runner.pipeline.normalizer
+        assert after.mean > before.mean and after.std > before.std
+
     def test_retrain_resets_qa_window(self):
         fleet, feeds = self.drifting_fleet(auto_retrain=False)
         feed(fleet, feeds, 0, 40)
@@ -296,20 +355,57 @@ class TestPersistence:
         for name in a:
             assert a[name].value == b[name].value
 
+    def test_restore_mid_storm_serves_on_identically(self, tmp_path):
+        """A fleet saved in the middle of a drift storm and its restored
+        copy serve the rest of the storm tick for tick, through further
+        QA-ordered retrains."""
+        names = ["a", "b", "c"]
+        feeds = {}
+        for i, name in enumerate(names):
+            series = 10.0 + 2.0 * ar1_series(150, phi=0.9, seed=7 * i + 1)
+            for j in range(3):  # a run of jumps re-breaches the QA
+                series[60 + 10 * j :] += 15.0
+            feeds[name] = series
+        config = small_config(
+            qa_threshold=2.0, audit_window=8, audit_interval=4,
+            retrain_window=40,
+        )
+        fleet = PredictionFleet(config, streams=names)
+        feed(fleet, feeds, 0, 64)
+        saved = fleet.metrics().total_retrains
+        assert saved > 0
+        fleet.save(tmp_path / "f")
+        restored = PredictionFleet.load(tmp_path / "f")
+        for t in range(64, 150):
+            assert restored.forecast_all() == fleet.forecast_all(), t
+            values = {name: feeds[name][t] for name in names}
+            assert restored.ingest(values) == fleet.ingest(values), t
+        total = fleet.metrics().total_retrains
+        assert restored.metrics().total_retrains == total > saved
+
     def test_manifest_with_parallel_block_still_loads(
         self, warm_fleet, tmp_path
     ):
         """Manifests written before 2.0 carry the removed ``parallel``
-        policy block, and before 3.0 the removed ``label_cache`` and
-        ``max_inflight_retrains`` keys; loading ignores them."""
+        policy block, before 3.0 the removed ``label_cache`` and
+        ``max_inflight_retrains`` keys, and before 4.0
+        ``min_relabel_overlap`` plus per-stream ``params_window`` and
+        ``label_cache`` entries with their ``cache_NNNN.npz`` archives;
+        loading ignores them."""
         import json
 
         fleet, feeds = warm_fleet
         fleet.save(tmp_path / "f")
         manifest_path = tmp_path / "f" / "fleet.json"
         manifest = json.loads(manifest_path.read_text())
-        removed = ("parallel", "label_cache", "max_inflight_retrains")
+        removed = (
+            "parallel", "label_cache", "max_inflight_retrains",
+            "min_relabel_overlap",
+        )
         assert not set(removed) & set(manifest["config"])
+        for entry in manifest["streams"]:
+            assert not {"params_window", "label_cache"} & set(entry)
+        assert not list((tmp_path / "f" / "streams").glob("cache_*"))
         manifest["config"]["parallel"] = {
             "max_workers": None,
             "min_items_per_worker": 2,
@@ -317,6 +413,20 @@ class TestPersistence:
         }
         manifest["config"]["label_cache"] = False
         manifest["config"]["max_inflight_retrains"] = 4
+        manifest["config"]["min_relabel_overlap"] = 0.5
+        np.savez_compressed(
+            tmp_path / "f" / "streams" / "cache_0000.npz",
+            sq=np.zeros((55, 3)),
+            labels=np.ones(55, dtype=np.int64),
+        )
+        for entry in manifest["streams"]:
+            entry["params_window"] = [0, 60]
+            entry["label_cache"] = {
+                "archive": "streams/cache_0000.npz",
+                "start": 5,
+                "config_fp": "0123abcd",
+                "params_fp": "4567ef01",
+            }
         manifest_path.write_text(json.dumps(manifest))
         restored = load_fleet(tmp_path / "f")
         assert restored.config == fleet.config
@@ -324,6 +434,44 @@ class TestPersistence:
         feed(fleet, feeds, 60, 90)
         feed(restored, feeds, 60, 90)
         assert restored.forecast_all() == fleet.forecast_all()
+
+    def _saved(self, warm_fleet, directory):
+        import json
+
+        fleet, _ = warm_fleet
+        fleet.save(directory)
+        path = directory / "fleet.json"
+        return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize("escape", ["absolute", "parent"])
+    def test_archive_outside_the_directory_is_refused(
+        self, warm_fleet, tmp_path, escape
+    ):
+        """A manifest may not point a stream at another fleet's model,
+        by absolute path or by climbing out with ``..``."""
+        import json
+
+        self._saved(warm_fleet, tmp_path / "B")
+        path, manifest = self._saved(warm_fleet, tmp_path / "A")
+        other = "B/streams/stream_0000.npz"
+        manifest["streams"][0]["archive"] = (
+            str(tmp_path / other) if escape == "absolute" else f"../{other}"
+        )
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match="stream 'a'.*outside"):
+            load_fleet(tmp_path / "A")
+
+    def test_missing_or_unreadable_archive_names_the_stream(
+        self, warm_fleet, tmp_path
+    ):
+        path, manifest = self._saved(warm_fleet, tmp_path / "f")
+        archive = path.parent / manifest["streams"][1]["archive"]
+        archive.write_bytes(b"not an npz archive")
+        with pytest.raises(DataError, match="stream 'b'"):
+            load_fleet(path.parent)
+        archive.unlink()
+        with pytest.raises(DataError, match="stream 'b'"):
+            load_fleet(path.parent)
 
     def test_not_a_fleet_directory(self, tmp_path):
         with pytest.raises(DataError):

@@ -150,8 +150,7 @@ class TestQAStateLegacyBackfill:
         """Manifests written before the QA kept lifetime counters carry
         only the audit list; loading must backfill ``audits_total`` /
         ``breaches_total`` from it and then behave indistinguishably —
-        including through the storm's next retrains, which exercise the
-        restored label-cache tails."""
+        including through the storm's next retrains."""
         names = ["u", "v"]
         n = 200
         feeds = {}
