@@ -356,6 +356,9 @@ def load_online_larpredictor(path):
             "online archives must carry a k-NN classifier, "
             f"got {meta['classifier'].get('type')!r}"
         )
+    # Online memories query brute force; archives written before 4.1
+    # recorded the "auto" backend.
+    classifier.algorithm = "brute"
     online._classifier = classifier.fit(memory_x, memory_y)
     online._history = deque(history.tolist(), maxlen=online.history_limit)
     online._recent_sq = deque(

@@ -784,6 +784,8 @@ class TestPrometheusEndpoint:
                 urllib.request.urlopen(
                     f"http://{endpoint.host}:{endpoint.port}/nope", timeout=5
                 )
+            # The error holds the response socket until closed.
+            excinfo.value.close()
             assert excinfo.value.code == 404
 
     def test_healthz_route(self):

@@ -88,6 +88,14 @@ class TestFleetConfig:
         with pytest.raises(ConfigurationError, match="max_memory"):
             FleetConfig(max_memory=value)
 
+    @pytest.mark.parametrize("field", ["audit_window", "audit_interval"])
+    @pytest.mark.parametrize("value", [0, -1, 2.5, True, None])
+    def test_audit_geometry_is_a_positive_integer(self, field, value):
+        """Rejected at construction, not when the first stream is
+        added: a fleet built without streams must not accept them."""
+        with pytest.raises(ConfigurationError, match=field):
+            FleetConfig(**{field: value})
+
     def test_memory_and_smoothing_floors_are_legal(self):
         config = FleetConfig(
             lar=LARConfig(k=5), max_memory=5, label_smoothing=1

@@ -1,9 +1,10 @@
 """Bit-equality of the stacked QA engine against per-stream ``record()``.
 
-The batched tick engine mirrors every served stream's
-:class:`~repro.core.qa.PredictionQualityAssuror` error window into one
+The batched tick engine keeps every served stream's
+:class:`~repro.core.qa.PredictionQualityAssuror` error window in one
 ``(S, audit_window)`` ring and records the whole fleet's audits with
-vectorized kernels (:meth:`BatchedTickEngine._record_audits_stacked`).
+vectorized kernels in :meth:`BatchedTickEngine.ingest_batch`, writing
+them into the QA objects when a stream is checked out.
 That is an execution strategy, not a behavior change: the per-stream QA
 objects must end up in the *identical* state the per-stream loop would
 have left them in — same ``audits`` list (bit-identical window MSEs),
