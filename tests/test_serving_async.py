@@ -204,6 +204,61 @@ class TestAsyncSyncBitParity:
                 name=name,
             )
 
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_landed_replay_on_engine_rows_or_per_stream(
+        self, tmp_path, monkeypatch, batched
+    ):
+        """A batched drain replays the in-flight ticks of engine-served
+        streams on the engine's rows, without a per-stream
+        observe_many(); a per-stream drain replays them through it.
+        Both leave the models, and the ticks after, bit-identical to the
+        sync twin."""
+        directory, names, due = _due_fleet(tmp_path)
+        sync = PredictionFleet.load(directory)
+        replays = []
+        observe_many = OnlineLARPredictor.observe_many
+
+        def counted(predictor, values):
+            replays.append(len(values))
+            return observe_many(predictor, values)
+
+        with inline_pool():
+            async_fleet = _load_async(directory)
+            sync.run_pending_retrains()
+            async_fleet.run_pending_retrains()
+            rng = np.random.default_rng(5)
+            for t in range(120, 131):
+                vals = _values(names, t, rng, shift=20.0)
+                sync.forecast_all()
+                sync.ingest(vals)
+                async_fleet.forecast_all()
+                async_fleet.ingest(dict(vals))
+            monkeypatch.setattr(OnlineLARPredictor, "observe_many", counted)
+            integrated = async_fleet.run_pending_retrains(batched=batched)
+            monkeypatch.undo()
+        assert sorted(integrated) == sorted(due)
+        engine = async_fleet._engine
+        if batched:
+            assert replays == []
+            assert all(engine.serves(name) for name in due)
+        else:
+            assert replays == [11] * len(due)
+        for name in due:
+            a = async_fleet._streams[name].predictor
+            s = sync._streams[name].predictor
+            _assert_same_model(a, s, name=name)
+            assert a.windows_learned_online == s.windows_learned_online
+            np.testing.assert_array_equal(
+                np.stack(a._recent_sq), np.stack(s._recent_sq), err_msg=name
+            )
+        for t in range(131, 140):
+            vals = _values(names, t, rng, shift=20.0)
+            fa, fb = sync.forecast_all(), async_fleet.forecast_all()
+            for name in due:
+                assert fa[name] == fb[name], (name, t)
+            sync.ingest(vals)
+            async_fleet.ingest(dict(vals))
+
 
 # ---------------------------------------------------------------------------
 # cold-group chunking
