@@ -1,3 +1,3 @@
 """Single source of the package version."""
 
-__version__ = "4.1.0"
+__version__ = "5.0.0"

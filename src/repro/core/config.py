@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.exceptions import ConfigurationError
+from repro.util.validation import check_positive_int_fields
 
 __all__ = ["LARConfig", "PAPER_WINDOW_SHORT", "PAPER_WINDOW_LONG"]
 
@@ -25,6 +26,9 @@ PAPER_WINDOW_LONG = 16
 @dataclass(frozen=True)
 class LARConfig:
     """All tunables of the LARPredictor pipeline.
+
+    Every count is stored as a plain ``int``: a numpy integer is
+    converted, and a bool or a float raises ``ConfigurationError``.
 
     Attributes
     ----------
@@ -53,41 +57,32 @@ class LARConfig:
     extended_pool: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.window, int) or self.window < 2:
-            raise ConfigurationError(
-                f"window must be an integer >= 2, got {self.window!r}"
-            )
+        check_positive_int_fields(
+            self, ("window", "k"), optional=("n_components", "ar_order")
+        )
+        if self.window < 2:
+            raise ConfigurationError(f"window must be >= 2, got {self.window}")
         if self.n_components is not None and self.min_variance is not None:
             raise ConfigurationError(
                 "n_components and min_variance are mutually exclusive"
             )
-        if self.n_components is not None:
-            if not isinstance(self.n_components, int) or self.n_components < 1:
-                raise ConfigurationError(
-                    f"n_components must be an integer >= 1, got {self.n_components!r}"
-                )
-            if self.n_components > self.window:
-                raise ConfigurationError(
-                    f"n_components={self.n_components} exceeds window={self.window}"
-                )
+        if self.n_components is not None and self.n_components > self.window:
+            raise ConfigurationError(
+                f"n_components={self.n_components} exceeds window={self.window}"
+            )
         if self.min_variance is not None and not 0.0 < self.min_variance <= 1.0:
             raise ConfigurationError(
                 f"min_variance must be in (0, 1], got {self.min_variance}"
             )
-        if not isinstance(self.k, int) or self.k < 1 or self.k % 2 == 0:
+        if self.k % 2 == 0:
             raise ConfigurationError(
-                f"k must be a positive odd integer, got {self.k!r}"
+                f"k must be odd to avoid vote ties, got {self.k}"
             )
-        if self.ar_order is not None:
-            if not isinstance(self.ar_order, int) or self.ar_order < 1:
-                raise ConfigurationError(
-                    f"ar_order must be an integer >= 1, got {self.ar_order!r}"
-                )
-            if self.ar_order > self.window:
-                raise ConfigurationError(
-                    f"ar_order={self.ar_order} exceeds window={self.window}; "
-                    f"frames would be too short for the AR model"
-                )
+        if self.ar_order is not None and self.ar_order > self.window:
+            raise ConfigurationError(
+                f"ar_order={self.ar_order} exceeds window={self.window}; "
+                f"frames would be too short for the AR model"
+            )
 
     @property
     def effective_ar_order(self) -> int:

@@ -100,10 +100,10 @@ class PredictionQualityAssuror:
         self.audits_total = 0
         self.breaches_total = 0
         #: Bumped by every mutating method (:meth:`record`,
-        #: :meth:`record_batch`, :meth:`acknowledge_retraining`,
-        #: :meth:`load_state_dict`). Mirrors — the batched tick engine
-        #: keeps a stacked copy of the error window — treat a bump as
-        #: "my copy of this QA is stale, reload it".
+        #: :meth:`acknowledge_retraining`, :meth:`load_state_dict`).
+        #: Mirrors — the batched tick engine keeps a stacked copy of the
+        #: error window — treat a bump as "my copy of this QA is stale,
+        #: reload it".
         self.version = 0
 
     # -- streaming interface ------------------------------------------------
@@ -153,88 +153,6 @@ class PredictionQualityAssuror:
         if self._step % self.audit_interval == 0:
             return self._audit()
         return None
-
-    def record_batch(self, predictions, observations) -> list[AuditRecord]:
-        """Record many pairs; return every audit that fired.
-
-        Equivalent to calling :meth:`record` once per pair — same audit
-        records (bit-identical window MSEs), same counters, same final
-        window — but the audit means run as vectorized kernels over the
-        whole batch. Two behavioral differences: the batch is validated
-        up front, so a non-finite pair raises before *any* pair is
-        recorded (the loop would have recorded the pairs preceding it),
-        and ``on_breach`` callbacks observe the QA with the whole batch
-        already applied (the loop dispatches them mid-stream).
-        """
-        p = np.asarray(predictions, dtype=np.float64)
-        o = np.asarray(observations, dtype=np.float64)
-        if p.shape != o.shape or p.ndim != 1:
-            raise ConfigurationError(
-                f"predictions/observations must be equal-length 1-D arrays, "
-                f"got {p.shape} and {o.shape}"
-            )
-        errs = p - o
-        if not np.isfinite(errs).all():
-            raise ConfigurationError(
-                "non-finite prediction/observation recorded with the QA"
-            )
-        n = errs.shape[0]
-        if n == 0:
-            return []
-        sq = errs * errs
-        w = self.audit_window
-        # The window contents at batch offset t are the last `w` values
-        # of (existing window ++ sq[:t]); concatenating once lets every
-        # audit mean read its slice of one contiguous array, in the
-        # exact order the deque would have held.
-        combined = np.concatenate(
-            [np.fromiter(self._sq_errors, dtype=np.float64,
-                         count=len(self._sq_errors)), sq]
-        )
-        base = len(self._sq_errors)
-        steps = self._step + np.arange(1, n + 1, dtype=np.int64)
-        audit_at = np.flatnonzero(steps % self.audit_interval == 0)
-        mses = np.empty(audit_at.size, dtype=np.float64)
-        if audit_at.size:
-            ends = base + audit_at + 1  # exclusive end in `combined`
-            full = ends >= w
-            if full.any():
-                # Every full window is a length-w slice of `combined`;
-                # the strided window view makes all of them one row-sum.
-                wins = np.lib.stride_tricks.sliding_window_view(combined, w)
-                mses[full] = wins[ends[full] - w].sum(axis=1) / w
-            for j in np.flatnonzero(~full):
-                e = int(ends[j])
-                mses[j] = combined[:e].sum() / e
-        # The running sum replays the per-record subtract/add sequence
-        # so it lands on the identical float the loop would have.
-        dq = self._sq_errors
-        sq_sum = self._sq_sum
-        for v in sq.tolist():
-            if len(dq) == w:
-                sq_sum -= dq[0]
-            dq.append(v)
-            sq_sum += v
-        self._sq_sum = sq_sum
-        self._step += n
-        self.version += 1
-        fired: list[AuditRecord] = []
-        threshold = self.threshold
-        for j in range(audit_at.size):
-            record = AuditRecord(
-                step=int(steps[audit_at[j]]),
-                window_mse=float(mses[j]),
-                breached=bool(mses[j] > threshold),
-            )
-            self.audits.append(record)
-            self.audits_total += 1
-            if record.breached:
-                self.breaches_total += 1
-                self._retraining_due = True
-                if self.on_breach is not None:
-                    self.on_breach(record)
-            fired.append(record)
-        return fired
 
     def acknowledge_retraining(self) -> None:
         """Clear the breach latch and the error history after a retrain."""

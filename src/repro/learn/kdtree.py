@@ -124,7 +124,9 @@ class KDTree:
         Returns
         -------
         (distances, indices):
-            Both length *k*, sorted by increasing Euclidean distance.
+            Both length *k*, sorted by increasing Euclidean distance;
+            equidistant points by index, lowest (oldest) first, as the
+            brute-force backend ranks them.
 
         Raises
         ------
@@ -141,10 +143,12 @@ class KDTree:
             raise ConfigurationError(
                 f"k={k} exceeds the {self.n_points} indexed points"
             )
-        # Max-heap of the best k (negated squared distance, index).
+        # Max-heap of the best k by (squared distance, index), both
+        # negated: its root is the farthest, and among equidistant
+        # points the newest, so ties keep the oldest points.
         heap: list[tuple[float, int]] = []
         self._search(0, x, k, heap)
-        order = sorted((-d2, i) for d2, i in heap)
+        order = sorted((-d2, -i) for d2, i in heap)
         d2 = np.array([max(v, 0.0) for v, _ in order])
         idx = np.array([i for _, i in order], dtype=np.intp)
         return np.sqrt(d2), idx
@@ -174,7 +178,7 @@ class KDTree:
             diff = self.points[idx] - x
             d2 = np.einsum("ij,ij->i", diff, diff)
             for dist2, point_index in zip(d2, idx):
-                entry = (-float(dist2), int(point_index))
+                entry = (-float(dist2), -int(point_index))
                 if len(heap) < k:
                     heapq.heappush(heap, entry)
                 elif entry > heap[0]:
@@ -187,9 +191,10 @@ class KDTree:
             else (self._left[node], self._right[node])
         )
         self._search(near, x, k, heap)
-        # Prune the far branch unless the splitting plane is closer than
-        # the current k-th best distance (branch-and-bound step).
-        if len(heap) < k or delta * delta < -heap[0][0]:
+        # Prune the far branch unless the splitting plane is no farther
+        # than the current k-th best distance (branch-and-bound step):
+        # an older point at exactly that distance can sit on the plane.
+        if len(heap) < k or delta * delta <= -heap[0][0]:
             self._search(far, x, k, heap)
 
     def __repr__(self) -> str:

@@ -21,10 +21,10 @@ capacity-doubling ring (``_Xbuf``/``_ybuf`` plus start/end offsets), so
 of the O(n) ``vstack`` copy it once paid per observation, and
 :meth:`KNNClassifier.discard_oldest` retires the oldest rows by moving
 an offset instead of refitting. The fleet's batched tick engine
-(:mod:`repro.serving.engine`) mirrors this memory into stacked tensors;
-the ``version`` / ``store_generation`` / ``appended_total_`` /
-``discarded_total_`` counters and :meth:`KNNClassifier.rows_since` exist
-so it can stay in sync incrementally.
+(:mod:`repro.serving.engine`) keeps a stacked copy of this memory: it
+places rows in its ring by the ``appended_total_`` /
+``discarded_total_`` counters and reloads the copy whole when
+``version`` moves.
 """
 
 from __future__ import annotations
@@ -118,9 +118,9 @@ class KNNClassifier(Classifier):
         #: Bumped by every public mutation (:meth:`fit`,
         #: :meth:`partial_fit`, :meth:`discard_oldest`, a reassigned
         #: :attr:`algorithm`). Mirrors — the batched tick engine keeps a
-        #: stacked copy of the memory — skip a classifier whose counter
-        #: still matches their stamp; their own writes go through the
-        #: private helpers and leave it alone.
+        #: stacked copy of the memory — reload their copy when the
+        #: counter moved past their stamp; their own writes go through
+        #: the private helpers and leave it alone.
         self.version = 0
         self._algorithm = algorithm
         self.leaf_size = int(leaf_size)
@@ -132,9 +132,6 @@ class KNNClassifier(Classifier):
         self._appended = 0
         self._discarded = 0
         self._label_counts: dict[int, int] = {}
-        #: Bumped on every :meth:`fit`; mirrors (the batched engine)
-        #: treat a bump as "reload everything".
-        self.store_generation = 0
         self._tree: KDTree | None = None
 
     @classmethod
@@ -224,25 +221,6 @@ class KNNClassifier(Classifier):
         """Absolute count of oldest rows retired since the last fit."""
         return self._discarded
 
-    def rows_since(self, abs_from: int) -> tuple[np.ndarray, np.ndarray, int]:
-        """Live rows with absolute index ``>= abs_from``.
-
-        Absolute indices count every row appended since the last fit
-        (the initial training set occupies ``0 .. n-1``). Returns
-        ``(X_rows, y_rows, first_abs)`` where ``first_abs`` is the
-        absolute index of the first returned row — ``max(abs_from,
-        discarded_total_)``, since already-retired rows cannot be
-        returned. The views stay valid until the next mutation.
-        """
-        self._require_fitted()
-        lo = max(int(abs_from), self._discarded)
-        offset = self._buf_start + (lo - self._discarded)
-        return (
-            self._Xbuf[offset : self._buf_end],  # type: ignore[index]
-            self._ybuf[offset : self._buf_end],  # type: ignore[index]
-            lo,
-        )
-
     # -- hooks ---------------------------------------------------------------
 
     def _fit(
@@ -270,7 +248,6 @@ class KNNClassifier(Classifier):
             values, counts = _label_values_counts(y)
             label_counts = {int(v): int(c) for v, c in zip(values, counts)}
         self._label_counts = dict(label_counts)
-        self.store_generation += 1
         self.version += 1
         # The KD-tree index (when the backend resolves to one) is built
         # lazily on the first query, exactly like after a partial_fit

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from repro.exceptions import ConfigurationError, DataError, InsufficientDataError
+from repro.exceptions import DataError, InsufficientDataError
 from repro.predictors.base import Predictor
 from repro.util.stats import autocovariance
 from repro.util.validation import check_positive_int
@@ -154,16 +154,3 @@ class ARPredictor(Predictor):
     def __repr__(self) -> str:
         state = "fitted" if self._fitted else "unfitted"
         return f"ARPredictor(order={self.order}, {state})"
-
-
-def _check_order_consistency(order: int, window: int) -> None:
-    """Raise if an AR order cannot be served by frames of *window* length.
-
-    Exposed for the configuration layer, which validates eagerly so that
-    a bad (order, window) pair fails at setup, not mid-experiment.
-    """
-    if order > window:
-        raise ConfigurationError(
-            f"AR order {order} exceeds the prediction window {window}; "
-            f"frames would be too short at predict time"
-        )

@@ -67,11 +67,11 @@ ticks goes stale.
 
 A check-out leaves every ``version`` counter alone and puts the row on
 a watch list. The next :meth:`BatchedTickEngine.prepare` compares only
-the watched rows' counters with the stamps they were synced at: a
-predictor bump (an ``observe``, an in-place ``retrain``, a
-per-stream-loop tick) reloads the whole row, a classifier bump resyncs
-its memory, and a QA bump (``acknowledge_retraining``,
-``load_state_dict``) its error window. Rows nobody read sync nothing.
+the watched rows' counters with the stamps they were synced at, and
+reloads a row whole when any of its predictor, classifier or QA
+counters moved (an ``observe``, an in-place ``retrain``, a
+per-stream-loop tick, a ``partial_fit``, an
+``acknowledge_retraining``). Rows nobody read sync nothing.
 Membership is reconciled only when the fleet's
 ``(epoch, stream count)`` key moves.
 
@@ -174,6 +174,16 @@ def _ring_span(ring: np.ndarray, first: int, stop: int) -> np.ndarray:
     return np.concatenate((ring[a:], ring[: b - cap]))
 
 
+def _lap(tracer, name: str, start: float, batch: int) -> float:
+    """Record phase *name* over *batch* rows from *start* until now, and
+    return now; with no *tracer*, record nothing and return *start*."""
+    if tracer is None:
+        return start
+    now = perf_counter()
+    tracer.record(name, now - start, batch=batch, start=start)
+    return now
+
+
 def _locked(method):
     """Run *method* under the engine's lock.
 
@@ -198,8 +208,7 @@ class _Entry:
     """
 
     __slots__ = ("engine", "name", "state", "predictor", "classifier", "qa",
-                 "row", "generation", "pred_version", "clf_version",
-                 "qa_version")
+                 "row", "pred_version", "clf_version", "qa_version")
 
     def __init__(self, engine: "BatchedTickEngine", name: str, state,
                  row: int):
@@ -210,7 +219,6 @@ class _Entry:
         self.classifier: KNNClassifier = self.predictor._classifier
         self.qa: PredictionQualityAssuror = state._qa
         self.row = row
-        self.generation = -1
         self.pred_version = -1
         self.clf_version = -1
         self.qa_version = -1
@@ -588,7 +596,16 @@ class BatchedTickEngine:
         self._sel[row] = 0
         self._dirty[row] = False
         entry.pred_version = predictor.version
-        self._reload_qa(entry)
+        qa = entry.qa
+        count = len(qa._sq_errors)
+        self._qa_ring[row] = 0.0
+        if count:
+            self._qa_ring[row, self._qa_window - count :] = qa._sq_errors
+        self._qa_count[row] = count
+        self._qa_sum[row] = qa._sq_sum
+        self._qa_step[row] = qa._step
+        self._qa_due[row] = qa._retraining_due
+        entry.qa_version = qa.version
         self._reload_memory(entry)
 
     def _reload_memory(self, entry: _Entry) -> None:
@@ -607,7 +624,6 @@ class BatchedTickEngine:
         self._mem_bb[row, slots] = np.einsum("ij,ij->i", clf._X, clf._X)
         self._mem_lo[row] = lo
         self._mem_hi[row] = hi
-        entry.generation = clf.store_generation
         entry.clf_version = clf.version
 
     def _retire(self, row: int, lo: int, hi: int) -> None:
@@ -616,29 +632,15 @@ class BatchedTickEngine:
         self._mem_bb[row, slots] = np.inf
         self._mem_abs[row, slots] = _DEAD_KEY
 
-    def _reload_qa(self, entry: _Entry) -> None:
-        """Load one stream's QA error window into the stacked ring."""
-        qa = entry.qa
-        row = entry.row
-        w = self._qa_window
-        count = len(qa._sq_errors)
-        self._qa_ring[row] = 0.0
-        if count:
-            self._qa_ring[row, w - count :] = qa._sq_errors
-        self._qa_count[row] = count
-        self._qa_sum[row] = qa._sq_sum
-        self._qa_step[row] = qa._step
-        self._qa_due[row] = qa._retraining_due
-        entry.qa_version = qa.version
-
     def _sync_watched(self) -> None:
-        """Reload whatever was mutated after a check-out.
+        """Reload every row mutated after a check-out.
 
         Only checked-out rows can have been: every reader outside the
         engine checks its stream out first, and the engine's own writes
-        leave the ``version`` counters alone. A row whose counters match
-        its stamps is left as it is; one that stopped being batchable is
-        detached and its stream served per-stream.
+        leave the ``version`` counters alone. A row whose counters all
+        match its stamps is left as it is. Any other row is reloaded
+        whole, or, when it stopped being batchable, detached and its
+        stream served per-stream.
         """
         # A scrape thread may still add to the old set; its check-outs
         # mutate nothing, so a lost add is harmless.
@@ -647,55 +649,20 @@ class BatchedTickEngine:
         for entry in watched:
             if self._entries.get(entry.name) is not entry:
                 continue  # detached since its check-out
-            predictor = entry.predictor
-            if predictor.version != entry.pred_version:
-                # Mutated outside the engine (an observe, an in-place
-                # retrain): every array of the row is stale.
-                if self._eligible(predictor, entry.qa):
-                    self._load_row(entry)
-                else:
-                    demoted.append(entry)
+            if (
+                entry.predictor.version == entry.pred_version
+                and entry.classifier.version == entry.clf_version
+                and entry.qa.version == entry.qa_version
+            ):
                 continue
-            if entry.qa.version != entry.qa_version:
-                self._reload_qa(entry)
-            clf = entry.classifier
-            if clf.version != entry.clf_version:
-                if clf.algorithm == "brute":
-                    self._sync_rows(entry, clf)
-                else:
-                    demoted.append(entry)
+            if self._eligible(entry.predictor, entry.qa):
+                self._load_row(entry)
+            else:
+                demoted.append(entry)
         if demoted:
             for entry in demoted:
                 self._drop(entry)
             self._reorder([e for e in self._rows if e.name in self._entries])
-
-    def _sync_rows(self, entry: _Entry, clf: KNNClassifier) -> None:
-        """Load one classifier's out-of-band appends and evictions."""
-        if entry.generation != clf.store_generation:
-            self._reload_memory(entry)
-            return
-        row = entry.row
-        lo, hi = clf.discarded_total_, clf.appended_total_
-        if hi - lo > self._mem_cap:
-            self._grow_memory(hi - lo)
-            self._reload_memory(entry)
-            return
-        mirror_lo = int(self._mem_lo[row])
-        mirror_hi = int(self._mem_hi[row])
-        if lo != mirror_lo:
-            # Retire before appending: a new row may reuse a freed slot.
-            self._retire(row, mirror_lo, min(lo, mirror_hi))
-            self._mem_lo[row] = lo
-        if hi != mirror_hi:
-            rows_x, rows_y, first = clf.rows_since(mirror_hi)
-            abs_idx = np.arange(first, hi, dtype=np.int64)
-            slots = abs_idx % self._mem_cap
-            self._mem_x[row, slots] = rows_x
-            self._mem_y[row, slots] = rows_y
-            self._mem_abs[row, slots] = abs_idx
-            self._mem_bb[row, slots] = np.einsum("ij,ij->i", rows_x, rows_x)
-            self._mem_hi[row] = hi
-        entry.clf_version = clf.version
 
     # -- check-out ------------------------------------------------------------
 
@@ -865,37 +832,20 @@ class BatchedTickEngine:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(values, normalized values, labels) for the *n* selected rows."""
         tel = self._fleet._tel
-        if tel is not None:
-            return self._forecast_rows_traced(sel, n, tel.tracer)
+        tracer = tel.tracer if tel is not None else None
+        t = perf_counter() if tracer is not None else 0.0
         mu = self._mu[sel]
         sigma = self._sigma[sel]
         frames = self._buf("frames", (n, self._window))
         np.subtract(self._tails[sel, 1:], mu[:, None], out=frames)
         np.divide(frames, sigma[:, None], out=frames)
+        t = _lap(tracer, "tick.zscore", t, n)
         feats = self._features(sel, frames)
+        t = _lap(tracer, "tick.pca_project", t, n)
         labels = self._classify(sel, feats)
+        t = _lap(tracer, "tick.knn_query", t, n)
         normalized = self._pool_dispatch(sel, frames, labels)
-        values = self._buf("values", (n,))
-        np.multiply(normalized, sigma, out=values)
-        np.add(values, mu, out=values)
-        return values, normalized, labels
-
-    def _forecast_rows_traced(
-        self, sel, n: int, tracer
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`_forecast_rows` with per-phase tracing spans."""
-        mu = self._mu[sel]
-        sigma = self._sigma[sel]
-        with tracer.span("tick.zscore", batch=n):
-            frames = self._buf("frames", (n, self._window))
-            np.subtract(self._tails[sel, 1:], mu[:, None], out=frames)
-            np.divide(frames, sigma[:, None], out=frames)
-        with tracer.span("tick.pca_project", batch=n):
-            feats = self._features(sel, frames)
-        with tracer.span("tick.knn_query", batch=n):
-            labels = self._classify(sel, feats)
-        with tracer.span("tick.pool_dispatch", batch=n):
-            normalized = self._pool_dispatch(sel, frames, labels)
+        _lap(tracer, "tick.pool_dispatch", t, n)
         values = self._buf("values", (n,))
         np.multiply(normalized, sigma, out=values)
         np.add(values, mu, out=values)
@@ -987,7 +937,7 @@ class BatchedTickEngine:
         fleet = self._fleet
         tel = fleet._tel
         tracer = tel.tracer if tel is not None else None
-        t0 = perf_counter() if tracer is not None else 0.0
+        t = perf_counter() if tracer is not None else 0.0
         n = len(entries)
         rows = self._row_index[sel]
         mu = self._mu[sel]
@@ -1061,12 +1011,10 @@ class BatchedTickEngine:
                 ) / int(count)
             breached = mses > self._qa_threshold
             self._qa_due[rows[audited[breached]]] = True
-        t1 = perf_counter() if tracer is not None else 0.0
-        if tracer is not None:
-            tracer.record("tick.audit", t1 - t0, batch=n, start=t0)
+        t = _lap(tracer, "tick.audit", t, n)
 
         # 2-4. Store the values and learn the windows they complete.
-        labels, t3 = self._learn(sel, rows, values, mu, sigma, tracer, t1)
+        labels, t = self._learn(sel, rows, values, mu, sigma, tracer, t)
 
         # 5. What the per-stream objects now lag behind: one more tick,
         # and one more selection of the member that forecast it.
@@ -1085,24 +1033,20 @@ class BatchedTickEngine:
             self._record_audits(entries, audited, mses, breached, steps)
         for i in np.flatnonzero(self._qa_due[sel]).tolist():
             fleet._retrain.schedule(entries[i].state, initial=False)
-        if tracer is not None:
-            tracer.record(
-                "tick.memory_learn", perf_counter() - t3, batch=n, start=t3
-            )
+        _lap(tracer, "tick.memory_learn", t, n)
         return dict(zip(names, labels.tolist()))
 
     def _learn(
         self, sel, rows: np.ndarray, values: np.ndarray, mu: np.ndarray,
-        sigma: np.ndarray, tracer=None, t1: float = 0.0,
+        sigma: np.ndarray, tracer=None, t: float = 0.0,
     ) -> tuple[np.ndarray, float]:
         """The learn half of a tick for rows *sel* (``rows`` as indices):
         store *values* and learn the windows they complete, as
         ``observe()`` does per stream. Returns the learned labels and,
-        when *tracer* records the phases (from *t1* on), the end of the
+        when *tracer* records the phases (from *t* on), the end of the
         last one.
         """
         n = values.shape[0]
-        t3 = 0.0
         # 2. Advance the stacked tail and the history ring.
         self._shift_append(self._tails, sel, values)
         hist_hi = self._hist_hi[sel]
@@ -1112,9 +1056,7 @@ class BatchedTickEngine:
                 self._grow_history(top + 1)
         self._hist[rows, hist_hi % self._hist_cap] = values
         self._hist_hi[sel] = hist_hi + 1
-        if tracer is not None:
-            t2 = perf_counter()
-            tracer.record("tick.window_stack", t2 - t1, batch=n, start=t1)
+        t = _lap(tracer, "tick.window_stack", t, n)
 
         # 3. Label the completed windows: stacked pool errors, trailing
         # smoothed MSE argmin (chronological ring slices keep the
@@ -1137,9 +1079,7 @@ class BatchedTickEngine:
             grp = live == count
             sums[grp] = ring[grp, L - count :, :].sum(axis=1)
         labels = np.argmin(sums, axis=1).astype(np.int64) + 1
-        if tracer is not None:
-            t3 = perf_counter()
-            tracer.record("tick.label_pool", t3 - t2, batch=n, start=t2)
+        t = _lap(tracer, "tick.label_pool", t, n)
 
         # 4. Learn: each classifier's append and eviction (down to
         # max_memory), as one scatter into the memory ring. The ring is
@@ -1170,7 +1110,7 @@ class BatchedTickEngine:
         self._mem_bb[rows, slots] = np.einsum("ij,ij->i", feats, feats)
         self._mem_hi[sel] = hi + 1
         self._mem_lo[sel] = new_lo
-        return labels, t3
+        return labels, t
 
     @_locked
     def replay(self, streams: list) -> list:

@@ -66,7 +66,7 @@ from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.serving.engine import BatchedTickEngine
 from repro.serving.retrain import RetrainScheduler
 from repro.serving.trainer import BatchedTrainEngine
-from repro.util.validation import check_positive_int
+from repro.util.validation import check_positive_int_fields
 
 __all__ = ["FleetConfig", "PredictionFleet", "FleetMetrics", "StreamMetrics"]
 
@@ -74,6 +74,9 @@ __all__ = ["FleetConfig", "PredictionFleet", "FleetMetrics", "StreamMetrics"]
 @dataclass(frozen=True)
 class FleetConfig:
     """Policy shared by every stream of a :class:`PredictionFleet`.
+
+    Every count is stored as a plain ``int``: a numpy integer is
+    converted, and a bool or a float raises ``ConfigurationError``.
 
     Attributes
     ----------
@@ -149,13 +152,19 @@ class FleetConfig:
     max_retrains_per_tick: int | None = None
 
     def __post_init__(self) -> None:
+        check_positive_int_fields(
+            self,
+            ("min_train", "label_smoothing", "audit_window", "audit_interval"),
+            optional=("max_memory", "history_limit", "retrain_window",
+                      "max_integrations_per_tick", "max_retrains_per_tick"),
+        )
         # A series of length L yields L - window training pairs, and the
         # k-NN selector needs at least k of them to fit.
         floor = self.lar.window + max(self.lar.k, 2)
-        if not isinstance(self.min_train, int) or self.min_train < floor:
+        if self.min_train < floor:
             raise ConfigurationError(
-                f"min_train must be an integer >= window + max(k, 2) "
-                f"({floor}), got {self.min_train!r}"
+                f"min_train must be >= window + max(k, 2) ({floor}), "
+                f"got {self.min_train}"
             )
         if self.history_limit is not None and self.history_limit < self.min_train:
             raise ConfigurationError(
@@ -167,17 +176,10 @@ class FleetConfig:
                 f"retrain_window must be >= window + max(k, 2) ({floor}), "
                 f"got {self.retrain_window}"
             )
-        if not isinstance(self.label_smoothing, int) or self.label_smoothing < 1:
+        if self.max_memory is not None and self.max_memory < self.lar.k:
             raise ConfigurationError(
-                f"label_smoothing must be an integer >= 1, "
-                f"got {self.label_smoothing!r}"
-            )
-        if self.max_memory is not None and (
-            not isinstance(self.max_memory, int) or self.max_memory < self.lar.k
-        ):
-            raise ConfigurationError(
-                f"max_memory must be an integer >= k ({self.lar.k}) or "
-                f"None, got {self.max_memory!r}"
+                f"max_memory must be >= k ({self.lar.k}) or None, "
+                f"got {self.max_memory}"
             )
         # Written so that NaN fails too: every comparison with NaN is
         # false, and a NaN threshold would never order a retrain.
@@ -185,28 +187,10 @@ class FleetConfig:
             raise ConfigurationError(
                 f"qa_threshold must be positive, got {self.qa_threshold}"
             )
-        check_positive_int(self.audit_window, name="audit_window")
-        check_positive_int(self.audit_interval, name="audit_interval")
-        if self.max_retrains_per_tick is not None and (
-            not isinstance(self.max_retrains_per_tick, int)
-            or self.max_retrains_per_tick < 1
-        ):
-            raise ConfigurationError(
-                f"max_retrains_per_tick must be a positive integer or None, "
-                f"got {self.max_retrains_per_tick!r}"
-            )
         if self.retrain_mode not in ("sync", "async"):
             raise ConfigurationError(
                 f"retrain_mode must be 'sync' or 'async', "
                 f"got {self.retrain_mode!r}"
-            )
-        if self.max_integrations_per_tick is not None and (
-            not isinstance(self.max_integrations_per_tick, int)
-            or self.max_integrations_per_tick < 1
-        ):
-            raise ConfigurationError(
-                f"max_integrations_per_tick must be a positive integer or "
-                f"None, got {self.max_integrations_per_tick!r}"
             )
 
 

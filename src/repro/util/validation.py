@@ -17,6 +17,7 @@ __all__ = [
     "as_matrix",
     "check_finite",
     "check_positive_int",
+    "check_positive_int_fields",
     "check_odd",
     "check_fraction",
 ]
@@ -104,6 +105,16 @@ def check_positive_int(value, *, name: str) -> int:
     if value < 1:
         raise ConfigurationError(f"{name} must be >= 1, got {value}")
     return value
+
+
+def check_positive_int_fields(obj, names, *, optional=()) -> None:
+    """Check the fields *names* of the frozen dataclass *obj* with
+    :func:`check_positive_int` and store the plain ``int`` it returns;
+    the fields in *optional* may also be ``None``."""
+    for name in (*names, *optional):
+        value = getattr(obj, name)
+        if value is not None or name in names:
+            object.__setattr__(obj, name, check_positive_int(value, name=name))
 
 
 def check_odd(value, *, name: str) -> int:

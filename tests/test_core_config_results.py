@@ -38,11 +38,23 @@ class TestLARConfig:
             {"k": 0},
             {"ar_order": 0},
             {"window": 4, "ar_order": 5},
+            {"k": True},
+            {"ar_order": True},
+            {"n_components": True},
         ],
     )
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ConfigurationError):
             LARConfig(**{"n_components": None, **kwargs} if "min_variance" in kwargs else kwargs)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("window", 8), ("n_components", 2), ("k", 5), ("ar_order", 4)],
+    )
+    def test_numpy_integer_counts_are_stored_as_int(self, field, value):
+        cfg = LARConfig(**{"window": 8, field: np.int64(value)})
+        assert type(getattr(cfg, field)) is int
+        assert getattr(cfg, field) == value
 
     def test_with_replaces_and_revalidates(self):
         cfg = LARConfig()

@@ -71,81 +71,11 @@ class TestAuditing:
         with pytest.raises(ConfigurationError):
             qa.record(float("nan"), 1.0)
 
-    def test_record_batch(self):
-        qa = PredictionQualityAssuror(threshold=0.5, audit_interval=2, audit_window=8)
-        audits = qa.record_batch(np.zeros(6), np.zeros(6))
-        assert len(audits) == 3
-        assert qa.step == 6
-
-    def test_record_batch_shape_check(self):
-        qa = PredictionQualityAssuror()
-        with pytest.raises(ConfigurationError):
-            qa.record_batch([1.0, 2.0], [1.0])
-
     def test_audit_history_kept(self):
         qa = PredictionQualityAssuror(threshold=1.0, audit_interval=1)
-        qa.record_batch(np.zeros(5), np.zeros(5))
+        for _ in range(5):
+            qa.record(0.0, 0.0)
         assert len(qa.audits) == 5
-
-
-class TestRecordBatchVectorized:
-    def test_partial_window_audits_match_loop(self):
-        """Audits that fire before the window fills average the partial
-        window, bit-identically to the loop's ``np.mean`` over the deque."""
-        rng = np.random.default_rng(11)
-        p = rng.normal(0.0, 2.0, size=9)
-        o = rng.normal(0.0, 2.0, size=9)
-        qa_b = PredictionQualityAssuror(
-            threshold=0.5, audit_window=16, audit_interval=2
-        )
-        qa_l = PredictionQualityAssuror(
-            threshold=0.5, audit_window=16, audit_interval=2
-        )
-        fired = qa_b.record_batch(p, o)
-        expected = [
-            rec
-            for i in range(9)
-            if (rec := qa_l.record(float(p[i]), float(o[i]))) is not None
-        ]
-        assert fired == expected
-        assert qa_b.audits == qa_l.audits
-
-    def test_empty_batch_is_a_no_op(self):
-        qa = PredictionQualityAssuror()
-        assert qa.record_batch([], []) == []
-        assert qa.step == 0
-        assert qa.version == 0
-
-    def test_non_finite_batch_rejected_before_any_mutation(self):
-        """Unlike the loop, the batch validates up front: nothing is
-        recorded when any pair is non-finite (documented difference)."""
-        qa = PredictionQualityAssuror(audit_interval=1)
-        with pytest.raises(ConfigurationError):
-            qa.record_batch([1.0, float("inf")], [0.0, 0.0])
-        assert qa.step == 0
-        assert len(qa._sq_errors) == 0
-        assert qa.audits == []
-
-    def test_2d_input_rejected(self):
-        qa = PredictionQualityAssuror()
-        with pytest.raises(ConfigurationError):
-            qa.record_batch(np.zeros((2, 2)), np.zeros((2, 2)))
-
-    def test_on_breach_sees_post_batch_state(self):
-        """The batch applies fully before callbacks run (documented
-        difference from the loop's mid-stream dispatch)."""
-        steps_seen = []
-        qa = PredictionQualityAssuror(
-            threshold=0.5, audit_interval=2,
-            on_breach=lambda rec: steps_seen.append(qa.step),
-        )
-        qa.record_batch([5.0, 5.0, 5.0, 5.0], [0.0, 0.0, 0.0, 0.0])
-        assert steps_seen == [4, 4]
-
-    def test_version_bumps_once_per_batch(self):
-        qa = PredictionQualityAssuror()
-        qa.record_batch(np.zeros(7), np.zeros(7))
-        assert qa.version == 1
 
 
 class TestRollingMse:

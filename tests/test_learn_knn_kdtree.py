@@ -52,6 +52,24 @@ class TestKDTree:
         d, i = tree.query(np.ones(2), 3)
         np.testing.assert_allclose(d, 0.0)
 
+    @pytest.mark.parametrize("k", [3, 50])
+    def test_equidistant_points_rank_oldest_first(self, k):
+        """Ties in distance rank by index, oldest first: duplicate rows
+        and distinct grid points at equal distances, including ones on
+        a splitting plane at exactly the k-th distance."""
+        rng = np.random.default_rng(3)
+        distinct = rng.integers(-4, 5, size=(60, 2)).astype(np.float64)
+        pts = distinct[rng.integers(0, 60, size=2300)]
+        tree = KDTree(pts)
+        order = np.arange(pts.shape[0])
+        for q in pts[rng.integers(0, pts.shape[0], size=60)]:
+            diff = pts - q
+            d2 = np.einsum("ij,ij->i", diff, diff)
+            expected = np.lexsort((order, d2))[:k]
+            d, idx = tree.query(q, k)
+            np.testing.assert_array_equal(idx, expected)
+            np.testing.assert_array_equal(d, np.sqrt(d2[expected]))
+
     def test_query_many_shapes(self):
         rng = np.random.default_rng(2)
         pts = rng.standard_normal((50, 2))
@@ -170,6 +188,19 @@ class TestKNNClassifierBehaviour:
         assert clf._tree is None
         clf.predict_one([0.0, 0.0])
         assert clf._tree is not None
+
+    def test_tree_votes_match_brute_on_duplicate_rows(self):
+        """A memory of repeated rows large enough for ``auto`` to pick
+        the KD-tree votes exactly as brute force, query by query."""
+        rng = np.random.default_rng(0)
+        distinct = rng.standard_normal((60, 2))
+        X = distinct[rng.integers(0, 60, size=2300)]
+        y = rng.integers(1, 4, size=2300)
+        tree = KNNClassifier(k=3, algorithm="auto").fit(X, y)
+        brute = KNNClassifier(k=3, algorithm="brute").fit(X, y)
+        for q in X[rng.integers(0, 2300, size=100)]:
+            assert tree.predict_one(q) == brute.predict_one(q)
+        assert tree._tree is not None
 
     def test_auto_backend_brute_for_small(self):
         X, y = _two_blobs(n=20)

@@ -108,13 +108,6 @@ class TestDiscardOldest:
             clf.partial_fit(X[i], y[i])
         clf.discard_oldest(7)
         assert (clf.appended_total_, clf.discarded_total_) == (30, 7)
-        rows_x, rows_y, first = clf.rows_since(25)
-        assert first == 25
-        np.testing.assert_array_equal(rows_x, X[25:30])
-        np.testing.assert_array_equal(rows_y, y[25:30])
-        # Asking for already-retired rows clamps to the live window.
-        _, _, first = clf.rows_since(0)
-        assert first == 7
 
     def test_must_keep_k_samples(self):
         clf, _, _ = self._grown()

@@ -96,6 +96,37 @@ class TestFleetConfig:
         with pytest.raises(ConfigurationError, match=field):
             FleetConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("history_limit", 1500.0),
+            ("retrain_window", 300.5),
+            ("max_retrains_per_tick", True),
+            ("max_integrations_per_tick", True),
+        ],
+    )
+    def test_counts_reject_floats_and_bools(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            FleetConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("min_train", 64), ("label_smoothing", 10), ("max_memory", 512),
+            ("history_limit", 2048), ("audit_window", 16),
+            ("audit_interval", 8), ("retrain_window", 256),
+            ("max_integrations_per_tick", 2), ("max_retrains_per_tick", 2),
+        ],
+    )
+    def test_numpy_integer_counts_are_stored_as_int(
+        self, field, value, tmp_path
+    ):
+        """Stored as plain ints, so a fleet builds and saves with them."""
+        config = FleetConfig(**{field: np.int64(value)})
+        assert type(getattr(config, field)) is int
+        assert getattr(config, field) == value
+        PredictionFleet(config, streams=["a"]).save(tmp_path / "fleet")
+
     def test_memory_and_smoothing_floors_are_legal(self):
         config = FleetConfig(
             lar=LARConfig(k=5), max_memory=5, label_smoothing=1

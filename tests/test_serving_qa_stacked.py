@@ -13,18 +13,12 @@ latch and ``on_breach`` dispatches, same ``state_dict``. These
 properties drive batched and loop fleets through the same feeds across
 audit geometries, mid-stream ``acknowledge_retraining`` resets, and
 round-trips through persistence, and compare everything.
-
-``PredictionQualityAssuror.record_batch`` (the standalone vectorized
-API built on the same kernels) gets the same treatment against a
-``record`` loop.
 """
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import LARConfig
-from repro.core.qa import PredictionQualityAssuror
 from repro.serving import FleetConfig, PredictionFleet
 from repro.traces.synthetic import ar1_series
 
@@ -166,47 +160,3 @@ class TestStackedQAParity:
                 {name: feeds[name][t] for name in names}, batched=False
             )
         assert _qa_state(batched) == _qa_state(loop)
-
-
-class TestRecordBatchParity:
-    @given(
-        st.integers(min_value=0, max_value=10_000),
-        st.integers(min_value=1, max_value=12),
-        st.integers(min_value=1, max_value=6),
-        st.lists(st.integers(min_value=1, max_value=17), min_size=1,
-                 max_size=6),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_record_batch_equals_record_loop(
-        self, seed, audit_window, audit_interval, batch_sizes
-    ):
-        rng = np.random.default_rng(seed)
-        calls_b, calls_l = [], []
-        qa_b = PredictionQualityAssuror(
-            0.5, audit_window=audit_window, audit_interval=audit_interval,
-            on_breach=lambda rec: calls_b.append(rec),
-        )
-        qa_l = PredictionQualityAssuror(
-            0.5, audit_window=audit_window, audit_interval=audit_interval,
-            on_breach=lambda rec: calls_l.append(rec),
-        )
-        for size in batch_sizes:
-            p = rng.normal(0.0, 1.5, size=size)
-            o = rng.normal(0.0, 1.5, size=size)
-            fired = qa_b.record_batch(p, o)
-            expected = []
-            for i in range(size):
-                rec = qa_l.record(float(p[i]), float(o[i]))
-                if rec is not None:
-                    expected.append(rec)
-            assert fired == expected
-        assert qa_b.audits == qa_l.audits
-        assert tuple(qa_b._sq_errors) == tuple(qa_l._sq_errors)
-        assert qa_b._sq_sum == qa_l._sq_sum
-        assert qa_b._step == qa_l._step
-        assert qa_b._retraining_due == qa_l._retraining_due
-        assert qa_b.audits_total == qa_l.audits_total
-        assert qa_b.breaches_total == qa_l.breaches_total
-        assert calls_b == calls_l
-        assert qa_b.state_dict() == qa_l.state_dict()
-        assert qa_b.rolling_mse == qa_l.rolling_mse
