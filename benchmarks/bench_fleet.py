@@ -402,8 +402,9 @@ def test_flight_recorder_overhead_gate(capsys):
     """CI gate: the flight recorder must cost <= 3% on the serve loop.
 
     The recorder's pitch is "cheap enough to leave on in production":
-    every completed span costs one ring append plus three P2 digest
-    updates on top of the aggregates live telemetry already pays. This
+    every completed span costs one ring append on top of the aggregates
+    live telemetry already pays (tail quantiles are computed from the
+    ring only when asked for). This
     gate holds a flight-enabled fleet against the telemetry-off
     baseline at 500 streams — the full price of always-on observability,
     not just the recorder increment.

@@ -49,7 +49,8 @@ def main() -> None:
     print(f"mean |error| before the shift:          {pre.mean():7.2f}")
     print(f"mean |error| during the shift window:   {post_shift.mean():7.2f}")
     print(f"mean |error| after QA-ordered retrains: {recovered.mean():7.2f}")
-    print(f"\nQA audits run: {len(qa.audits)}, breaches: {len(breaches)}")
+    print(f"\nQA audits run: {qa.audits_total}, breaches: {qa.breaches_total}")
+    assert qa.breaches_total == len(breaches)
     for audit in breaches[:5]:
         print(
             f"  breach at step {audit.step}: window MSE "

@@ -86,9 +86,8 @@ def main() -> None:
           f"mean waste {naive_waste:.2f} CPU-s/min")
 
     audited = db.audit_mse(key)
-    breaches = sum(1 for a in qa.audits if a.breached)
     print(f"\nprediction-DB audit MSE: {audited:.3f} "
-          f"({len(qa.audits)} QA audits, {breaches} breaches)")
+          f"({qa.audits_total} QA audits, {qa.breaches_total} breaches)")
 
 
 if __name__ == "__main__":

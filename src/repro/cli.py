@@ -19,6 +19,7 @@ All artifact commands accept ``--seed`` and ``--folds``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro._version import __version__
@@ -142,8 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
     obs.add_argument("--events", type=int, default=12,
                      help="recent events to print in summary (default 12)")
     obs.add_argument("--quantiles", action="store_true",
-                     help="print the streaming p50/p95/p99 phase-latency "
-                          "table after the summary")
+                     help="record every span occurrence in flight and "
+                          "print exact p50/p95/p99 phase latencies over "
+                          "the flight ring after the summary")
     obs.add_argument("--trace-out", metavar="PATH", default=None,
                      help="record every span occurrence in flight and "
                           "write a Chrome trace-event JSON (Perfetto/"
@@ -166,7 +168,23 @@ def _evaluation(args):
 def main(argv=None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        # Flush here, so a reader that closed early fails inside the try.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``repro obs | head``). Point stdout at
+        # /dev/null so the flush at interpreter exit cannot raise again,
+        # and fail as Python does on EPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
+
+def _run(args) -> int:
+    """Run the parsed command; returns a process exit code."""
     if args.command == "headline":
         from repro.experiments.headline import headline_stats, render_headline
 
@@ -439,9 +457,9 @@ def _run_obs(args) -> int:
     n, ticks = args.streams, args.ticks
     feeds = _build_fleet_feeds(n, ticks, _seed(args))
     config = _fleet_demo_config(ticks, retrain_mode=args.retrain_mode)
-    from repro.obs import Telemetry
+    from repro.obs import Telemetry, render_span_quantiles
 
-    tel = Telemetry(flight=bool(args.trace_out))
+    tel = Telemetry(flight=bool(args.trace_out or args.quantiles))
     fleet = PredictionFleet(config, streams=feeds, telemetry=tel)
     elapsed = _serve_fleet(fleet, feeds, ticks)
     metrics = fleet.metrics()
@@ -463,14 +481,14 @@ def _run_obs(args) -> int:
         print(tel.tracer.render())
         if args.quantiles:
             print()
-            print(tel.tracer.render_quantiles())
+            print(render_span_quantiles(tel.flight))
         _print_event_tail(tel.events, args.events)
         print(
             f"served {n} streams x {ticks} ticks in {elapsed:.2f}s "
             f"with full telemetry"
         )
     if args.quantiles and args.format != "summary":
-        print(tel.tracer.render_quantiles())
+        print(render_span_quantiles(tel.flight))
     if args.trace_out:
         from repro.obs import write_chrome_trace
 

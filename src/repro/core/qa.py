@@ -78,7 +78,7 @@ class PredictionQualityAssuror:
         on_breach: Callable[[AuditRecord], None] | None = None,
     ):
         threshold = float(threshold)
-        if threshold <= 0.0:
+        if not threshold > 0.0:  # also rejects NaN, which never breaches
             raise ConfigurationError(f"threshold must be positive, got {threshold}")
         self.threshold = threshold
         self.audit_window = check_positive_int(audit_window, name="audit_window")
@@ -94,10 +94,10 @@ class PredictionQualityAssuror:
         self._sq_sum = 0.0
         self._step = 0
         self._retraining_due = False
-        self.audits: list[AuditRecord] = []
-        # Lifetime counters, maintained alongside the audit list so
-        # metrics consumers (and persistence) never have to rescan it.
-        self.audits_total = 0
+        #: Breaching audits over the QA's lifetime. Audits themselves are
+        #: not kept: :meth:`record` returns each one and ``on_breach``
+        #: receives each breaching one, so a caller that wants a log
+        #: keeps its own.
         self.breaches_total = 0
         #: Bumped by every mutating method (:meth:`record`,
         #: :meth:`acknowledge_retraining`, :meth:`load_state_dict`).
@@ -112,6 +112,15 @@ class PredictionQualityAssuror:
     def step(self) -> int:
         """Total (prediction, observation) pairs recorded so far."""
         return self._step
+
+    @property
+    def audits_total(self) -> int:
+        """Audits run over the QA's lifetime.
+
+        An audit runs exactly when the step reaches a multiple of
+        ``audit_interval``, so the count follows from the step counter.
+        """
+        return self._step // self.audit_interval
 
     @property
     def retraining_due(self) -> bool:
@@ -167,13 +176,13 @@ class PredictionQualityAssuror:
         """JSON-serializable snapshot of the mutable audit state.
 
         Captures everything :meth:`load_state_dict` needs to resume the
-        audit schedule exactly: the error window, the step counter, the
-        breach latch, the completed audits, and the lifetime
-        audit/breach counters (the quantities
+        audit schedule exactly: the error window, the step counter (which
+        also gives :attr:`audits_total`), the breach latch and the
+        lifetime breach counter (with the audit count, what
         :class:`~repro.serving.fleet.StreamMetrics` reports, so a fleet
-        restored from disk shows the same metrics it saved).
-        Configuration (threshold/windows) travels with the constructor,
-        not the state.
+        restored from disk shows the same metrics it saved). Its size
+        does not grow with the number of audits run. Configuration
+        (threshold/windows) travels with the constructor, not the state.
         """
         return {
             "sq_errors": [float(e) for e in self._sq_errors],
@@ -184,60 +193,41 @@ class PredictionQualityAssuror:
             "sq_sum": self._sq_sum,
             "step": self._step,
             "retraining_due": self._retraining_due,
-            "audits_total": self.audits_total,
             "breaches_total": self.breaches_total,
-            "audits": [
-                {
-                    "step": a.step,
-                    "window_mse": a.window_mse,
-                    "breached": a.breached,
-                }
-                for a in self.audits
-            ],
         }
 
     def load_state_dict(self, state: dict) -> "PredictionQualityAssuror":
-        """Restore the state captured by :meth:`state_dict`."""
+        """Restore the state captured by :meth:`state_dict`.
+
+        States written before 6.0 also carry an ``audits`` list and an
+        ``audits_total`` counter; both are ignored (the audit count
+        follows from ``step``), except that a state without
+        ``breaches_total`` counts it from the list's breached entries.
+        """
         try:
             sq_errors = [float(e) for e in state["sq_errors"]]
             step = int(state["step"])
             due = bool(state["retraining_due"])
-            audits = [
-                AuditRecord(
-                    step=int(a["step"]),
-                    window_mse=float(a["window_mse"]),
-                    breached=bool(a["breached"]),
+            if "breaches_total" in state:
+                breaches_total = int(state["breaches_total"])
+            else:
+                # Written before the counters existed: those states
+                # kept every audit.
+                breaches_total = sum(
+                    1 for a in state.get("audits", []) if bool(a["breached"])
                 )
-                for a in state.get("audits", [])
-            ]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed QA state: {exc}") from exc
-        if step < 0:
-            raise ConfigurationError(f"QA step must be >= 0, got {step}")
-        try:
-            # States written before the counters existed backfill them
-            # from the audit list, which those states kept in full.
-            audits_total = int(state.get("audits_total", len(audits)))
-            breaches_total = int(
-                state.get(
-                    "breaches_total", sum(1 for a in audits if a.breached)
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed QA state: {exc}") from exc
-        try:
             # States written before the running sum existed backfill it
             # by summing the saved window in record order — the best
             # reconstruction available without the eviction history.
             sq_sum = float(state.get("sq_sum", sum(sq_errors, 0.0)))
-        except (TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed QA state: {exc}") from exc
+        if step < 0:
+            raise ConfigurationError(f"QA step must be >= 0, got {step}")
         self._sq_errors = deque(sq_errors, maxlen=self.audit_window)
         self._sq_sum = sq_sum
         self._step = step
         self._retraining_due = due
-        self.audits = audits
-        self.audits_total = audits_total
         self.breaches_total = breaches_total
         self.version += 1
         return self
@@ -248,8 +238,6 @@ class PredictionQualityAssuror:
         window_mse = float(np.mean(self._sq_errors)) if self._sq_errors else 0.0
         breached = window_mse > self.threshold
         record = AuditRecord(step=self._step, window_mse=window_mse, breached=breached)
-        self.audits.append(record)
-        self.audits_total += 1
         if breached:
             self.breaches_total += 1
             self._retraining_due = True

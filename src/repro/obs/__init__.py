@@ -11,10 +11,10 @@ budget deferred. Three legs, bundled by :class:`Telemetry`:
   their per-stream fallbacks (:mod:`repro.obs.tracing`);
 * a bounded structured event log (:mod:`repro.obs.events`);
 * an optional flight recorder — a bounded ring of per-occurrence span
-  records with streaming p50/p95/p99 digests, an anomaly trigger that
-  dumps the ring on QA-breach storms / latency spikes / broken worker
-  pools, and a Chrome trace-event exporter (:mod:`repro.obs.flight`,
-  :mod:`repro.obs.quantiles`);
+  records with exact p50/p95/p99 per span name over the ring, an
+  anomaly trigger that dumps the ring on QA-breach storms / latency
+  spikes / broken worker pools, and a Chrome trace-event exporter
+  (:mod:`repro.obs.flight`);
 
 plus exporters (:mod:`repro.obs.exporters`): Prometheus text exposition
 and JSON snapshots.
@@ -31,9 +31,10 @@ from repro.obs.flight import (
     FlightRecorder,
     SpanRecord,
     chrome_trace,
+    render_span_quantiles,
+    span_quantiles,
     write_chrome_trace,
 )
-from repro.obs.quantiles import DEFAULT_QUANTILES, P2Quantile, PhaseQuantiles
 from repro.obs.exporters import (
     PrometheusEndpoint,
     json_snapshot,
@@ -70,9 +71,8 @@ __all__ = [
     "AnomalyTrigger",
     "chrome_trace",
     "write_chrome_trace",
-    "P2Quantile",
-    "PhaseQuantiles",
-    "DEFAULT_QUANTILES",
+    "span_quantiles",
+    "render_span_quantiles",
     "Span",
     "PhaseStats",
     "Tracer",

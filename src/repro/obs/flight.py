@@ -8,8 +8,11 @@ monotonic start, duration, batch size and fleet tick — cheap enough to
 leave on in production and bounded so a fleet serving millions of ticks
 holds only the recent past.
 
-Three consumers:
+Four consumers:
 
+* :func:`span_quantiles` / :func:`render_span_quantiles` — exact
+  p50/p95/p99 per span name over the retained records
+  (``repro obs --quantiles``);
 * :func:`chrome_trace` / :func:`write_chrome_trace` — render the ring
   (plus the structured event log) as a Chrome trace-event JSON document
   that loads in ``chrome://tracing`` and Perfetto, every span on the
@@ -34,12 +37,16 @@ from pathlib import Path
 from time import perf_counter, time
 from typing import NamedTuple
 
+import numpy as np
+
 from repro.exceptions import ConfigurationError
 
 __all__ = [
     "SpanRecord",
     "FlightRecorder",
     "AnomalyTrigger",
+    "span_quantiles",
+    "render_span_quantiles",
     "chrome_trace",
     "write_chrome_trace",
 ]
@@ -159,6 +166,49 @@ class FlightRecorder:
         )
 
 
+# -- tail latency over the ring ---------------------------------------------
+
+
+def span_quantiles(flight: FlightRecorder) -> dict[str, dict]:
+    """Per span name, the ``count`` of retained records and the
+    ``p50`` / ``p95`` / ``p99`` of their durations in seconds.
+
+    Exact (``np.percentile``, linear interpolation) over the records the
+    ring still holds: a run longer than the ring reports its most recent
+    ``capacity`` spans, not the whole run.
+    """
+    durations: dict[str, list[float]] = {}
+    for rec in flight.records():
+        durations.setdefault(rec.name, []).append(rec.duration)
+    out = {}
+    for name, values in durations.items():
+        p50, p95, p99 = np.percentile(values, (50, 95, 99)).tolist()
+        out[name] = {"count": len(values), "p50": p50, "p95": p95, "p99": p99}
+    return out
+
+
+def render_span_quantiles(flight: FlightRecorder) -> str:
+    """Fixed-width :func:`span_quantiles` table in milliseconds, the
+    highest p99 first."""
+    from repro.experiments.report import format_table
+
+    rows = [
+        [name, q["count"], 1e3 * q["p50"], 1e3 * q["p95"], 1e3 * q["p99"]]
+        for name, q in sorted(
+            span_quantiles(flight).items(), key=lambda item: -item[1]["p99"]
+        )
+    ]
+    return format_table(
+        ["phase", "obs", "p50 ms", "p95 ms", "p99 ms"],
+        rows,
+        precision=3,
+        title=(
+            f"Phase latency quantiles (last {len(flight)} of "
+            f"{flight.total_recorded} spans)"
+        ),
+    )
+
+
 # -- Chrome trace-event export ----------------------------------------------
 
 
@@ -267,9 +317,10 @@ class AnomalyTrigger:
 
     Each trip writes ``flight-NNN-<reason>/`` under *directory* holding
     ``dump.json`` (reason + detail, flight ring, event log, metrics,
-    span aggregates, quantile digests) and ``trace.json`` (the Chrome
-    trace). Re-trips within ``cooldown_ticks`` fleet ticks are counted
-    but not dumped, so one bad stretch can't fill the disk.
+    span aggregates, :func:`span_quantiles` of the ring) and
+    ``trace.json`` (the Chrome trace). Re-trips within
+    ``cooldown_ticks`` fleet ticks are counted but not dumped, so one
+    bad stretch can't fill the disk.
     """
 
     def __init__(
@@ -366,8 +417,6 @@ class AnomalyTrigger:
         dump_dir = self.directory / f"flight-{self._seq:03d}-{reason}"
         dump_dir.mkdir(parents=True, exist_ok=True)
         detail = {k: v for k, v in detail.items() if v is not None}
-        tracer = self._tel.tracer
-        quantiles = getattr(tracer, "quantiles_snapshot", lambda: {})()
         doc = {
             "reason": reason,
             "detail": detail,
@@ -376,8 +425,8 @@ class AnomalyTrigger:
             "flight": self._flight.snapshot(),
             "events": self._tel.events.snapshot(),
             "metrics": self._tel.registry.snapshot(),
-            "spans": tracer.snapshot(),
-            "quantiles": quantiles,
+            "spans": self._tel.tracer.snapshot(),
+            "quantiles": span_quantiles(self._flight),
         }
         if self._extra:
             doc["extra"] = self._extra

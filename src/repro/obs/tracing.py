@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from time import perf_counter
 
-from repro.obs.quantiles import PhaseQuantiles
 from repro.obs.registry import (
     TRAIN_TIME_BUCKETS,
     MetricsRegistry,
@@ -100,12 +99,12 @@ class Tracer:
     """Per-phase span aggregation bound to one registry.
 
     Beyond the sum/count :class:`PhaseStats` and the registry mirror,
-    every observation feeds a streaming p50/p95/p99 digest
-    (:class:`~repro.obs.quantiles.PhaseQuantiles`) and, when a flight
-    recorder is attached, lands as a per-occurrence
-    :class:`~repro.obs.flight.SpanRecord` in its ring. ``train.*``
-    spans use :data:`~repro.obs.registry.TRAIN_TIME_BUCKETS` inside the
-    shared ``repro_span_seconds`` family; everything else keeps the
+    every observation lands, when a flight recorder is attached, as a
+    per-occurrence :class:`~repro.obs.flight.SpanRecord` in its ring,
+    which :func:`~repro.obs.flight.span_quantiles` reads for tail
+    latency. ``train.*`` spans use
+    :data:`~repro.obs.registry.TRAIN_TIME_BUCKETS` inside the shared
+    ``repro_span_seconds`` family; everything else keeps the
     tick-scale default edges.
     """
 
@@ -113,10 +112,8 @@ class Tracer:
         self._registry = registry
         self._flight = flight
         self._phases: dict[str, PhaseStats] = {}
-        self._quantiles: dict[str, PhaseQuantiles] = {}
-        # (stats, quantiles, histogram, counter) cached per name — the
-        # registry lookup (sort + dict hops) and even separate
-        # stats/quantile dict reads are measurable at tick rate.
+        # (stats, histogram, counter) cached per name — the registry
+        # lookup (sort + dict hops) is measurable at tick rate.
         self._cache: dict[str, tuple] = {}
 
     def attach_flight(self, flight) -> None:
@@ -132,9 +129,8 @@ class Tracer:
         return Span(self, name, batch)
 
     def _entry(self, name: str) -> tuple:
-        """Build (and cache) one (stats, quantiles, hist, counter) row."""
+        """Build (and cache) one (stats, hist, counter) row."""
         stats = self._phases[name] = PhaseStats()
-        quantiles = self._quantiles[name] = PhaseQuantiles()
         buckets = TRAIN_TIME_BUCKETS if name.startswith("train.") else None
         hist = self._registry.histogram(
             "repro_span_seconds",
@@ -147,7 +143,7 @@ class Tracer:
             "Items covered by tracing spans.",
             span=name,
         )
-        entry = (stats, quantiles, hist, counter)
+        entry = (stats, hist, counter)
         self._cache[name] = entry
         return entry
 
@@ -170,9 +166,8 @@ class Tracer:
         entry = self._cache.get(name)
         if entry is None:
             entry = self._entry(name)
-        stats, quantiles, hist, counter = entry
+        stats, hist, counter = entry
         stats.add(seconds, batch)
-        quantiles.observe(seconds)
         hist.observe(seconds)
         if batch is not None:
             counter.inc(batch)
@@ -185,24 +180,9 @@ class Tracer:
         """Live per-phase aggregates (insertion-ordered by first use)."""
         return dict(self._phases)
 
-    def quantiles(self) -> dict[str, PhaseQuantiles]:
-        """Live per-phase streaming digests (same keys as :meth:`stats`)."""
-        return dict(self._quantiles)
-
     def snapshot(self) -> dict:
         """JSON-safe per-phase aggregates."""
         return {name: s.as_dict() for name, s in self._phases.items()}
-
-    def quantiles_snapshot(self) -> dict:
-        """JSON-safe per-phase quantile estimates.
-
-        Kept separate from :meth:`snapshot` so existing consumers of
-        the span-aggregate document shape are unaffected.
-        """
-        return {
-            name: {"count": q.count, **q.estimates()}
-            for name, q in self._quantiles.items()
-        }
 
     def render(self) -> str:
         """Fixed-width phase table (sorted by total time, descending)."""
@@ -227,32 +207,6 @@ class Tracer:
             rows,
             precision=3,
             title="Phase spans",
-        )
-
-    def render_quantiles(self) -> str:
-        """Fixed-width tail-latency table (p50/p95/p99 ms per phase)."""
-        from repro.experiments.report import format_table
-
-        rows = []
-        for name, q in sorted(
-            self._quantiles.items(),
-            key=lambda item: -self._phases[item[0]].total_seconds,
-        ):
-            est = q.estimates()
-            rows.append(
-                [
-                    name,
-                    q.count,
-                    1e3 * est.get("p50", 0.0),
-                    1e3 * est.get("p95", 0.0),
-                    1e3 * est.get("p99", 0.0),
-                ]
-            )
-        return format_table(
-            ["phase", "obs", "p50 ms", "p95 ms", "p99 ms"],
-            rows,
-            precision=3,
-            title="Phase latency quantiles",
         )
 
 
@@ -296,20 +250,11 @@ class NullTracer:
     def stats(self) -> dict:
         return {}
 
-    def quantiles(self) -> dict:
-        return {}
-
     def snapshot(self) -> dict:
-        return {}
-
-    def quantiles_snapshot(self) -> dict:
         return {}
 
     def render(self) -> str:
         return "Phase spans\n(telemetry disabled)"
-
-    def render_quantiles(self) -> str:
-        return "Phase latency quantiles\n(telemetry disabled)"
 
 
 #: Shared inert tracer (what disabled telemetry exposes).

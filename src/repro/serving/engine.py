@@ -51,9 +51,12 @@ While a stream is attached, the engine is the only per-tick writer of
 its state. A tick advances the stacked arrays only: the tail and
 memory rings, the label-smoothing ring, the QA ring with its running
 sum, step and breach latch, the history ring, per-member selection
-counts and the pending forecast. Audits are the exception: an audit
-tick appends its records to the audited streams' QAs right away, as
-``record()`` would. The stream's
+counts and the pending forecast. Breaches are the exception: an audit
+tick bumps a breached stream's ``breaches_total`` and hands its
+``AuditRecord`` to telemetry and ``on_breach`` right away, as
+``record()`` would. An audit that did not breach costs no Python work:
+a QA keeps no audit log, and its ``audits_total`` follows from the
+step the next check-out writes back. The stream's
 per-stream objects — its ``OnlineLARPredictor``, ``KNNClassifier``
 and ``PredictionQualityAssuror`` and the fleet's ``_StreamState``
 counters — are brought up to date only when something reads them:
@@ -89,7 +92,7 @@ One tick, one Python pass
 flagged fresh until the row is ingested or reloaded, so
 :meth:`BatchedTickEngine.ingest_batch` audits from those arrays and
 recomputes only rows that are not fresh. The ingest touches per-stream
-objects only for audited rows (their audit records) and rows whose QA
+objects only for breached rows (their audit records) and rows whose QA
 latch is set (retrain scheduling).
 
 Bit-exactness contract
@@ -97,12 +100,12 @@ Bit-exactness contract
 The engine is an execution strategy, not a model change: for every
 stream it must produce bit-identical results to the per-stream loop —
 same forecasts, same selected labels, same learned memory, same QA
-audit history and telemetry counters. Every kernel above was chosen for
-that property (elementwise broadcasts, row-wise reductions, stacked
-``matmul`` whose slices hit the same BLAS calls, grouped trailing-slice
-row-sums that reproduce ``np.mean``'s summation order, a QA running sum
-that replays ``record()``'s subtract-then-add order, and a shared
-lexicographic top-k rule for distance ties); the parity suites in
+state, breach records and telemetry counters. Every kernel above was
+chosen for that property (elementwise broadcasts, row-wise reductions,
+stacked ``matmul`` whose slices hit the same BLAS calls, grouped
+trailing-slice row-sums that reproduce ``np.mean``'s summation order, a
+QA running sum that replays ``record()``'s subtract-then-add order, and
+a shared lexicographic top-k rule for distance ties); the parity suites in
 ``tests/test_serving_engine.py`` and
 ``tests/test_serving_qa_stacked.py`` lock it in.
 
@@ -913,9 +916,9 @@ class BatchedTickEngine:
         :meth:`PredictionFleet.ingest` exactly: once checked out, every
         per-stream state object (QA, selections, predictor history,
         classifier memory) is in the identical state. Besides the
-        engine's arrays, the tick writes only the audited QAs' records;
-        ``on_breach`` callbacks run after the arrays are final, on their
-        checked-out stream.
+        engine's arrays, the tick writes only the breached QAs'
+        ``breaches_total``; ``on_breach`` callbacks run after the arrays
+        are final, on their checked-out stream.
         """
         if not self._rows:
             return {}
@@ -1156,30 +1159,29 @@ class BatchedTickEngine:
         return rest
 
     def _record_audits(self, entries, audited, mses, breached, steps) -> None:
-        """Append this tick's audits to the audited streams' QAs.
+        """Record this tick's breaches on the breached streams' QAs.
 
-        The same records and lifetime counters ``qa.record`` would have
-        left; the error window, step and breach latch follow at the
-        stream's next check-out. A breached stream with an
-        ``on_breach`` callback is checked out first, so the callback
+        Each breached QA gets the ``breaches_total`` bump and the
+        ``AuditRecord`` ``qa.record`` would have given it; the audits
+        that did not breach need nothing, since ``audits_total`` follows
+        from the step, which, with the error window and breach latch,
+        follows at the stream's next check-out. A breached stream with
+        an ``on_breach`` callback is checked out first, so the callback
         sees the QA the loop would show it. Breaches go to the fleet's
         telemetry, aggregated.
         """
         breaches: list[tuple[str, AuditRecord]] = []
-        for i, mse, breach, step in zip(
-            audited.tolist(), mses.tolist(), breached.tolist(),
-            steps[audited].tolist(),
+        hit = audited[breached]
+        for i, mse, step in zip(
+            hit.tolist(), mses[breached].tolist(), steps[hit].tolist()
         ):
             entry = entries[i]
             qa = entry.qa
-            record = AuditRecord(step=step, window_mse=mse, breached=breach)
-            qa.audits.append(record)
-            qa.audits_total += 1
-            if breach:
-                qa.breaches_total += 1
-                breaches.append((entry.name, record))
-                if qa.on_breach is not None:
-                    self.checkout(entry)
-                    qa.on_breach(record)
+            record = AuditRecord(step=step, window_mse=mse, breached=True)
+            qa.breaches_total += 1
+            breaches.append((entry.name, record))
+            if qa.on_breach is not None:
+                self.checkout(entry)
+                qa.on_breach(record)
         if self._fleet._tel is not None:
             self._fleet._note_audits_batch(len(mses), breaches)

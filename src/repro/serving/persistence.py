@@ -109,8 +109,10 @@ def _fleet_config_from_meta(meta: dict):
             # "parallel" block (before 2.0), "label_cache" and
             # "max_inflight_retrains" (before 3.0), and before 4.0
             # "min_relabel_overlap" plus per-stream "params_window" and
-            # "label_cache" entries. All of them are ignored; a fleet
-            # that relabelled before 4.0 refits cold from now on.
+            # "label_cache" entries, and before 6.0 every stream's "qa"
+            # entry carries an "audits" list and an "audits_total"
+            # counter. All of them are ignored; a fleet that relabelled
+            # before 4.0 refits cold from now on.
         )
     except (KeyError, TypeError) as exc:
         raise DataError(f"malformed fleet config in manifest: {exc}") from exc

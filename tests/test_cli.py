@@ -197,6 +197,33 @@ class TestObsCommand:
     def test_rejects_bad_sizes(self, capsys):
         assert main(["obs", "--streams", "0"]) == 2
 
+    def test_closed_stdout_exits_quietly(self):
+        """A reader that closes stdout early (``repro obs | head``) ends
+        the command with exit code 1 and no traceback."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "obs",
+                 "--streams", "4", "--ticks", "140"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": src},
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert b"Traceback" not in proc.stderr
+        assert b"BrokenPipeError" not in proc.stderr
+        assert proc.returncode == 1
+
     def test_quantiles_table(self, capsys):
         assert main([
             "obs", "--streams", "4", "--ticks", "140", "--quantiles",

@@ -9,8 +9,10 @@ from repro.exceptions import ConfigurationError
 
 class TestConstruction:
     def test_invalid_threshold(self):
-        with pytest.raises(ConfigurationError):
-            PredictionQualityAssuror(threshold=0.0)
+        # NaN compares false with every window MSE, so it would never breach.
+        for threshold in (0.0, float("nan")):
+            with pytest.raises(ConfigurationError):
+                PredictionQualityAssuror(threshold=threshold)
 
     def test_invalid_windows(self):
         with pytest.raises(ConfigurationError):
@@ -72,10 +74,16 @@ class TestAuditing:
             qa.record(float("nan"), 1.0)
 
     def test_audit_history_kept(self):
-        qa = PredictionQualityAssuror(threshold=1.0, audit_interval=1)
-        for _ in range(5):
-            qa.record(0.0, 0.0)
-        assert len(qa.audits) == 5
+        """The QA keeps its audit history as counts: ``audits_total``
+        counts the audits ``record()`` returned."""
+        qa = PredictionQualityAssuror(
+            threshold=1.0, audit_interval=3, audit_window=3
+        )
+        errors = [0.0, 0.0, 0.0, 2.0, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        audits = [qa.record(err, 0.0) for err in errors]
+        audits = [a for a in audits if a is not None]
+        assert qa.audits_total == len(audits) == 3
+        assert qa.breaches_total == sum(a.breached for a in audits) == 1
 
 
 class TestRollingMse:
@@ -115,13 +123,16 @@ class TestRollingMse:
 
 
 class TestStateDict:
-    def drive(self):
+    def drive(self, audits=None):
+        """19 records; the audits they return go to *audits* if given."""
         qa = PredictionQualityAssuror(
             threshold=0.5, audit_window=8, audit_interval=4
         )
         rng = np.random.default_rng(3)
         for _ in range(19):
-            qa.record(float(rng.normal()), 0.0)
+            audit = qa.record(float(rng.normal()), 0.0)
+            if audit is not None and audits is not None:
+                audits.append(audit)
         return qa
 
     def test_roundtrip_resumes_audit_schedule(self):
@@ -132,7 +143,6 @@ class TestStateDict:
         assert clone.step == qa.step
         assert clone.retraining_due == qa.retraining_due
         assert clone.rolling_mse == qa.rolling_mse
-        assert clone.audits == qa.audits
         # The next record must behave identically in both instances.
         audit_a = qa.record(0.3, 0.0)
         audit_b = clone.record(0.3, 0.0)
@@ -157,9 +167,10 @@ class TestStateDict:
             )
 
     def test_lifetime_counters_round_trip(self):
-        qa = self.drive()
-        assert qa.audits_total == len(qa.audits)
-        assert qa.breaches_total == sum(1 for a in qa.audits if a.breached)
+        audits = []
+        qa = self.drive(audits)
+        assert qa.audits_total == len(audits)
+        assert qa.breaches_total == sum(1 for a in audits if a.breached)
         assert qa.breaches_total > 0
         clone = PredictionQualityAssuror(
             threshold=0.5, audit_window=8, audit_interval=4
@@ -168,21 +179,35 @@ class TestStateDict:
         assert clone.breaches_total == qa.breaches_total
 
     def test_legacy_state_backfills_counters(self):
-        """States written before the counters existed restore them from
-        the audit list those states kept in full."""
-        qa = self.drive()
-        state = qa.state_dict()
-        del state["audits_total"], state["breaches_total"]
-        clone = PredictionQualityAssuror(
-            threshold=0.5, audit_window=8, audit_interval=4
-        ).load_state_dict(state)
-        assert clone.audits_total == qa.audits_total
-        assert clone.breaches_total == qa.breaches_total
+        """States written before the counters existed kept every audit:
+        the breach count comes from that list, the audit count from the
+        step. A 5.x state's list and ``audits_total`` are ignored."""
+        pre_counter = {
+            "sq_errors": [0.25, 4.0],
+            "step": 9,
+            "retraining_due": True,
+            "audits": [
+                {"step": 4, "window_mse": 0.1, "breached": False},
+                {"step": 8, "window_mse": 2.1, "breached": True},
+            ],
+        }
+        v5 = {**pre_counter, "audits_total": 2, "breaches_total": 1}
+        for state in (pre_counter, v5):
+            clone = PredictionQualityAssuror(
+                threshold=0.5, audit_window=8, audit_interval=4
+            ).load_state_dict(state)
+            assert clone.audits_total == 2
+            assert clone.breaches_total == 1
+            assert clone.step == 9 and clone.retraining_due
+            assert set(clone.state_dict()) == {
+                "sq_errors", "sq_sum", "step", "retraining_due",
+                "breaches_total",
+            }
 
     def test_malformed_counters_rejected(self):
         qa = PredictionQualityAssuror()
         state = self.drive().state_dict()
-        state["audits_total"] = "many"
+        state["breaches_total"] = "many"
         with pytest.raises(ConfigurationError):
             qa.load_state_dict(state)
 

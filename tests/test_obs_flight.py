@@ -1,6 +1,6 @@
-"""Tests for the flight recorder leg (repro.obs.flight / quantiles).
+"""Tests for the flight recorder leg (repro.obs.flight).
 
-Covers the P² quantile digests, the bounded span ring, the Chrome
+Covers the bounded span ring and its tail-latency quantiles, the Chrome
 trace-event exporter, the anomaly trigger's three trip wires, and the
 fleet ``flight_dir`` wiring.
 """
@@ -15,11 +15,11 @@ from repro.exceptions import ConfigurationError
 from repro.obs import (
     AnomalyTrigger,
     FlightRecorder,
-    P2Quantile,
-    PhaseQuantiles,
     SpanRecord,
     Telemetry,
     chrome_trace,
+    render_span_quantiles,
+    span_quantiles,
     write_chrome_trace,
 )
 from repro.obs.events import EventLog
@@ -39,60 +39,6 @@ def small_config(**overrides):
     )
     defaults.update(overrides)
     return FleetConfig(**defaults)
-
-
-# -- P² quantile digests ------------------------------------------------------
-
-
-class TestP2Quantile:
-    def test_rejects_quantiles_outside_unit_interval(self):
-        for q in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(ConfigurationError):
-                P2Quantile(q)
-
-    def test_empty_digest_reads_zero(self):
-        assert P2Quantile(0.5).value() == 0.0
-
-    def test_small_samples_are_exact(self):
-        """With n <= 5 the digest interpolates the sorted sample."""
-        digest = P2Quantile(0.5)
-        for v in (3.0, 1.0, 2.0):
-            digest.observe(v)
-        assert digest.value() == 2.0
-        assert digest.count == 3
-        # Even-length median interpolates the middle pair.
-        digest.observe(10.0)
-        assert digest.value() == pytest.approx(2.5)
-
-    def test_tracks_sample_quantiles_of_gaussian(self):
-        rng = np.random.default_rng(7)
-        sample = rng.normal(0.0, 1.0, size=20000)
-        for q in (0.5, 0.95, 0.99):
-            digest = P2Quantile(q)
-            for v in sample:
-                digest.observe(v)
-            assert digest.value() == pytest.approx(
-                float(np.quantile(sample, q)), abs=0.08
-            )
-
-    def test_tracks_heavy_tailed_sample(self):
-        rng = np.random.default_rng(11)
-        sample = rng.lognormal(mean=-3.0, sigma=1.0, size=10000)
-        digest = P2Quantile(0.95)
-        for v in sample:
-            digest.observe(v)
-        true = float(np.quantile(sample, 0.95))
-        assert digest.value() == pytest.approx(true, rel=0.15)
-
-    def test_phase_bundle_estimates_are_ordered(self):
-        rng = np.random.default_rng(3)
-        bundle = PhaseQuantiles()
-        for v in rng.exponential(0.01, size=2000):
-            bundle.observe(v)
-        est = bundle.estimates()
-        assert set(est) == {"p50", "p95", "p99"}
-        assert est["p50"] <= est["p95"] <= est["p99"]
-        assert bundle.count == 2000
 
 
 # -- flight recorder ring -----------------------------------------------------
@@ -152,6 +98,24 @@ class TestFlightRecorder:
         flight.clear()
         assert len(flight) == 0
         assert flight.total_recorded == 1
+
+    def test_quantiles_are_exact_over_the_retained_ring(self):
+        flight = FlightRecorder(capacity=300)
+        rng = np.random.default_rng(5)
+        for i, duration in enumerate(rng.exponential(0.01, size=500)):
+            flight.record("tick.knn_query" if i % 5 else "tick.audit",
+                          float(i), float(duration))
+        quantiles = span_quantiles(flight)
+        assert set(quantiles) == {"tick.knn_query", "tick.audit"}
+        for name, q in quantiles.items():
+            durations = [r.duration for r in flight.records(name=name)]
+            p50, p95, p99 = np.percentile(durations, (50, 95, 99))
+            assert q == {
+                "count": len(durations), "p50": p50, "p95": p95, "p99": p99,
+            }
+        assert sum(q["count"] for q in quantiles.values()) == 300
+        table = render_span_quantiles(flight)
+        assert "last 300 of 500 spans" in table and "tick.audit" in table
 
 
 # -- Chrome trace export ------------------------------------------------------

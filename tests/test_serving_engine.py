@@ -40,7 +40,9 @@ def _assert_same_state(batched, loop):
     assert batched.metrics() == loop.metrics()
     for name in batched.stream_names:
         sa, sb = batched._streams[name], loop._streams[name]
-        assert sa.qa.audits == sb.qa.audits, name
+        assert (sa.qa.audits_total, sa.qa.breaches_total) == (
+            sb.qa.audits_total, sb.qa.breaches_total
+        ), name
         assert tuple(sa.qa._sq_errors) == tuple(sb.qa._sq_errors), name
         assert sa.qa._sq_sum == sb.qa._sq_sum, name
         assert sa.qa.state_dict() == sb.qa.state_dict(), name

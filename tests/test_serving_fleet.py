@@ -422,6 +422,46 @@ class TestPersistence:
         total = fleet.metrics().total_retrains
         assert restored.metrics().total_retrains == total > saved
 
+    def test_manifest_does_not_grow_with_ticks_served(
+        self, warm_fleet, tmp_path
+    ):
+        """A save after hundreds more ticks, and the audits they ran,
+        writes a manifest no larger than the first. Sizes are compared
+        with every number written as 0: shortest float reprs and counter
+        digits change by a few bytes from save to save, while anything
+        that accumulates adds keys or list entries."""
+        import json
+
+        def masked_size(doc):
+            def mask(v):
+                if isinstance(v, dict):
+                    return {k: mask(x) for k, x in v.items()}
+                if isinstance(v, list):
+                    return [mask(x) for x in v]
+                if isinstance(v, (int, float)) and not isinstance(v, bool):
+                    return 0
+                return v
+
+            return len(json.dumps(mask(doc)))
+
+        fleet, feeds = warm_fleet
+        feed(fleet, feeds, 60, 120)
+        # Every stream has picked every member: no selections key is
+        # still to come.
+        assert all(len(m.selections) == 3 for m in fleet.metrics().streams)
+        audits = fleet.metrics().streams[0].audits
+        fleet.save(tmp_path / "first")
+        feed(fleet, feeds, 120, 400)
+        assert fleet.metrics().streams[0].audits >= audits + 30
+        fleet.save(tmp_path / "second")
+        first, second = (
+            json.loads((tmp_path / d / "fleet.json").read_text())
+            for d in ("first", "second")
+        )
+        for a, b in zip(first["streams"], second["streams"], strict=True):
+            assert a["qa"].keys() == b["qa"].keys(), a["name"]
+        assert masked_size(second) <= masked_size(first)
+
     def test_manifest_with_parallel_block_still_loads(
         self, warm_fleet, tmp_path
     ):

@@ -148,9 +148,10 @@ class TestPersistenceRoundtrip:
 class TestQAStateLegacyBackfill:
     def test_counterless_qa_state_resumes_identically(self):
         """Manifests written before the QA kept lifetime counters carry
-        only the audit list; loading must backfill ``audits_total`` /
-        ``breaches_total`` from it and then behave indistinguishably —
-        including through the storm's next retrains."""
+        only the audit list; loading must backfill ``breaches_total``
+        from it (``audits_total`` follows from the step) and then behave
+        indistinguishably — including through the storm's next
+        retrains."""
         names = ["u", "v"]
         n = 200
         feeds = {}
@@ -161,16 +162,35 @@ class TestQAStateLegacyBackfill:
                     series[storm + 10 * j :] += 15.0
             feeds[name] = series
         fleet = PredictionFleet(_config(), streams=names)
+        # step -> window MSE of every breach, to write the legacy lists.
+        breaches = {name: {} for name in names}
+        for name in names:
+            fleet._streams[name].qa.on_breach = (
+                lambda rec, seen=breaches[name]: seen.__setitem__(
+                    rec.step, rec.window_mse
+                )
+            )
         for t in range(150):
             fleet.forecast_all()
             fleet.ingest({name: feeds[name][t] for name in names})
+        interval = _config().audit_interval
         with tempfile.TemporaryDirectory() as directory:
             fleet.save(directory)
             manifest_path = Path(directory) / "fleet.json"
             manifest = json.loads(manifest_path.read_text())
             for entry in manifest["streams"]:
-                del entry["qa"]["audits_total"]
-                del entry["qa"]["breaches_total"]
+                # Rewrite the QA state as a pre-counter writer did: no
+                # counters, every audit in a list.
+                qa, seen = entry["qa"], breaches[entry["name"]]
+                del qa["breaches_total"]
+                qa["audits"] = [
+                    {
+                        "step": step,
+                        "window_mse": seen.get(step, 0.0),
+                        "breached": step in seen,
+                    }
+                    for step in range(interval, qa["step"] + 1, interval)
+                ]
             manifest_path.write_text(json.dumps(manifest))
             restored = PredictionFleet.load(directory)
         by_name = {m.name: m for m in fleet.metrics().streams}
@@ -178,6 +198,7 @@ class TestQAStateLegacyBackfill:
             assert m.audits == by_name[m.name].audits
             assert m.breaches == by_name[m.name].breaches
         assert sum(m.audits for m in by_name.values()) > 0
+        assert sum(m.breaches for m in by_name.values()) > 0
         # Serve both through the tail of the feed: audits, breaches,
         # and forecasts stay in lockstep (the backfilled counters did
         # not perturb the audit schedule or the cached-retrain cycle).

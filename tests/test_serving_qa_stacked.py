@@ -7,11 +7,12 @@ vectorized kernels in :meth:`BatchedTickEngine.ingest_batch`, writing
 them into the QA objects when a stream is checked out.
 That is an execution strategy, not a behavior change: the per-stream QA
 objects must end up in the *identical* state the per-stream loop would
-have left them in — same ``audits`` list (bit-identical window MSEs),
-same lifetime counters, same error window and running sum, same breach
-latch and ``on_breach`` dispatches, same ``state_dict``. These
-properties drive batched and loop fleets through the same feeds across
-audit geometries, mid-stream ``acknowledge_retraining`` resets, and
+have left them in — same lifetime counters, same error window and
+running sum, same breach latch, same ``state_dict``, and the same
+``on_breach`` dispatches (bit-identical window MSEs; with a threshold
+every audit exceeds, that is every audit's record). These properties
+drive batched and loop fleets through the same feeds across audit
+geometries, mid-stream ``acknowledge_retraining`` resets, and
 round-trips through persistence, and compare everything.
 """
 
@@ -43,7 +44,6 @@ def _qa_state(fleet):
     for name, state in fleet._streams.items():
         qa = state.qa
         out[name] = (
-            tuple(qa.audits),
             qa.audits_total,
             qa.breaches_total,
             tuple(qa._sq_errors),
@@ -56,8 +56,13 @@ def _qa_state(fleet):
 
 
 def _serve_pair(seed, audit_window, audit_interval, ticks, *, ack_at=None,
-                hooks=False):
-    """Drive a batched and a loop fleet identically; return both + hook logs."""
+                hooks=False, hook_tick=25, **overrides):
+    """Drive a batched and a loop fleet identically; return both + hook logs.
+
+    With *hooks*, every stream's ``on_breach`` appends ``(stream, record)``
+    to the fleet's log from tick *hook_tick* on; *overrides* go to the
+    fleet config.
+    """
     names = ["a", "b", "c", "d", "e"]
     feeds = {
         name: 10.0 + 2.0 * ar1_series(ticks, phi=0.9, seed=seed + i)
@@ -71,13 +76,13 @@ def _serve_pair(seed, audit_window, audit_interval, ticks, *, ack_at=None,
     fleets, logs = [], []
     for batched in (True, False):
         fleet = PredictionFleet(
-            _config(audit_window, audit_interval), streams=names
+            _config(audit_window, audit_interval, **overrides), streams=names
         )
         log = []
         for t in range(ticks):
-            if hooks and t == 25:
-                # Wire breach hooks only once streams are trained, so
-                # both paths see the same QA objects.
+            if hooks and t == hook_tick:
+                # By default the hooks arrive mid-serve, on QAs whose
+                # streams the engine already serves.
                 for name in names:
                     qa = fleet._streams[name].qa
                     qa.on_breach = (
@@ -130,6 +135,22 @@ class TestStackedQAParity:
         batched, loop, log_b, log_l = _serve_pair(seed, 8, 4, 80, hooks=True)
         assert log_b == log_l
         assert len(log_b) > 0  # the drift actually produced breaches
+        assert _qa_state(batched) == _qa_state(loop)
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=10, deadline=None)
+    def test_every_audit_record_matches_when_every_audit_breaches(self, seed):
+        """A threshold every audit exceeds sends every audit's record to
+        ``on_breach`` on both paths, so the two logs pin every window
+        MSE bit for bit."""
+        batched, loop, log_b, log_l = _serve_pair(
+            seed, 8, 4, 80, hooks=True, hook_tick=0, qa_threshold=1e-9
+        )
+        assert log_b == log_l
+        for fleet in (batched, loop):
+            qas = [state.qa for state in fleet._streams.values()]
+            assert len(log_b) == sum(qa.audits_total for qa in qas) > 0
+            assert all(qa.breaches_total == qa.audits_total for qa in qas)
         assert _qa_state(batched) == _qa_state(loop)
 
     @given(st.integers(min_value=0, max_value=10_000))

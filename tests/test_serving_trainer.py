@@ -179,7 +179,10 @@ def _assert_same_fleet(a, b):
     assert a.pending_retrains == b.pending_retrains
     for name in a.stream_names:
         sa, sb = a._streams[name], b._streams[name]
-        assert sa.qa.audits == sb.qa.audits, name
+        assert (sa.qa.audits_total, sa.qa.breaches_total) == (
+            sb.qa.audits_total, sb.qa.breaches_total
+        ), name
+        assert sa.qa.state_dict() == sb.qa.state_dict(), name
         assert (sa.due_at, sa.train_due, sa.retrain_due) == (
             sb.due_at, sb.train_due, sb.retrain_due
         ), name
