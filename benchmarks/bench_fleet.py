@@ -474,7 +474,8 @@ STORM_ROUNDS = 4
 #: Retrain window of the storm fleet. Long deliberately: the gate
 #: measures tick latency, and the asynchronous pipeline moves only the
 #: *compute* half of a burst off the tick (assembly + replay still run
-#: at integration, though the per-tick integration cap spreads them).
+#: at integration, spread over the ticks the storm's chunked futures
+#: land on).
 #: Long windows make the stacked compute dominate the burst, so a
 #: healthy pipeline clears 0.5x with margin; at the serving default of
 #: 256 the compute and assembly halves are near parity and the gate
@@ -510,11 +511,6 @@ def _storm_fleet(feeds: dict, mode: str) -> PredictionFleet:
         retrain_window=STORM_HISTORY,
         history_limit=STORM_HISTORY,
         retrain_mode=mode,
-        # The async pipeline sends each storm's cold group out in
-        # futures of at most 32 streams, and its tick boundary
-        # integrates at most one landed future per tick so the drain
-        # cost stays bounded (sync mode ignores the integration cap).
-        max_integrations_per_tick=1,
     )
     fleet = PredictionFleet(config, streams=feeds)
     # Warm-up, then grow every history to the full retrain window so

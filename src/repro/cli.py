@@ -139,7 +139,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "worker pool (async)")
     obs.add_argument("--format", choices=["summary", "prom", "json"],
                      default="summary",
-                     help="output format (default summary)")
+                     help="output format (default summary); with prom "
+                          "or json, stdout carries only the document "
+                          "and the --quantiles table and --trace-out "
+                          "note go to stderr")
     obs.add_argument("--events", type=int, default=12,
                      help="recent events to print in summary (default 12)")
     obs.add_argument("--quantiles", action="store_true",
@@ -487,15 +490,19 @@ def _run_obs(args) -> int:
             f"served {n} streams x {ticks} ticks in {elapsed:.2f}s "
             f"with full telemetry"
         )
+    # A machine format keeps stdout to the one document it parses as;
+    # the human-readable extras go to stderr.
+    notes = sys.stdout if args.format == "summary" else sys.stderr
     if args.quantiles and args.format != "summary":
-        print(render_span_quantiles(tel.flight))
+        print(render_span_quantiles(tel.flight), file=notes)
     if args.trace_out:
         from repro.obs import write_chrome_trace
 
         path = write_chrome_trace(args.trace_out, tel.flight, tel.events)
         print(
             f"wrote Chrome trace ({len(tel.flight)} spans) to {path} "
-            f"- open in Perfetto or chrome://tracing"
+            f"- open in Perfetto or chrome://tracing",
+            file=notes,
         )
     return 0
 

@@ -3,8 +3,12 @@
 k-NN classification cost is dominated by the distance matrix between test
 and training points. All kernels here are fully vectorized: the Euclidean
 path expands ``|a - b|^2 = |a|^2 - 2 a.b + |b|^2`` so the cross term is a
-single BLAS GEMM — the canonical "vectorize the loop, let BLAS do the
-work" transformation from the optimization guide.
+stacked BLAS product, one ``(1, d) @ (d, n)`` per query row. A single
+GEMM over the whole batch can round the same memory row differently
+depending on its column, so identical training rows would stop being
+equidistant and the k-NN tie rule (oldest first) would break. One
+product per row gives every row of a batch the bits a one-row query
+gets — the form the fleet's batched tick engine computes too.
 """
 
 from __future__ import annotations
@@ -46,12 +50,14 @@ def squared_euclidean_distances(A, B) -> np.ndarray:
     Preferred for nearest-neighbour *ranking*: the square root is
     monotone, so skipping it changes no ordering and saves a pass.
     Round-off from the expanded form can produce tiny negatives; they
-    are clamped to zero.
+    are clamped to zero. Row *i* carries exactly the bits of the
+    one-row call on ``A[i]``.
     """
     A, B = _check_pair(A, B)
     aa = np.einsum("ij,ij->i", A, A)[:, None]
     bb = np.einsum("ij,ij->i", B, B)[None, :]
-    d2 = aa + bb - 2.0 * (A @ B.T)
+    cross = np.matmul(A[:, None, :], B.T)[:, 0, :]
+    d2 = aa + bb - 2.0 * cross
     np.maximum(d2, 0.0, out=d2)
     return d2
 

@@ -5,11 +5,12 @@ beyond storing the labelled windows, classification by majority vote of
 the k = 3 closest training windows under Euclidean distance in the
 PCA-reduced feature space.
 
-Two query backends are provided:
+Three ``algorithm`` settings choose the query backend:
 
-* ``brute`` — one BLAS-backed distance matrix plus a deterministic
-  top-k selection; optimal for the small training sets of a single
-  trace fold.
+* ``brute`` — a BLAS-backed distance matrix (one product per query
+  row, so a batch ranks exactly as one-row queries do) plus a
+  deterministic top-k selection; optimal for the small training sets
+  of a single trace fold.
 * ``kd_tree`` — the :class:`repro.learn.kdtree.KDTree` index; wins when
   the training set is large and the feature dimension small (exactly the
   n = 2 PCA regime), reproducing §7.3's complexity discussion.

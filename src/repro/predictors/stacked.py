@@ -1,24 +1,31 @@
 """Cross-stream stacked evaluation of the paper pool's members.
 
-The fleet's batched tick engine evaluates one pool member over *many
-streams at once*: every member of the paper pool (LAST, AR, SW_AVG) is
-affine in its input window, so a whole fleet's forecasts collapse into
-a few stacked NumPy calls instead of one Python dispatch per stream.
+The fleet evaluates one pool member over *many streams at once*: every
+member of the paper pool (LAST, AR, SW_AVG) is affine in its input
+window, so a whole fleet's forecasts collapse into a few stacked NumPy
+calls instead of one Python dispatch per stream. One kernel family
+serves both batched paths: the kernels take an ``(S, N, m)`` frame
+tensor, which :class:`~repro.serving.trainer.BatchedTrainEngine` fills
+with each stream's N training frames and
+:class:`~repro.serving.engine.BatchedTickEngine` with one tick frame
+per stream (N = 1).
 
 Bit-exactness contract
 ----------------------
-Each kernel must produce, for row *s*, exactly the float64 bits the
+Each kernel must produce, for slice *s*, exactly the float64 bits the
 per-stream call produces for that stream alone:
 
-* LAST and SW_AVG are a column copy and a row mean — NumPy evaluates
-  row reductions independently per row, so stacking changes nothing.
+* LAST and SW_AVG are a column copy and a mean along each frame —
+  NumPy evaluates the reduction over the contiguous frame axis
+  independently per frame, so stacking changes nothing.
 * AR is a per-stream dot product. ``np.matmul`` over stacked 3-D
-  operands dispatches each ``(1, p) @ (p, 1)`` slice to the same BLAS
+  operands dispatches each ``(N, p) @ (p, 1)`` slice to the same BLAS
   kernel as the per-stream ``(lagged - mu) @ phi`` call, which keeps
   the result bitwise identical — unlike ``einsum`` or a
   multiply-then-sum formulation, which associate differently.
 
-The parity tests in ``tests/test_serving_engine.py`` pin this contract.
+The parity tests in ``tests/test_serving_engine.py`` and
+``tests/test_serving_trainer.py`` pin this contract.
 """
 
 from __future__ import annotations
@@ -33,15 +40,10 @@ from repro.predictors.sw_avg import SlidingWindowAveragePredictor
 
 __all__ = [
     "StackedARParams",
-    "stack_ar_params",
-    "ar_predict_stacked",
-    "last_predict_stacked",
-    "sw_avg_predict_stacked",
     "ar_predict_frames_stacked",
     "last_predict_frames_stacked",
     "sw_avg_predict_frames_stacked",
     "is_paper_pool",
-    "paper_pool_predict_all_stacked",
     "paper_pool_predict_frames_stacked",
 ]
 
@@ -68,61 +70,6 @@ class StackedARParams:
         self.order = int(coefficients.shape[1])
 
 
-def stack_ar_params(members) -> StackedARParams:
-    """Stack fitted :class:`ARPredictor` parameters across streams."""
-    members = list(members)
-    if not members:
-        raise ConfigurationError("need at least one AR member to stack")
-    orders = {m.order for m in members}
-    if len(orders) > 1:
-        raise ConfigurationError(
-            f"cannot stack AR members of differing orders: {sorted(orders)}"
-        )
-    for m in members:
-        if m.coefficients_ is None:
-            raise ConfigurationError("all AR members must be fitted")
-    coeffs = np.stack([m.coefficients_ for m in members], axis=0)
-    means = np.array([m.mean_ for m in members], dtype=np.float64)
-    return StackedARParams(np.ascontiguousarray(coeffs), means)
-
-
-def ar_predict_stacked(frames: np.ndarray, params: StackedARParams) -> np.ndarray:
-    """One AR step per stream: row *s* of *frames* under stream *s*'s fit.
-
-    Mirrors :meth:`ARPredictor._predict_batch` exactly (same lag
-    reversal, same mean adjustment); the per-stream dot products run as
-    one stacked ``matmul``.
-    """
-    p = params.order
-    if frames.shape[1] < p:
-        raise ConfigurationError(
-            f"AR({p}) needs frames of at least {p} values, got {frames.shape[1]}"
-        )
-    mu = params.means
-    lagged = frames[:, -1 : -p - 1 : -1]
-    centered = lagged - mu[:, None]
-    dots = np.matmul(centered[:, None, :], params.coefficients[:, :, None])
-    return mu + dots[:, 0, 0]
-
-
-def last_predict_stacked(frames: np.ndarray) -> np.ndarray:
-    """Stacked :class:`LastValuePredictor`: last column, copied."""
-    return frames[:, -1].copy()
-
-
-def sw_avg_predict_stacked(
-    frames: np.ndarray, window: int | None = None
-) -> np.ndarray:
-    """Stacked :class:`SlidingWindowAveragePredictor`: trailing row mean."""
-    if window is None:
-        return frames.mean(axis=1)
-    if window > frames.shape[1]:
-        raise ConfigurationError(
-            f"SW_AVG window {window} exceeds the frame length {frames.shape[1]}"
-        )
-    return frames[:, -window:].mean(axis=1)
-
-
 def ar_predict_frames_stacked(
     frames: np.ndarray,
     params: StackedARParams,
@@ -130,9 +77,8 @@ def ar_predict_frames_stacked(
 ) -> np.ndarray:
     """AR over a ``(n_streams, n_frames, m)`` frame tensor.
 
-    The training-phase counterpart of :func:`ar_predict_stacked`: every
-    frame of every stream's training series, evaluated under that
-    stream's fit, in one stacked ``matmul`` — bit-identical per slice to
+    Every frame of every stream, evaluated under that stream's fit, in
+    one stacked ``matmul`` — bit-identical per slice to
     :meth:`ARPredictor._predict_batch` on the stream's own frame matrix.
     """
     p = params.order
@@ -158,25 +104,19 @@ def last_predict_frames_stacked(
 
 
 def sw_avg_predict_frames_stacked(
-    frames: np.ndarray,
-    window: int | None = None,
-    out: np.ndarray | None = None,
+    frames: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Stacked SW_AVG over a frame tensor: trailing mean along each frame."""
-    if window is None:
-        return frames.mean(axis=2, out=out)
-    if window > frames.shape[2]:
-        raise ConfigurationError(
-            f"SW_AVG window {window} exceeds the frame length {frames.shape[2]}"
-        )
-    return frames[:, :, -window:].mean(axis=2, out=out)
+    """Stacked SW_AVG (whole-frame window) over a frame tensor: the mean
+    along each frame."""
+    return frames.mean(axis=2, out=out)
 
 
 def is_paper_pool(pool: PredictorPool) -> bool:
     """Whether *pool* is structurally the paper's LAST/AR/SW_AVG trio.
 
-    The batched engine only stacks pools with this exact member
-    sequence; anything else falls back to the per-stream loop.
+    The batched tick engine only stacks pools with this exact member
+    sequence (and an SW_AVG without a window); anything else falls back
+    to the per-stream loop.
     """
     if len(pool) != 3:
         return False
@@ -187,36 +127,17 @@ def is_paper_pool(pool: PredictorPool) -> bool:
     )
 
 
-def paper_pool_predict_all_stacked(
-    frames: np.ndarray,
-    ar_params: StackedARParams,
-    sw_window: int | None = None,
-) -> np.ndarray:
-    """Every paper-pool member over every stream's frame.
-
-    Returns ``(n_streams, 3)`` predictions in pool label order
-    (1=LAST, 2=AR, 3=SW_AVG) — the stacked counterpart of
-    :meth:`PredictorPool.predict_all` on a single frame per stream.
-    """
-    out = np.empty((frames.shape[0], 3), dtype=np.float64)
-    out[:, 0] = last_predict_stacked(frames)
-    out[:, 1] = ar_predict_stacked(frames, ar_params)
-    out[:, 2] = sw_avg_predict_stacked(frames, sw_window)
-    return out
-
-
 def paper_pool_predict_frames_stacked(
     frames: np.ndarray,
     ar_params: StackedARParams,
-    sw_window: int | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Every paper-pool member over every frame of every stream.
 
     Returns ``(n_streams, n_frames, 3)`` predictions in pool label order
-    (1=LAST, 2=AR, 3=SW_AVG) — the stacked counterpart of the training
-    phase's :meth:`PredictorPool.predict_all` over each stream's whole
-    frame matrix, written so each slice matches the per-stream bits.
+    (1=LAST, 2=AR, 3=SW_AVG) — the stacked counterpart of
+    :meth:`PredictorPool.predict_all` over each stream's frame matrix,
+    written so each slice matches the per-stream bits.
     Each member writes straight into its output plane (no intermediate
     per-member allocation; the values are what the allocating calls
     return). *out*, when given, must be a ``(n_streams, n_frames, 3)``
@@ -226,5 +147,5 @@ def paper_pool_predict_frames_stacked(
         out = np.empty(frames.shape[:2] + (3,), dtype=np.float64)
     last_predict_frames_stacked(frames, out=out[:, :, 0])
     ar_predict_frames_stacked(frames, ar_params, out=out[:, :, 1])
-    sw_avg_predict_frames_stacked(frames, sw_window, out=out[:, :, 2])
+    sw_avg_predict_frames_stacked(frames, out=out[:, :, 2])
     return out

@@ -1,22 +1,24 @@
-"""Stacked per-stream pre-processing for batched fleet ticks.
+"""Stacked pre-processing fits for the batched fleet trainer.
 
-One fleet tick normalizes and projects the trailing window of every
-stream. Per stream that is three tiny ops (scalar z-score, tail frame,
-``(1, m) @ (m, c)`` PCA projection); across thousands of streams the
-Python dispatch dominates. These helpers stack the frozen per-stream
-coefficients once — ``(mu, sigma)`` vectors, a ``(n_streams, c, m)``
-component tensor — so a whole tick is a broadcast subtract/divide and
-one 3-D ``matmul``.
+A retrain burst fits a z-score normalizer and a PCA basis for every due
+stream. Per stream that is a ``mean``/``std`` pass and one small
+covariance eigendecomposition; across hundreds of streams the Python
+dispatch dominates. :class:`~repro.serving.trainer.BatchedTrainEngine`
+runs each equal-length group of streams through these fits instead: the
+z-score fit is one broadcast reduction over a ``(S, T)`` history matrix
+(:func:`fit_stacked_normalizer`), and the PCA fits are one stacked
+covariance ``matmul`` plus one ``np.linalg.eigh`` gufunc call over
+``(S, m, m)`` (:func:`fit_stacked_pca`).
 
 Bit-exactness contract
 ----------------------
-* z-score: ``(x - mu) / sigma`` is elementwise; broadcasting the
+* z-score: NumPy's pairwise summation evaluates each row of
+  ``mean(axis=1)`` / ``std(axis=1)`` exactly as it evaluates the row
+  alone, and ``(x - mu) / sigma`` is elementwise, so broadcasting the
   stacked vectors performs the identical scalar IEEE ops per element.
-* PCA: the stacked projection uses ``np.matmul`` over 3-D operands,
-  with each stream's component matrix laid out exactly like the
-  per-stream ``components_.T`` view (contiguous ``(c, m)`` storage,
-  transposed axes), so every slice hits the same BLAS GEMM as
-  :meth:`repro.learn.pca.PCA.transform` and returns the same bits.
+* PCA: ``np.linalg.eigh`` over ``(S, m, m)`` dispatches the same
+  LAPACK driver per slice as :meth:`repro.learn.pca.PCA.fit`, so every
+  stream's basis carries the per-stream bits.
 """
 
 from __future__ import annotations
@@ -28,9 +30,6 @@ from repro.preprocess.normalize import scaled_moments
 
 __all__ = [
     "StackedNormalizer",
-    "stack_normalizers",
-    "StackedPCA",
-    "stack_pcas",
     "fit_stacked_normalizer",
     "StackedPCAFit",
     "fit_stacked_pca",
@@ -57,58 +56,6 @@ class StackedNormalizer:
         """Normalize row *s* with stream *s*'s coefficients."""
         return (rows - self.means[:, None]) / self.stds[:, None]
 
-    def transform_values(self, values: np.ndarray) -> np.ndarray:
-        """Normalize one scalar per stream."""
-        return (values - self.means) / self.stds
-
-    def inverse_transform_values(self, values: np.ndarray) -> np.ndarray:
-        """De-normalize one scalar per stream."""
-        return values * self.stds + self.means
-
-
-def stack_normalizers(normalizers) -> StackedNormalizer:
-    """Stack fitted :class:`~repro.preprocess.normalize.ZScoreNormalizer`s."""
-    normalizers = list(normalizers)
-    if not normalizers:
-        raise ConfigurationError("need at least one normalizer to stack")
-    means = np.array([n.mean for n in normalizers], dtype=np.float64)
-    stds = np.array([n.std for n in normalizers], dtype=np.float64)
-    return StackedNormalizer(means, stds)
-
-
-class StackedPCA:
-    """Frozen per-stream PCA bases stacked for one 3-D projection.
-
-    Attributes
-    ----------
-    components:
-        ``(n_streams, c, m)`` tensor; slice *s* is stream *s*'s
-        contiguous ``components_`` matrix.
-    means:
-        ``(n_streams, m)`` per-feature training means.
-    """
-
-    __slots__ = ("components", "means")
-
-    def __init__(self, components: np.ndarray, means: np.ndarray):
-        self.components = components
-        self.means = means
-
-    @property
-    def n_components(self) -> int:
-        return int(self.components.shape[1])
-
-    def transform(self, frames: np.ndarray) -> np.ndarray:
-        """Project row *s* of *frames* with stream *s*'s basis.
-
-        ``components.transpose(0, 2, 1)`` gives each slice the same
-        shape *and strides* as the per-stream ``components_.T`` operand,
-        which is what keeps the stacked GEMM bit-identical.
-        """
-        centered = frames - self.means
-        z = np.matmul(centered[:, None, :], self.components.transpose(0, 2, 1))
-        return z[:, 0, :]
-
 
 def fit_stacked_normalizer(
     histories: np.ndarray, *, min_std: float = 1e-12
@@ -133,8 +80,8 @@ def fit_stacked_normalizer(
 class StackedPCAFit:
     """The product of a batched PCA training pass over many streams.
 
-    Extends :class:`StackedPCA`'s frozen (components, means) pair with
-    the per-stream eigenvalue bookkeeping a fitted
+    The frozen ``(S, c, m)`` components and ``(S, m)`` means, plus the
+    per-stream eigenvalue bookkeeping a fitted
     :class:`~repro.learn.pca.PCA` instance exposes, so each stream's
     slice can reconstitute a full fitted object.
     """
@@ -209,25 +156,3 @@ def fit_stacked_pca(
         explained_variance_ratio=np.ascontiguousarray(ratios[:, :n_components]),
         centered=centered if keep_centered else None,
     )
-
-
-def stack_pcas(pcas) -> StackedPCA:
-    """Stack fitted :class:`~repro.learn.pca.PCA` instances.
-
-    All instances must keep the same component count (the fleet trains
-    every stream with one shared :class:`~repro.core.config.LARConfig`,
-    so this holds by construction).
-    """
-    pcas = list(pcas)
-    if not pcas:
-        raise ConfigurationError("need at least one PCA to stack")
-    shapes = {p.components_.shape for p in pcas}
-    if len(shapes) > 1:
-        raise ConfigurationError(
-            f"cannot stack PCA bases of differing shapes: {sorted(shapes)}"
-        )
-    components = np.ascontiguousarray(
-        np.stack([p.components_ for p in pcas], axis=0)
-    )
-    means = np.stack([p.mean_ for p in pcas], axis=0)
-    return StackedPCA(components, means)

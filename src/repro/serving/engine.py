@@ -9,9 +9,9 @@ same tick *fleet-wide*:
 
 * the trailing windows of all trained streams live in one
   ``(n_streams, window + 1)`` matrix, rolled once per tick;
-* per-stream z-score coefficients and PCA bases are stacked
-  (:mod:`repro.preprocess.stacked`) so normalization is one broadcast
-  and feature projection one 3-D ``matmul``;
+* per-stream z-score coefficients and PCA bases are stacked in the
+  engine's row arrays, so normalization is one broadcast and feature
+  projection one 3-D ``matmul``;
 * every stream's k-NN memory lives in a padded
   ``(n_streams, capacity, d)`` ring tensor (ring layout by absolute row
   index) with cached squared norms, so the fleet's N single-point
@@ -22,9 +22,10 @@ same tick *fleet-wide*:
   frees. Dead slots are encoded in the ring itself — a ``+inf``
   squared norm and a tie key above every live row's — so they rank
   behind every live row with no per-tick mask;
-* classifier-selected predictors are dispatched *grouped by member*
-  (:mod:`repro.predictors.stacked`): LAST, AR, and SW_AVG each run once
-  over all streams that selected them;
+* the pool members run through the batched trainer's stacked kernels
+  (:mod:`repro.predictors.stacked`), one frame per stream: LAST, AR and
+  SW_AVG each run once over every row, and each row keeps the member
+  its classifier voted for;
 * every stream's QA error window lives in one
   ``(n_streams, audit_window)`` ring, so the per-tick audits run as
   vectorized kernels (one modulo for the audit boundaries, grouped
@@ -138,9 +139,8 @@ from repro.learn.topk import lexicographic_topk
 from repro.learn.voting import majority_vote
 from repro.predictors.stacked import (
     StackedARParams,
-    ar_predict_stacked,
     is_paper_pool,
-    paper_pool_predict_all_stacked,
+    paper_pool_predict_frames_stacked,
 )
 
 __all__ = ["BatchedTickEngine"]
@@ -811,24 +811,11 @@ class BatchedTickEngine:
         np.matmul(centered[:, None, :], comp_t, out=feats3)
         return feats3[:, 0, :]
 
-    def _pool_dispatch(
-        self, sel, frames: np.ndarray, labels: np.ndarray
-    ) -> np.ndarray:
-        """Run each selected pool member once over its group of rows."""
-        normalized = self._buf("normalized", (frames.shape[0],))
-        ar_rows = labels == 2
-        if ar_rows.any():
-            ar = StackedARParams(
-                self._ar_phi[sel][ar_rows], self._ar_mu[sel][ar_rows]
-            )
-            normalized[ar_rows] = ar_predict_stacked(frames[ar_rows], ar)
-        last_rows = labels == 1
-        if last_rows.any():
-            normalized[last_rows] = frames[last_rows][:, -1]
-        sw_rows = labels == 3
-        if sw_rows.any():
-            normalized[sw_rows] = frames[sw_rows].mean(axis=1)
-        return normalized
+    def _pool_predict(self, sel, frames: np.ndarray) -> np.ndarray:
+        """``(n, 3)`` predictions of every pool member (label order) over
+        each selected row's frame: the trainer's kernel with N = 1."""
+        ar = StackedARParams(self._ar_phi[sel], self._ar_mu[sel])
+        return paper_pool_predict_frames_stacked(frames[:, None, :], ar)[:, 0]
 
     def _forecast_rows(
         self, sel, n: int
@@ -847,7 +834,9 @@ class BatchedTickEngine:
         t = _lap(tracer, "tick.pca_project", t, n)
         labels = self._classify(sel, feats)
         t = _lap(tracer, "tick.knn_query", t, n)
-        normalized = self._pool_dispatch(sel, frames, labels)
+        preds = self._pool_predict(sel, frames)
+        voted = np.take_along_axis(preds, labels[:, None] - 1, axis=1)
+        normalized = voted[:, 0]
         _lap(tracer, "tick.pool_dispatch", t, n)
         values = self._buf("values", (n,))
         np.multiply(normalized, sigma, out=values)
@@ -1069,8 +1058,8 @@ class BatchedTickEngine:
         np.subtract(self._tails[sel], mu[:, None], out=z)
         np.divide(z, sigma[:, None], out=z)
         frames, targets = z[:, :win], z[:, win]
-        ar = StackedARParams(self._ar_phi[sel], self._ar_mu[sel])
-        sq = paper_pool_predict_all_stacked(frames, ar) - targets[:, None]
+        sq = self._pool_predict(sel, frames)
+        np.subtract(sq, targets[:, None], out=sq)
         np.multiply(sq, sq, out=sq)
         L = self._smoothing
         self._shift_append(self._sqring, sel, sq)
@@ -1184,4 +1173,4 @@ class BatchedTickEngine:
                 self.checkout(entry)
                 qa.on_breach(record)
         if self._fleet._tel is not None:
-            self._fleet._note_audits_batch(len(mses), breaches)
+            self._fleet._note_audits(len(mses), breaches)

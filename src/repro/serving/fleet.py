@@ -119,15 +119,6 @@ class FleetConfig:
         the swapped-in model is bit-identical to one trained
         synchronously at the submission tick and served since (see
         :mod:`repro.serving.retrain`).
-    max_integrations_per_tick:
-        Cap on how many landed bursts a single ``"async"`` tick
-        boundary assembles and integrates (``None`` = all of them).
-        Bounds the worst-case drain cost when a storm's futures finish
-        together; deferred bursts stay queued and integrate on later
-        ticks — their streams just replay a few more values, and the
-        result is still bit-identical. Flush paths
-        (:meth:`PredictionFleet.drain_retrains` with ``wait=True``,
-        :meth:`PredictionFleet.save`) ignore the cap.
     max_retrains_per_tick:
         Budget on how many scheduled (re)trains a single
         :meth:`PredictionFleet.run_pending_retrains` call processes
@@ -148,7 +139,6 @@ class FleetConfig:
     retrain_window: int | None = 256
     auto_retrain: bool = True
     retrain_mode: str = "sync"
-    max_integrations_per_tick: int | None = None
     max_retrains_per_tick: int | None = None
 
     def __post_init__(self) -> None:
@@ -156,7 +146,7 @@ class FleetConfig:
             self,
             ("min_train", "label_smoothing", "audit_window", "audit_interval"),
             optional=("max_memory", "history_limit", "retrain_window",
-                      "max_integrations_per_tick", "max_retrains_per_tick"),
+                      "max_retrains_per_tick"),
         )
         # A series of length L yields L - window training pairs, and the
         # k-NN selector needs at least k of them to fit.
@@ -731,7 +721,8 @@ class PredictionFleet:
             audit = state.qa.record(
                 fc.normalized_value, normalizer.transform_value(value)
             )
-            self._note_audit(name, audit)
+            if audit is not None and self._tel is not None:
+                self._note_audits(1, [(name, audit)] if audit.breached else [])
             state.selections[fc.predictor_name] = (
                 state.selections.get(fc.predictor_name, 0) + 1
             )
@@ -1014,42 +1005,20 @@ class PredictionFleet:
                 counter.inc(count - done)
                 flushed[key] = count
 
-    def _note_audit(self, name: str, audit: "AuditRecord | None") -> None:
-        """Record one QA audit (and breach) with the telemetry, if any.
-
-        Both tick paths — the per-stream loop and the batched engine —
-        funnel through here, so counter and event streams are identical
-        whichever executed the tick. Routine (non-breaching) audits
-        fold into the ``repro_fleet_qa_audits_total`` counter only; the
-        event log narrates breaches, which are the rare, interesting
-        moments — one event per audited stream per audit tick would
-        dominate the telemetry budget and evict everything else from
-        the ring.
-        """
-        tel = self._tel
-        if tel is None or audit is None:
-            return
-        self._m.audits.inc()
-        if audit.breached:
-            self._m.breaches.inc()
-            self._breaches_this_tick += 1
-            tel.events.emit(
-                "qa_breach",
-                tick=self._due_seq,
-                stream=name,
-                window_mse=audit.window_mse,
-            )
-
-    def _note_audits_batch(
+    def _note_audits(
         self, audits: int, breaches: "list[tuple[str, AuditRecord]]"
     ) -> None:
-        """One tick's QA audits, aggregated across streams.
+        """Record QA audits (and breaches) with the telemetry.
 
-        Same final counter values and the same breach event stream as
-        calling :meth:`_note_audit` once per audit: the engine hands
-        over the tick's audit count and only the ``(stream, audit)``
-        pairs that breached, so the work is independent of the stream
-        count. Only called with telemetry enabled.
+        Both tick paths funnel through here, so counters and events are
+        identical whichever ran the tick: the per-stream loop calls it
+        once per audit, the batched engine once per tick with the
+        tick's audit count. *breaches* holds only the ``(stream,
+        audit)`` pairs that breached: routine audits fold into the
+        ``repro_fleet_qa_audits_total`` counter only, and the event log
+        narrates breaches — one event per audited stream per audit tick
+        would dominate the telemetry budget and evict everything else
+        from the ring. Only called with telemetry enabled.
         """
         tel = self._tel
         self._m.audits.inc(audits)

@@ -60,7 +60,6 @@ def _fleet_config_meta(config) -> dict:
         "retrain_window": config.retrain_window,
         "auto_retrain": config.auto_retrain,
         "retrain_mode": config.retrain_mode,
-        "max_integrations_per_tick": config.max_integrations_per_tick,
         "max_retrains_per_tick": config.max_retrains_per_tick,
     }
 
@@ -100,19 +99,16 @@ def _fleet_config_from_meta(meta: dict):
             # .get(): manifests written before asynchronous retraining
             # existed load in sync mode, which is what they ran with.
             retrain_mode=str(meta.get("retrain_mode", "sync")),
-            max_integrations_per_tick=(
-                None
-                if meta.get("max_integrations_per_tick") is None
-                else int(meta["max_integrations_per_tick"])
-            ),
             # Older manifests also carry keys for removed options: a
             # "parallel" block (before 2.0), "label_cache" and
             # "max_inflight_retrains" (before 3.0), and before 4.0
             # "min_relabel_overlap" plus per-stream "params_window" and
-            # "label_cache" entries, and before 6.0 every stream's "qa"
+            # "label_cache" entries, before 6.0 every stream's "qa"
             # entry carries an "audits" list and an "audits_total"
-            # counter. All of them are ignored; a fleet that relabelled
-            # before 4.0 refits cold from now on.
+            # counter, and before 7.0 "max_integrations_per_tick". All
+            # of them are ignored; a fleet that relabelled before 4.0
+            # refits cold from now on, and a 6.x async fleet integrates
+            # every landed burst at the next tick boundary.
         )
     except (KeyError, TypeError) as exc:
         raise DataError(f"malformed fleet config in manifest: {exc}") from exc

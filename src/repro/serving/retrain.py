@@ -67,12 +67,12 @@ from repro.serving.trainer import BatchedTrainEngine, _stack_by_length
 __all__ = ["RetrainScheduler", "assemble", "build_units", "run_unit"]
 
 #: Largest row chunk one asynchronous cold-group unit carries. A group
-#: of *n* streams goes out as ``ceil(n / 32)`` near-equal units, so the
-#: drain integrates a storm over several ticks instead of one.
+#: of *n* streams goes out as ``ceil(n / 32)`` near-equal units, which
+#: land, and integrate, over several ticks instead of one.
 #: Measured on a 2-core Intel Xeon (numpy 2.4.6) with the 500-stream
 #: async tick-latency gate in ``benchmarks/bench_fleet.py`` (async/sync
-#: p99 ratio, bound <= 0.5): no split read 1.32 / 0.73 / 0.81, chunks of
-#: at most 32 streams read 0.30 / 0.33 / 0.25.
+#: p99 ratio, bound <= 0.5), three runs each: chunks of at most 32
+#: streams read 0.26 / 0.33 / 0.31, no split 0.21 / 0.25 / 0.26.
 _COLD_CHUNK_STREAMS = 32
 
 #: Work-unit kinds (see :func:`build_units`).
@@ -452,11 +452,10 @@ class RetrainScheduler:
     def drain(self, *, wait: bool, batched: bool = True) -> tuple[str, ...]:
         """Integrate landed units; returns the integrated stream names.
 
-        ``wait=False`` touches only finished futures and assembles at
-        most ``max_integrations_per_tick`` of them (the tick-boundary
-        call); ``wait=True`` blocks until everything lands (the flush
-        path, ``train.async_wait`` span). Streams whose unit was lost to
-        a broken pool run as a sync round.
+        ``wait=False`` assembles every finished future (the
+        tick-boundary call); ``wait=True`` blocks until everything
+        lands (the flush path, ``train.async_wait`` span). Streams whose
+        unit was lost to a broken pool run as a sync round.
         """
         if not self.inflight:
             return ()
@@ -481,13 +480,11 @@ class RetrainScheduler:
         their unit to a broken pool (hooks already notified, pool
         already torn down).
         """
-        limit = None if wait else self._fleet.config.max_integrations_per_tick
         engine = self._fleet._get_train_engine()
         ready: list[tuple] = []
         failed: list[_PendingStream] = []
         keep: list[_Burst] = []
         broken = None
-        assembled = 0
         for burst in self._bursts:
             if broken is not None:
                 # The pool just died under an earlier unit; siblings on
@@ -495,9 +492,7 @@ class RetrainScheduler:
                 # letting each one surface the same corpse.
                 failed.extend(burst.records)
                 continue
-            if (not wait and not burst.future.done()) or (
-                limit is not None and assembled >= limit
-            ):
+            if not wait and not burst.future.done():
                 keep.append(burst)
                 continue
             try:
@@ -510,7 +505,6 @@ class RetrainScheduler:
                 burst.records,
                 assemble(engine, burst.kind, burst.payload, value),
             ))
-            assembled += 1
         self._bursts = keep
         if broken is not None:
             notify_pool_failure(broken)

@@ -232,6 +232,31 @@ class TestObsCommand:
         assert "Phase latency quantiles" in out
         assert "p99" in out and "tick.knn_query" in out
 
+    @pytest.mark.parametrize("fmt", ["prom", "json"])
+    def test_machine_formats_keep_stdout_parseable(
+        self, fmt, capsys, tmp_path
+    ):
+        """With ``--quantiles`` and ``--trace-out``, stdout still holds
+        only the document; the table and the trace note go to stderr."""
+        import json
+
+        from repro.obs import parse_prometheus_text
+
+        assert main([
+            "obs", "--streams", "4", "--ticks", "140", "--format", fmt,
+            "--quantiles", "--trace-out", str(tmp_path / "trace.json"),
+        ]) == 0
+        captured = capsys.readouterr()
+        if fmt == "prom":
+            parsed = parse_prometheus_text(captured.out)
+            assert parsed[("repro_fleet_streams", ())] == 4.0
+        else:
+            doc = json.loads(captured.out)
+            assert doc["telemetry"]["enabled"] is True
+        assert "Phase latency quantiles" in captured.err
+        assert "wrote Chrome trace" in captured.err
+        assert (tmp_path / "trace.json").exists()
+
     def test_trace_out_writes_chrome_trace(self, capsys, tmp_path):
         import json
 

@@ -40,6 +40,23 @@ class TestEuclidean:
         d2 = squared_euclidean_distances(A, A)
         assert (d2 >= 0.0).all()
 
+    def test_batch_rows_equal_one_row_calls(self):
+        """Each row of a batched call carries the one-row call's bits,
+        and duplicate memory rows get identical distances, so the k-NN
+        tie rule sees them as equidistant in a batch too."""
+        rng = np.random.default_rng(0)
+        distinct = rng.standard_normal((60, 2))
+        B = distinct[rng.integers(0, 60, size=2300)]
+        A = B[rng.integers(0, 2300, size=400)]
+        batch = squared_euclidean_distances(A, B)
+        for i, a in enumerate(A):
+            np.testing.assert_array_equal(
+                batch[i], squared_euclidean_distances(a, B)[0]
+            )
+        same = np.flatnonzero((B == B[0]).all(axis=1))
+        assert same.size > 1
+        assert (batch[:, same] == batch[:, same[:1]]).all()
+
     def test_dimension_mismatch(self):
         with pytest.raises(DataError):
             euclidean_distances(np.ones((2, 3)), np.ones((2, 4)))

@@ -202,6 +202,30 @@ class TestKNNClassifierBehaviour:
             assert tree.predict_one(q) == brute.predict_one(q)
         assert tree._tree is not None
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_batched_brute_queries_keep_the_tie_rule(self, seed):
+        """A multi-row brute-force batch ranks equidistant duplicates
+        oldest first, exactly as one-row queries and an exact
+        ``np.lexsort((index, d2))`` reference do."""
+        rng = np.random.default_rng(seed)
+        distinct = rng.standard_normal((60, 2))
+        X = distinct[rng.integers(0, 60, size=2300)]
+        y = rng.integers(1, 4, size=2300)
+        Q = X[rng.integers(0, 2300, size=400)]
+        clf = KNNClassifier(k=3, algorithm="brute").fit(X, y)
+        dist, idx = clf.kneighbors(Q)
+        order = np.arange(X.shape[0])
+        for i, q in enumerate(Q):
+            one_d, one_i = clf.kneighbors(q)
+            np.testing.assert_array_equal(idx[i], one_i[0])
+            np.testing.assert_array_equal(dist[i], one_d[0])
+            diff = X - q
+            d2 = np.einsum("ij,ij->i", diff, diff)
+            np.testing.assert_array_equal(
+                idx[i], np.lexsort((order, d2))[:3]
+            )
+        assert (clf.predict(Q) == [clf.predict_one(q) for q in Q]).all()
+
     def test_auto_backend_brute_for_small(self):
         X, y = _two_blobs(n=20)
         clf = KNNClassifier(k=3, algorithm="auto").fit(X, y)

@@ -516,9 +516,9 @@ class TestFleetTelemetry:
 
     def test_batched_vs_loop_telemetry_parity(self):
         """Fleet counters and the event narrative are path-independent:
-        the engine's aggregated audit notes (one counter increment per
-        tick, breach events only) land where the per-stream loop's
-        ``_note_audit`` calls do."""
+        the engine's one ``_note_audits`` call per tick (the tick's
+        audit count, breach events only) lands where the per-stream
+        loop's one call per audit does."""
         batched = storm_fleet(batched=True, max_retrains_per_tick=1)
         loop = storm_fleet(batched=False, max_retrains_per_tick=1)
 
@@ -543,39 +543,6 @@ class TestFleetTelemetry:
             )
 
         assert narrative(batched) == narrative(loop)
-
-    def test_note_audits_batch_matches_per_call(self):
-        from repro.core.qa import AuditRecord
-
-        per_call = PredictionFleet(small_config(), telemetry=True)
-        batch = PredictionFleet(small_config(), telemetry=True)
-        audits = [
-            ("a", AuditRecord(step=8, window_mse=0.5, breached=False)),
-            ("b", AuditRecord(step=8, window_mse=9.0, breached=True)),
-            ("c", AuditRecord(step=16, window_mse=4.5, breached=True)),
-        ]
-        for name, audit in audits:
-            per_call._note_audit(name, audit)
-        per_call._note_audit("d", None)  # no audit this tick
-        batch._note_audits_batch(
-            len(audits), [(n, a) for n, a in audits if a.breached]
-        )
-        batch._note_audits_batch(0, [])
-        for fleet in (per_call, batch):
-            reg = fleet.telemetry.registry
-            snap = reg.snapshot()
-            get = lambda n: snap[n]["series"][0]["value"]
-            assert get("repro_fleet_qa_audits_total") == 3
-            assert get("repro_fleet_qa_breaches_total") == 2
-        events_a = [
-            (e.kind, e.stream, tuple(sorted(e.data.items())))
-            for e in per_call.telemetry.events.records()
-        ]
-        events_b = [
-            (e.kind, e.stream, tuple(sorted(e.data.items())))
-            for e in batch.telemetry.events.records()
-        ]
-        assert events_a == events_b
 
     def test_selection_counters_settle_lazily(self):
         """``state.selections`` dict bumps surface as labelled counters

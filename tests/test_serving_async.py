@@ -324,11 +324,12 @@ class TestChunkedColdGroups:
                 )
 
     def test_initial_trains_go_out_in_chunks(self):
-        """40 streams due at once leave as two 20-stream futures, land
-        on consecutive ticks under a one-burst integration cap, and
-        end bit-identical to a sync fleet that trained them together."""
+        """40 streams due at once leave as two 20-stream futures, both
+        integrate at the first tick boundary after they land, and the
+        fleet ends bit-identical to a sync fleet that trained them
+        together."""
         names = [f"s{i:02d}" for i in range(40)]
-        overrides = dict(qa_threshold=50.0, max_integrations_per_tick=1)
+        overrides = dict(qa_threshold=50.0)
         sync = PredictionFleet(_config(**overrides), streams=names)
         fleet = PredictionFleet(
             _config(retrain_mode="async", **overrides), streams=names
@@ -350,8 +351,8 @@ class TestChunkedColdGroups:
                 fleet.forecast_all()
                 fleet.ingest(dict(vals))
                 integrated.append(fleet.run_pending_retrains())
-        assert integrated[:2] == [tuple(names[:20]), tuple(names[20:])]
-        assert all(not names_ for names_ in integrated[2:])
+        assert integrated[0] == tuple(names)
+        assert all(not names_ for names_ in integrated[1:])
         assert fleet._retrain.inflight == 0
         for name in names:
             _assert_same_model(
@@ -472,55 +473,6 @@ class TestBudgetsAndDueCounter:
         fleet = PredictionFleet(_config())
         assert fleet.pending_retrains == ()
         assert fleet.run_pending_retrains() == ()
-
-
-# ---------------------------------------------------------------------------
-# integration cap: bounded tick-boundary drain
-
-
-class TestIntegrationCap:
-    def test_tick_drain_integrates_at_most_cap_bursts(self, tmp_path):
-        directory, names, due = _due_fleet(tmp_path)
-        assert len(due) >= 2
-        with inline_pool():
-            fleet = _load_async(directory, max_integrations_per_tick=1)
-            pipe = fleet._retrain
-            # Two separate submissions land two resolved bursts.
-            for name in due[:2]:
-                pipe.submit((name,), batched=True)
-            assert pipe.inflight == 2
-            first = fleet.drain_retrains()
-            assert len(first) == 1
-            assert pipe.inflight == 1
-            second = fleet.drain_retrains()
-            assert len(second) == 1
-            assert pipe.inflight == 0
-            assert sorted((*first, *second)) == sorted(due[:2])
-
-    def test_flush_ignores_the_cap(self, tmp_path):
-        directory, names, due = _due_fleet(tmp_path)
-        assert len(due) >= 2
-        with inline_pool():
-            fleet = _load_async(directory, max_integrations_per_tick=1)
-            pipe = fleet._retrain
-            for name in due[:2]:
-                pipe.submit((name,), batched=True)
-            assert pipe.inflight == 2
-            flushed = fleet.drain_retrains(wait=True)
-            assert sorted(flushed) == sorted(due[:2])
-            assert pipe.inflight == 0
-
-    def test_cap_validation_and_round_trip(self, tmp_path):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            _config(max_integrations_per_tick=0)
-        fleet = PredictionFleet(
-            _config(retrain_mode="async", max_integrations_per_tick=2)
-        )
-        fleet.save(tmp_path / "cap")
-        restored = PredictionFleet.load(tmp_path / "cap")
-        assert restored.config.max_integrations_per_tick == 2
 
 
 # ---------------------------------------------------------------------------

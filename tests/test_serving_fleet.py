@@ -102,7 +102,6 @@ class TestFleetConfig:
             ("history_limit", 1500.0),
             ("retrain_window", 300.5),
             ("max_retrains_per_tick", True),
-            ("max_integrations_per_tick", True),
         ],
     )
     def test_counts_reject_floats_and_bools(self, field, value):
@@ -115,7 +114,7 @@ class TestFleetConfig:
             ("min_train", 64), ("label_smoothing", 10), ("max_memory", 512),
             ("history_limit", 2048), ("audit_window", 16),
             ("audit_interval", 8), ("retrain_window", 256),
-            ("max_integrations_per_tick", 2), ("max_retrains_per_tick", 2),
+            ("max_retrains_per_tick", 2),
         ],
     )
     def test_numpy_integer_counts_are_stored_as_int(
@@ -467,10 +466,11 @@ class TestPersistence:
     ):
         """Manifests written before 2.0 carry the removed ``parallel``
         policy block, before 3.0 the removed ``label_cache`` and
-        ``max_inflight_retrains`` keys, and before 4.0
+        ``max_inflight_retrains`` keys, before 4.0
         ``min_relabel_overlap`` plus per-stream ``params_window`` and
-        ``label_cache`` entries with their ``cache_NNNN.npz`` archives;
-        loading ignores them."""
+        ``label_cache`` entries with their ``cache_NNNN.npz`` archives,
+        and before 7.0 ``max_integrations_per_tick``; loading ignores
+        them."""
         import json
 
         fleet, feeds = warm_fleet
@@ -479,7 +479,7 @@ class TestPersistence:
         manifest = json.loads(manifest_path.read_text())
         removed = (
             "parallel", "label_cache", "max_inflight_retrains",
-            "min_relabel_overlap",
+            "min_relabel_overlap", "max_integrations_per_tick",
         )
         assert not set(removed) & set(manifest["config"])
         for entry in manifest["streams"]:
@@ -493,6 +493,7 @@ class TestPersistence:
         manifest["config"]["label_cache"] = False
         manifest["config"]["max_inflight_retrains"] = 4
         manifest["config"]["min_relabel_overlap"] = 0.5
+        manifest["config"]["max_integrations_per_tick"] = 1
         np.savez_compressed(
             tmp_path / "f" / "streams" / "cache_0000.npz",
             sq=np.zeros((55, 3)),
