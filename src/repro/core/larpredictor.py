@@ -31,7 +31,7 @@ from repro.util.validation import as_series
 __all__ = ["LARPredictor", "Forecast"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Forecast:
     """One streaming forecast.
 

@@ -30,11 +30,13 @@ Two paths implement the rule:
   rows where an unpicked entry equals the k-th pick (a tie at the
   selection boundary).
 * **Partition** (larger k, and the rows above): an ``argpartition``
-  down to ``min(2k, n)`` candidates, a small stable double-argsort over
-  the candidates, and a per-row fallback to a full lexicographic sort
-  only when ties at the selection boundary could extend beyond the
-  candidate set (detectable exactly, and rare outside degenerate
-  all-equal rows).
+  down to ``min(2k, n)`` candidates and a small stable double-argsort
+  over them. When ties at the selection boundary could extend beyond
+  the candidate set (detectable exactly; memories holding duplicate
+  rows produce such rows routinely), the affected rows are resolved
+  together: every entry strictly below the k-th value, plus the
+  entries equal to it with the smallest tie keys, ordered by one small
+  ``np.lexsort`` over at most 2k candidates per row.
 
 Both stay O(n) per row.
 """
@@ -54,6 +56,8 @@ __all__ = ["lexicographic_topk"]
 #: at k = 6 on every shape; at k = 7 its margin falls to about 1.1x
 #: (2000 x 8) and at k = 8 it loses there (0.84x-0.96x).
 _ARGMIN_MAX_K = 6
+#: Tie key that masks entries out of a boundary row's equal set.
+_NO_KEY = np.iinfo(np.int64).max
 
 
 def _take(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -176,8 +180,47 @@ def _partition_topk(
     if unresolved.size:
         top_v = top_v.copy()
         top_i = top_i.copy()
-        for r in unresolved:
-            order = np.lexsort((tie[r], v[r]))[:k]
-            top_i[r] = order
-            top_v[r] = v[r, order]
+        top_v[unresolved], top_i[unresolved] = _boundary_topk(
+            v[unresolved], k, tie[unresolved], top_v[unresolved, k - 1]
+        )
+    return top_v, top_i
+
+
+def _boundary_topk(
+    v: np.ndarray, k: int, tie: np.ndarray, kth: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top-k for rows whose k-th value *kth* ties beyond the
+    candidate pool, all rows at once.
+
+    Each row's top-k is every entry strictly below its k-th value
+    (fewer than k) plus the entries equal to it with the smallest tie
+    keys, which is what a full ``np.lexsort((tie, v))`` selects. Both
+    sets come from one ``argpartition`` each, on values and on tie keys
+    masked to their set, and one ``np.lexsort`` over the at most 2k
+    candidates orders them. A row is sorted in full only when the
+    masking sentinel is itself a tie key it would select.
+    """
+    below = v < kth[:, None]
+    equal = v == kth[:, None]
+    cand = np.concatenate((
+        np.argpartition(np.where(below, v, np.inf), k - 1, axis=1)[:, :k],
+        np.argpartition(np.where(equal, tie, _NO_KEY), k - 1, axis=1)[:, :k],
+    ), axis=1)
+    valid = np.concatenate(
+        (_take(below, cand[:, :k]), _take(equal, cand[:, k:])), axis=1
+    )
+    cv = _take(v, cand)
+    ct = _take(tie, cand)
+    # Invalid fillers last; then (value, tie key), column breaking any
+    # remaining tie as the full sort's stability would.
+    order = np.lexsort((cand, ct, cv, ~valid), axis=1)[:, :k]
+    top_i = _take(cand, order)
+    top_v = _take(cv, order)
+    redo = np.flatnonzero(
+        ~_take(valid, order).all(axis=1)
+        | (_take(ct, order) == _NO_KEY).any(axis=1)
+    )
+    for r in redo.tolist():
+        top_i[r] = np.lexsort((tie[r], v[r]))[:k]
+        top_v[r] = v[r, top_i[r]]
     return top_v, top_i

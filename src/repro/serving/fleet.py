@@ -298,10 +298,15 @@ def _checked_out(field: str, *, swaps: bool = False) -> property:
     """
 
     def get(state):
-        entry = state._entry
-        if entry is not None:
-            entry.engine.checkout(entry)
-        return getattr(state, field)
+        while True:
+            entry = state._entry
+            if entry is not None:
+                entry.engine.checkout(entry)
+            value = getattr(state, field)
+            # A retrain may install a new row from another thread
+            # meanwhile; read again through the new one.
+            if state._entry is entry:
+                return value
 
     def set_(state, value):
         entry = state._entry
@@ -323,7 +328,10 @@ class _StreamState:
     newest tick state. ``predictor``, ``qa``, ``pending``, ``ticks`` and
     ``selections`` check the stream out of the engine on every access,
     so whoever reads them sees current objects. Engine and fleet hot
-    paths read the ``_``-prefixed backing slots.
+    paths read the ``_``-prefixed backing slots. A model installed into
+    its engine row by a stacked retrain has no object until the first
+    check-out builds it: ``_predictor`` is ``None`` while ``_entry`` is
+    set.
     """
 
     __slots__ = (
@@ -369,7 +377,7 @@ class _StreamState:
     @property
     def trained(self) -> bool:
         """Whether the stream has a model (no check-out needed)."""
-        return self._predictor is not None
+        return self._predictor is not None or self._entry is not None
 
 
 class _FleetInstruments:
@@ -701,7 +709,7 @@ class PredictionFleet:
                 learned[name] = batch_learned[name]
                 continue
             state = self._streams[name]
-            if state._predictor is None:
+            if state._predictor is None and state._entry is None:
                 # Warming up: no engine row, so the slots are current.
                 state.buffer.append(value)
                 state._ticks += 1
@@ -781,8 +789,8 @@ class PredictionFleet:
             fc = batch.get(name)
             if fc is None:
                 state = self._streams[name]
-                if state._predictor is None:
-                    continue
+                if state._predictor is None and state._entry is None:
+                    continue  # warming up
                 fc = state.predictor.forecast()
                 state.pending = fc
                 state.pending_at = state.predictor.history_length

@@ -178,6 +178,7 @@ def save_fleet(fleet, directory) -> None:
         "format_version": FLEET_FORMAT_VERSION,
         "config": _fleet_config_meta(fleet.config),
         "deferred_retrains": fleet._retrain.deferred_total,
+        "due_seq": fleet._due_seq,
         "streams": streams,
     }
     (directory / _MANIFEST).write_text(json.dumps(manifest, indent=2))
@@ -242,5 +243,6 @@ def load_fleet(directory, *, telemetry=None):
         if archive is not None:
             state.predictor = _load_stream_archive(directory, name, archive)
     # The due flags above were set directly, bypassing the scheduler.
-    fleet._retrain.restore()
+    # .get(): manifests written before 7.1 carry no due clock.
+    fleet._retrain.restore(int(manifest.get("due_seq", 0)))
     return fleet

@@ -15,11 +15,19 @@ to one :class:`RetrainScheduler`:
   normalizer, the predictors, the PCA basis and the k-NN memory on the
   last ``retrain_window`` stored values, as the paper's QA orders.
   :meth:`~RetrainScheduler.snapshot` copies each due stream's
-  history, and :func:`build_units` turns that plan into work units of
-  two kinds: a stacked group per history length, or one per-stream
-  unit per stream when the round is not batched or the config has no
-  stacked kernels. :func:`run_unit` computes a unit from picklable
-  inputs; :func:`assemble` builds its result into predictors.
+  history (an engine-served stream's in one gather per length from the
+  tick engine's history ring), and :func:`build_units` turns that plan
+  into work units of two kinds: a stacked group per history length, or
+  one per-stream unit per stream when the round is not batched or the
+  config has no stacked kernels. :func:`run_unit` computes a unit from
+  picklable inputs.
+* **Integration.** A stacked unit's fit is installed straight into the
+  tick engine's rows
+  (:meth:`~repro.serving.engine.BatchedTickEngine.install`); each
+  stream's predictor object is built when something first reads it. A
+  per-stream unit's predictor, and a stacked unit's streams whose QA
+  the engine cannot stack, swap in as objects. Either way the old
+  model is dropped unwritten.
 * **Sync** (``retrain_mode="sync"``) runs a round's units in-process on
   the fleet's :class:`~repro.serving.trainer.BatchedTrainEngine` and
   integrates every stream in due order before returning. A round that
@@ -29,8 +37,8 @@ to one :class:`RetrainScheduler`:
   with cold groups split into chunks of at most
   ``_COLD_CHUNK_STREAMS`` streams, and returns. Submitted streams keep
   serving their current model and record every value they ingest. At a
-  later tick boundary the landed unit is assembled, the model swaps in,
-  and it learns the recorded values: on its engine row, in one batched
+  later tick boundary the landed unit is integrated as above, and each
+  new model learns the recorded values: on its engine row, in one batched
   replay for every stream the drain integrated
   (:meth:`~repro.serving.engine.BatchedTickEngine.replay`), or through
   :meth:`~repro.core.online.OnlineLARPredictor.observe_many` for a
@@ -62,9 +70,13 @@ from repro.parallel.pool_exec import (
     shutdown_persistent_pool,
     submit as pool_submit,
 )
-from repro.serving.trainer import BatchedTrainEngine, _stack_by_length
+from repro.serving.trainer import (
+    BatchedTrainEngine,
+    _stack_by_length,
+    build_predictor,
+)
 
-__all__ = ["RetrainScheduler", "assemble", "build_units", "run_unit"]
+__all__ = ["RetrainScheduler", "build_units", "run_unit"]
 
 #: Largest row chunk one asynchronous cold-group unit carries. A group
 #: of *n* streams goes out as ``ceil(n / 32)`` near-equal units, which
@@ -115,8 +127,12 @@ class _BurstPlan(NamedTuple):
     on it while the streams keep serving.
     """
 
+    #: Due streams in due order, and each one's 1-D history.
     names: list
     histories: list
+    #: ``(positions, (S, T) stack)`` per history length: the same
+    #: histories, stacked for the stacked trainer.
+    groups: list
 
 
 class _Unit(NamedTuple):
@@ -125,8 +141,8 @@ class _Unit(NamedTuple):
     kind: str
     #: The unit's streams, in row order.
     names: list
-    #: Picklable input :func:`run_unit` computes from; :func:`assemble`
-    #: reads it again to build the predictors.
+    #: Picklable input :func:`run_unit` computes from; integration
+    #: reads it again (a stacked unit's training histories).
     payload: object
 
 
@@ -151,7 +167,7 @@ def build_units(
             for name, history in zip(plan.names, plan.histories)
         ]
     units: list[_Unit] = []
-    for indices, stack in _stack_by_length(plan.histories):
+    for indices, stack in plan.groups:
         names = [plan.names[i] for i in indices]
         bounds = _chunk_bounds(len(names)) if chunk else [(0, len(names))]
         units.extend(
@@ -167,16 +183,6 @@ def run_unit(engine: BatchedTrainEngine, kind: str, payload):
     if kind == COLD:
         return engine._compute_train_group(payload)
     return _train_stream(engine._config, payload)
-
-
-def assemble(
-    engine: BatchedTrainEngine, kind: str, payload, value
-) -> list[OnlineLARPredictor]:
-    """Build the *value* :func:`run_unit` computed from *payload* into
-    predictors, in the unit's row order."""
-    if kind == COLD:
-        return engine._build_group_predictors(payload, value)
-    return [value]
 
 
 # -- worker side --------------------------------------------------------------
@@ -217,7 +223,7 @@ class _PendingStream:
 
 
 class _Burst(NamedTuple):
-    """One submitted unit: its future plus what assembly needs."""
+    """One submitted unit: its future plus what integration needs."""
 
     kind: str
     payload: object
@@ -316,14 +322,21 @@ class RetrainScheduler:
             state.train_due = False
             state.retrain_due = False
 
-    def restore(self) -> None:
-        """Rebuild the queue after a restore set the due flags directly."""
+    def restore(self, due_seq: int = 0) -> None:
+        """Rebuild the queue after a restore set the due flags directly.
+
+        *due_seq* is the saved fleet's due-stamp clock (0 when the
+        manifest predates it).
+        """
         fleet = self._fleet
         states = fleet._streams.values()
-        # Resume the due-stamp clock past every persisted stamp: streams
-        # that become due after the restore sort strictly behind
-        # everything already queued, as they would have in the original.
-        fleet._due_seq = max((s.due_at for s in states), default=0)
+        # Resume the due-stamp clock where the saved fleet left it, and
+        # at least at every persisted stamp: a stream that becomes due
+        # after the restore, inside an ingest or between ticks, gets the
+        # stamp it would have got in the original.
+        fleet._due_seq = max(
+            due_seq, max((s.due_at for s in states), default=0)
+        )
         self.due_count = sum(
             1 for s in states if s.train_due or s.retrain_due
         )
@@ -348,23 +361,52 @@ class RetrainScheduler:
 
         An initial train fits the warm-up buffer; a QA-ordered retrain
         refits on the last ``retrain_window`` stored values (all of
-        them when ``None``). The snapshot makes the plan
-        self-contained.
+        them when ``None``). Engine-served streams are read from the
+        tick engine's history ring, one gather per history length, with
+        no check-out; other streams from their objects. The snapshot
+        makes the plan self-contained.
         """
         fleet = self._fleet
         limit = fleet.config.retrain_window
-        histories: list[np.ndarray] = []
-        for name in due:
+        engine = fleet._engine
+        if engine is not None:
+            # Rows mutated through checked-out objects reload first.
+            engine.prepare()
+        histories: list = [None] * len(due)
+        served: dict[int, tuple[list, list]] = {}
+        rest: list[int] = []
+        for i, name in enumerate(due):
             state = fleet._streams[name]
-            predictor = state.predictor
+            entry = state._entry
+            if entry is not None:
+                stored = engine.stored(entry)
+                positions, entries = served.setdefault(
+                    min(limit or stored, stored), ([], [])
+                )
+                positions.append(i)
+                entries.append(entry)
+                continue
+            rest.append(i)
+            predictor = state._predictor
             if predictor is None:
-                history = np.asarray(state.buffer, dtype=np.float64)
+                histories[i] = np.asarray(state.buffer, dtype=np.float64)
             else:
-                history = predictor.recent_history(
+                histories[i] = predictor.recent_history(
                     limit or predictor.history_length
                 )
-            histories.append(history)
-        return _BurstPlan(names=list(due), histories=histories)
+        groups = []
+        for length, (positions, entries) in served.items():
+            stack = engine.history_tails(entries, length)
+            for position, history in zip(positions, stack):
+                histories[position] = history
+            groups.append((positions, stack))
+        groups.extend(
+            ([rest[j] for j in indices], stack)
+            for indices, stack in _stack_by_length(
+                [histories[i] for i in rest]
+            )
+        )
+        return _BurstPlan(names=list(due), histories=histories, groups=groups)
 
     # -- rounds ---------------------------------------------------------------
 
@@ -391,22 +433,25 @@ class RetrainScheduler:
         fleet = self._fleet
         engine = fleet._get_train_engine()
         units = build_units(self.snapshot(due), engine, batched=batched)
-        fitted: dict[str, OnlineLARPredictor] = {}
         # Stacked groups record only the engine's own train.* phase
         # spans; the per-stream loop records one span around the round.
         span = "train.per_stream" if units[0].kind == COLD_ONE else None
         with self._span(span, len(due)):
-            for unit in units:
-                value = run_unit(engine, unit.kind, unit.payload)
-                fitted.update(zip(
-                    unit.names,
-                    assemble(engine, unit.kind, unit.payload, value),
-                ))
-        for name in due:
-            was_retrain = self._integrate(fleet._streams[name], fitted[name])
+            values = [
+                run_unit(engine, unit.kind, unit.payload) for unit in units
+            ]
+        states = [fleet._streams[name] for name in due]
+        was_retrain = [state.trained for state in states]
+        fitted: dict[str, OnlineLARPredictor | None] = {}
+        for unit, value in zip(units, values):
+            fitted.update(zip(unit.names, self._land(
+                unit.kind, unit.payload, value,
+                [fleet._streams[name] for name in unit.names],
+            )))
+        for name, state, was in zip(due, states, was_retrain):
+            self._integrate(state, fitted[name], was)
             self._emit(
-                "retrain_complete" if was_retrain else "train_complete",
-                stream=name,
+                "retrain_complete" if was else "train_complete", stream=name
             )
         return due
 
@@ -452,7 +497,7 @@ class RetrainScheduler:
     def drain(self, *, wait: bool, batched: bool = True) -> tuple[str, ...]:
         """Integrate landed units; returns the integrated stream names.
 
-        ``wait=False`` assembles every finished future (the
+        ``wait=False`` integrates every finished future (the
         tick-boundary call); ``wait=True`` blocks until everything
         lands (the flush path, ``train.async_wait`` span). Streams whose
         unit was lost to a broken pool run as a sync round.
@@ -461,11 +506,12 @@ class RetrainScheduler:
             return ()
         fleet = self._fleet
         with self._span("train.async_wait" if wait else None, self.inflight):
-            ready, failed = self._collect(wait)
+            landed, failed = self._collect(wait)
         integrated: list[str] = []
-        if ready:
-            with self._span("train.integrate", len(ready)):
-                integrated = self._integrate_landed(ready, batched)
+        if landed:
+            count = sum(len(burst.records) for burst, _ in landed)
+            with self._span("train.integrate", count):
+                integrated = self._integrate_landed(landed, batched)
         if fleet._tel is not None:
             fleet._m.inflight.set(self.inflight)
         if failed:
@@ -473,15 +519,13 @@ class RetrainScheduler:
         return tuple(integrated)
 
     def _collect(self, wait: bool):
-        """Take landed units off the in-flight list and assemble them.
+        """Take landed units off the in-flight list.
 
-        Returns ``(ready, failed)``: *ready* rows are ``(record,
-        predictor)``; *failed* records lost
-        their unit to a broken pool (hooks already notified, pool
-        already torn down).
+        Returns ``(landed, failed)``: *landed* holds ``(burst, value)``
+        pairs; *failed* records lost their unit to a broken pool (hooks
+        already notified, pool already torn down).
         """
-        engine = self._fleet._get_train_engine()
-        ready: list[tuple] = []
+        landed: list[tuple] = []
         failed: list[_PendingStream] = []
         keep: list[_Burst] = []
         broken = None
@@ -501,10 +545,7 @@ class RetrainScheduler:
                 broken = exc
                 failed.extend(burst.records)
                 continue
-            ready.extend(zip(
-                burst.records,
-                assemble(engine, burst.kind, burst.payload, value),
-            ))
+            landed.append((burst, value))
         self._bursts = keep
         if broken is not None:
             notify_pool_failure(broken)
@@ -512,34 +553,38 @@ class RetrainScheduler:
             for burst in keep:
                 failed.extend(burst.records)
             self._bursts = []
-        for rec in [rec for rec, _ in ready] + failed:
+        done = [rec for burst, _ in landed for rec in burst.records]
+        for rec in done + failed:
             records = self._by_name[rec.name]
             records.remove(rec)
             self.inflight -= 1
             if not records:
                 del self._by_name[rec.name]
-        return ready, failed
+        return landed, failed
 
-    def _live(self, rec: _PendingStream):
-        """*rec*'s stream state, or ``None`` with a ``retrain_dropped``
-        event when the stream was removed or swapped models mid-flight."""
+    def _current(self, rec: _PendingStream):
+        """*rec*'s stream state, or ``None`` when the stream was removed
+        or swapped models mid-flight."""
         state = self._fleet._streams.get(rec.name)
         if state is not None and state.epoch == rec.epoch:
             return state
+        return None
+
+    def _drop_stale(self, rec: _PendingStream) -> None:
         self._emit(
             "retrain_dropped",
             stream=rec.name,
-            reason="removed" if state is None else "stale",
+            reason="stale" if rec.name in self._fleet._streams else "removed",
         )
-        return None
 
-    def _integrate_landed(self, ready, batched: bool) -> list[str]:
-        """Integrate landed results (dropping stale ones); returns the
+    def _integrate_landed(self, landed, batched: bool) -> list[str]:
+        """Integrate landed units (dropping stale results); returns the
         integrated stream names.
 
-        Every live result swaps in first. Then each new model learns
-        the ticks that arrived while its unit ran (the old model served
-        them): engine-served streams in one batched replay on their rows
+        Every live result swaps in first, in landing order. Then each
+        new model learns the ticks that arrived while its unit ran (the
+        old model served them): engine-served streams in one batched
+        replay on their rows
         (:meth:`~repro.serving.engine.BatchedTickEngine.replay`), the
         rest through ``observe_many()``. Both take the ``observe()``
         path the live model would have taken, so the result is
@@ -547,18 +592,26 @@ class RetrainScheduler:
         submission tick and served since.
         """
         live = []
-        for rec, predictor in ready:
-            state = self._live(rec)
-            if state is None:
-                continue
-            was_retrain = self._integrate(state, predictor)
-            self._emit(
-                "retrain_integrated",
-                stream=rec.name,
-                replayed=len(rec.replay),
-                retrain=was_retrain,
-            )
-            live.append((rec, state))
+        for burst, value in landed:
+            states = [self._current(rec) for rec in burst.records]
+            was_retrain = [
+                state is not None and state.trained for state in states
+            ]
+            fitted = self._land(burst.kind, burst.payload, value, states)
+            for rec, state, was, predictor in zip(
+                burst.records, states, was_retrain, fitted
+            ):
+                if state is None:
+                    self._drop_stale(rec)
+                    continue
+                self._integrate(state, predictor, was)
+                self._emit(
+                    "retrain_integrated",
+                    stream=rec.name,
+                    replayed=len(rec.replay),
+                    retrain=was,
+                )
+                live.append((rec, state))
         replay = [(state, rec.replay) for rec, state in live if rec.replay]
         engine = self._fleet._engine
         if batched and engine is not None and replay:
@@ -578,8 +631,9 @@ class RetrainScheduler:
         self._emit("pool_failure", streams=len(failed))
         requeued: list[tuple[int, str]] = []
         for rec in failed:
-            state = self._live(rec)
+            state = self._current(rec)
             if state is None:
+                self._drop_stale(rec)
                 continue
             if not (state.train_due or state.retrain_due):
                 self.due_count += 1
@@ -596,25 +650,54 @@ class RetrainScheduler:
 
     # -- integration ----------------------------------------------------------
 
-    def _integrate(self, state, predictor) -> bool:
-        """Swap *predictor* in with full retrain bookkeeping.
+    def _land(self, kind: str, payload, value, states: list) -> list:
+        """What each stream of a computed unit swaps in: its new
+        predictor, or ``None`` where the model went straight into the
+        tick engine's rows (:meth:`BatchedTickEngine.install`). A
+        ``None`` in *states* (a stale result) gets nothing. The
+        ``train.rebuild`` span times the install and the objects built
+        for streams the engine cannot serve."""
+        if kind == COLD_ONE:
+            return [value]
+        fleet = self._fleet
+        with self._span("train.rebuild", len(states)):
+            installed = fleet._get_engine().install(states, payload, value)
+            return [
+                None if done or state is None
+                else build_predictor(fleet.config, payload[i], value, i)
+                for i, (state, done) in enumerate(zip(states, installed))
+            ]
+
+    def _integrate(self, state, predictor, was_retrain: bool) -> None:
+        """Make a (re)trained model the serving model, with full retrain
+        bookkeeping.
 
         The one place a (re)trained model becomes the serving model, for
         sync rounds and async drains alike, so QA acknowledgement and
-        counters cannot diverge between the modes. Returns whether the
-        swap was a retrain (vs. an initial train).
+        counters cannot diverge between the modes. *predictor* is the
+        new model, or ``None`` when it was installed into the stream's
+        engine row. The old model is dropped unwritten: an engine row
+        it served settles only the stream-level state
+        (:meth:`BatchedTickEngine.release`). Writes the backing slots,
+        so nothing here checks a stream out.
         """
         fleet = self._fleet
-        was_retrain = state.trained
         if was_retrain:
             state.retrain_count += 1
-        state.predictor = predictor
+        if predictor is not None:
+            entry = state._entry
+            if entry is not None:
+                entry.engine.release(entry)
+            state._predictor = predictor
         state.epoch = fleet._next_epoch()
         state.buffer.clear()
-        state.pending = None
+        state._pending = None
         state.pending_at = -1
-        state.qa.acknowledge_retraining()
+        qa = state._qa
+        qa.acknowledge_retraining()
+        if state._entry is not None:
+            # Installed: the row already holds the acknowledged QA.
+            state._entry.qa_version = qa.version
         self.clear_due(state)
         if fleet._tel is not None:
             (fleet._m.retrains if was_retrain else fleet._m.trains).inc()
-        return was_retrain

@@ -80,6 +80,65 @@ class TestLexicographicTopk:
             lexicographic_topk(np.zeros((2, 3)), 4)
 
 
+class TestBoundaryTies:
+    """Rows whose k-th value ties beyond the 2k-candidate pool, as in
+    memories holding duplicate rows, are resolved together and select
+    what a per-row ``np.lexsort`` selects."""
+
+    @staticmethod
+    def _ring_keys(rng, n_rows, width):
+        """Absolute row indices in wrap-around slot order, per row."""
+        tie = np.empty((n_rows, width), dtype=np.int64)
+        for r in range(n_rows):
+            abs_idx = np.arange(width) + int(rng.integers(0, 10_000))
+            tie[r, abs_idx % width] = abs_idx
+        return tie
+
+    def _check(self, values, k, tie=None):
+        top_v, idx = lexicographic_topk(values, k, tie_keys=tie)
+        ref_v, ref_idx = _reference(values, k, tie)
+        np.testing.assert_array_equal(idx, ref_idx)
+        np.testing.assert_array_equal(
+            top_v.view(np.int64), ref_v.view(np.int64)
+        )
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_all_equal_rows(self, k):
+        rng = np.random.default_rng(k)
+        values = np.full((4, 40), 2.5)
+        self._check(values, k)
+        self._check(values, k, self._ring_keys(rng, 4, 40))
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_rows_with_few_distinct_values(self, k):
+        rng = np.random.default_rng(10 + k)
+        values = rng.integers(0, 3, size=(60, 200)) * 0.5
+        self._check(values, k)
+        self._check(values, k, self._ring_keys(rng, 60, 200))
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_inf_padding_and_nan_rows(self, k):
+        """``+inf`` padding never beats a tied live entry, and a NaN row
+        keeps the placement a full-row sort gives it (last)."""
+        rng = np.random.default_rng(20 + k)
+        values = rng.integers(0, 3, size=(40, 128)) * 0.5
+        values[:, rng.random(128) < 0.3] = np.inf
+        for r in range(0, 40, 3):
+            values[r, rng.integers(0, 128, size=3)] = np.nan
+        self._check(values, k)
+        self._check(values, k, self._ring_keys(rng, 40, 128))
+
+    @pytest.mark.parametrize("k", [7, 9, 16])
+    def test_partition_path_for_large_k(self, k):
+        rng = np.random.default_rng(30 + k)
+        values = rng.integers(0, 3, size=(30, 150)) * 0.5
+        values[::4, :] = 1.0
+        tie = self._ring_keys(rng, 30, 150)
+        _, idx = _partition_topk(values, k, tie)
+        _, ref_idx = _reference(values, k, tie)
+        np.testing.assert_array_equal(idx, ref_idx)
+
+
 @st.composite
 def _topk_cases(draw):
     """Selection inputs shaped like the k-NN callers produce them.

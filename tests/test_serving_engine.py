@@ -375,7 +375,8 @@ class TestMemoryRing:
             fleet.ingest(feed(t, names), batched=True)
         engine = fleet._engine
         assert len(engine._rows) == len(names)
-        assert all(e.classifier.n_samples_ == 128 for e in engine._rows)
+        live = engine._mem_hi[: len(names)] - engine._mem_lo[: len(names)]
+        assert (live == 128).all()
         assert engine._mem_cap == 128
         _assert_ring_invariants(fleet)
 

@@ -360,6 +360,26 @@ class TestPersistence:
                 original[name].predictor_label == back[name].predictor_label
             )
 
+    def test_due_clock_survives_roundtrip(self, tmp_path):
+        """A stream ordered between ticks after a restore queues behind
+        one that fell due ticks earlier, as it does in the original."""
+        cfg = small_config(auto_retrain=False)
+        names = ["a", "b"]
+        fleet = PredictionFleet(cfg, streams=names)
+        series = ar1_series(60, phi=0.8, seed=6)
+        for t in range(40):
+            fleet.ingest({n: series[t] for n in names})
+        fleet.run_pending_retrains()
+        fleet._retrain.schedule(fleet._streams["b"], initial=False)
+        for t in range(40, 43):
+            fleet.ingest({n: series[t] for n in names})
+        fleet.save(tmp_path / "f")
+        restored = PredictionFleet.load(tmp_path / "f")
+        for side in (fleet, restored):
+            side._retrain.schedule(side._streams["a"], initial=False)
+        assert fleet.pending_retrains == ("b", "a")
+        assert restored.pending_retrains == fleet.pending_retrains
+
     def test_roundtrip_preserves_counters_and_warmup(self, tmp_path):
         cfg = small_config()
         fleet = PredictionFleet(cfg, streams=["warm", "cold"])

@@ -362,9 +362,7 @@ class TestSaveLoadWithPendingRetrains:
         restored = PredictionFleet.load(tmp_path / "fleet")
         assert restored.config.max_retrains_per_tick == 1
         assert restored.pending_retrains == fleet.pending_retrains
-        assert restored._due_seq == max(
-            s.due_at for s in fleet._streams.values()
-        )
+        assert restored._due_seq == fleet._due_seq
         for _ in range(40):
             vals = feed(t, names)
             t += 1
