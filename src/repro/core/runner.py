@@ -124,6 +124,40 @@ class StrategyRunner:
         """
         train = self.train_data
         test = prepared if prepared is not None else self.prepare_test(test_series)
+        return self._evaluate(strategy, train, test, self._best_labels(test))
+
+    def evaluate_all(
+        self,
+        test_series,
+        strategies: Iterable[SelectionStrategy],
+        *,
+        trace_id: str = "trace",
+    ) -> TraceEvaluation:
+        """Evaluate several strategies on one shared test split.
+
+        The oracle labels of the split are computed once and shared,
+        read-only, by every strategy's result.
+        """
+        prepared = self.prepare_test(test_series)
+        train = self.train_data
+        best_labels = self._best_labels(prepared)
+        evaluation = TraceEvaluation(trace_id=trace_id, pool_names=self.pool.names)
+        for strategy in strategies:
+            evaluation.add(self._evaluate(strategy, train, prepared, best_labels))
+        return evaluation
+
+    def _best_labels(self, test: PreparedData) -> np.ndarray:
+        labels = self.pool.best_labels(test.frames, test.targets)
+        labels.flags.writeable = False
+        return labels
+
+    def _evaluate(
+        self,
+        strategy: SelectionStrategy,
+        train: PreparedData,
+        test: PreparedData,
+        best_labels: np.ndarray,
+    ) -> StrategyResult:
         strategy.fit(self.pool, train)
         labels = strategy.select(self.pool, test)
         labels = np.asarray(labels, dtype=np.int64)
@@ -133,7 +167,6 @@ class StrategyRunner:
                 f"for {len(test)} test steps"
             )
         predictions = self.pool.predict_with_labels(test.frames, labels)
-        best_labels = self.pool.best_labels(test.frames, test.targets)
         return StrategyResult(
             strategy=strategy.name,
             labels=labels,
@@ -142,20 +175,6 @@ class StrategyRunner:
             best_labels=best_labels,
             runs_pool_in_parallel=strategy.runs_pool_in_parallel,
         )
-
-    def evaluate_all(
-        self,
-        test_series,
-        strategies: Iterable[SelectionStrategy],
-        *,
-        trace_id: str = "trace",
-    ) -> TraceEvaluation:
-        """Evaluate several strategies on one shared test split."""
-        prepared = self.prepare_test(test_series)
-        evaluation = TraceEvaluation(trace_id=trace_id, pool_names=self.pool.names)
-        for strategy in strategies:
-            evaluation.add(self.evaluate(None, strategy, prepared=prepared))
-        return evaluation
 
     def __repr__(self) -> str:
         state = "fitted" if self.is_fitted else "unfitted"

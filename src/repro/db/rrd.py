@@ -61,45 +61,77 @@ class ArchiveSpec:
 
 
 class _Archive:
-    """One circular buffer per (data source, archive spec)."""
+    """One circular buffer per archive spec, one row per data source.
 
-    __slots__ = ("spec", "values", "times", "head", "count", "_bucket", "_bucket_n")
+    Every source of an RRD is written on the same tick, so the sources
+    of one archive share the ring position and the partial bucket.
+    """
 
-    def __init__(self, spec: ArchiveSpec):
+    __slots__ = ("spec", "values", "times", "head", "count", "_pending", "_fill")
+
+    def __init__(self, spec: ArchiveSpec, n_sources: int):
         self.spec = spec
-        self.values = np.full(spec.rows, np.nan)
+        self.values = np.full((n_sources, spec.rows), np.nan)
         self.times = np.full(spec.rows, -1, dtype=np.int64)
         self.head = 0  # next write slot
         self.count = 0
-        self._bucket: list[float] = []
-        self._bucket_n = 0
+        self._pending = np.empty((n_sources, spec.steps))
+        self._fill = 0  # samples in the partial bucket
 
-    def push(self, timestamp: int, value: float) -> None:
-        self._bucket.append(value)
-        self._bucket_n += 1
-        if self._bucket_n >= self.spec.steps:
-            self._commit(timestamp)
+    def write(self, times: np.ndarray, block: np.ndarray) -> None:
+        """Consolidate a checked ``(sources, n)`` block of clocked samples.
 
-    def _commit(self, timestamp: int) -> None:
-        bucket = np.asarray(self._bucket)
+        The pending partial bucket is completed from the head of the
+        block, every full bucket after it is consolidated in one reduce,
+        and the trailing samples become the next partial bucket.
+        """
+        steps = self.spec.steps
+        fill = self._fill
+        n = times.shape[0]
+        if fill + n < steps:
+            self._pending[:, fill : fill + n] = block
+            self._fill = fill + n
+            return
+        lead = (steps - fill) % steps  # samples that complete the pending bucket
+        end = n - (n - lead) % steps  # block[:, lead:end] is whole buckets
+        buckets = block[:, lead:end].reshape(len(block), -1, steps)
+        stamps = times[lead + steps - 1 : end : steps]
+        if lead:
+            self._pending[:, fill:] = block[:, :lead]
+            buckets = np.concatenate((self._pending[:, None, :], buckets), axis=1)
+            stamps = times[lead - 1 : end : steps]
+        self._insert(stamps, self._consolidate(buckets))
+        self._pending[:, : n - end] = block[:, end:]
+        self._fill = n - end
+
+    def _consolidate(self, buckets: np.ndarray) -> np.ndarray:
+        """``(sources, k, steps)`` buckets -> ``(sources, k)`` archive rows.
+
+        Each bucket reduces along the contiguous last axis, in the same
+        order as ``np.mean`` (``max``, ``min``) over that bucket alone.
+        """
         cf = self.spec.consolidation
         if cf == "average":
-            consolidated = float(bucket.mean())
-        elif cf == "max":
-            consolidated = float(bucket.max())
-        elif cf == "min":
-            consolidated = float(bucket.min())
-        else:  # last
-            consolidated = float(bucket[-1])
-        self.values[self.head] = consolidated
-        self.times[self.head] = timestamp
-        self.head = (self.head + 1) % self.spec.rows
-        self.count = min(self.count + 1, self.spec.rows)
-        self._bucket.clear()
-        self._bucket_n = 0
+            return buckets.mean(axis=2)
+        if cf == "max":
+            return buckets.max(axis=2)
+        if cf == "min":
+            return buckets.min(axis=2)
+        return buckets[:, :, -1]  # last
+
+    def _insert(self, stamps: np.ndarray, rows: np.ndarray) -> None:
+        """Write consolidated rows as that many ring commits would."""
+        capacity = self.spec.rows
+        k = stamps.shape[0]
+        keep = min(k, capacity)  # older rows would be overwritten anyway
+        slots = (self.head + (k - keep) + np.arange(keep)) % capacity
+        self.values[:, slots] = rows[:, k - keep :]
+        self.times[slots] = stamps[k - keep :]
+        self.head = (self.head + k) % capacity
+        self.count = min(self.count + k, capacity)
 
     def fetch(
-        self, start: int | None, end: int | None
+        self, source: int, start: int | None, end: int | None
     ) -> tuple[np.ndarray, np.ndarray]:
         if self.count == 0:
             return np.empty(0, dtype=np.int64), np.empty(0)
@@ -109,7 +141,7 @@ class _Archive:
         else:
             order = (np.arange(self.spec.rows) + self.head) % self.spec.rows
         t = self.times[order]
-        v = self.values[order]
+        v = self.values[source, order]
         mask = np.ones(t.shape[0], dtype=bool)
         if start is not None:
             mask &= t >= int(start)
@@ -133,9 +165,11 @@ class RoundRobinDatabase:
 
     Notes
     -----
-    Updates must be supplied for all sources at once (one sampling tick)
-    with non-decreasing timestamps aligned to the step; vmkusage works
-    the same way — it snapshots every metric of a VM on each tick.
+    Updates must be supplied for all sources at once, with timestamps
+    that advance by exactly one step; vmkusage works the same way — it
+    snapshots every metric of a VM on each tick. :meth:`update_many`
+    writes a block of such ticks, :meth:`update` one of them; both
+    check the whole write before storing any of it.
     """
 
     def __init__(
@@ -156,9 +190,8 @@ class RoundRobinDatabase:
             raise ConfigurationError("an RRD needs at least one archive")
         self.sources = tuple(str(n) for n in names)
         self.archive_specs = tuple(archives)
-        self._archives: dict[str, list[_Archive]] = {
-            name: [_Archive(spec) for spec in archives] for name in self.sources
-        }
+        self._index = {name: i for i, name in enumerate(self.sources)}
+        self._archives = [_Archive(spec, len(self.sources)) for spec in archives]
         self._last_timestamp: int | None = None
         self._updates = 0
 
@@ -175,7 +208,7 @@ class RoundRobinDatabase:
         return self._updates
 
     def update(self, timestamp: int, values: dict[str, float]) -> None:
-        """Record one sampling tick.
+        """Record one sampling tick: a one-row :meth:`update_many`.
 
         Parameters
         ----------
@@ -186,14 +219,61 @@ class RoundRobinDatabase:
         values:
             One finite value per data source.
         """
-        timestamp = int(timestamp)
+        self.update_many(
+            (int(timestamp),), {name: (value,) for name, value in values.items()}
+        )
+
+    def update_many(self, timestamps, values) -> None:
+        """Record a block of consecutive sampling ticks.
+
+        Parameters
+        ----------
+        timestamps:
+            1-D integer seconds. The first must follow the previous
+            update by exactly ``step`` (an empty RRD accepts any start),
+            and each later one its predecessor.
+        values:
+            For every data source, a 1-D sequence of finite values, one
+            per timestamp — the column form of :meth:`update`'s dict.
+
+        Raises
+        ------
+        DatabaseError
+            If the block is empty, off the clock, has missing, unknown or
+            short sources, or holds a non-finite value. A rejected block
+            changes nothing.
+        """
+        times = np.asarray(timestamps).astype(np.int64, copy=False)
+        if times.ndim != 1 or times.shape[0] == 0:
+            raise DatabaseError(
+                f"timestamps must be a non-empty 1-D array, got shape {times.shape}"
+            )
+        self._check_clock(times)
+        block = self._check_block(values, times.shape[0])
+        for archive in self._archives:
+            archive.write(times, block)
+        self._last_timestamp = int(times[-1])
+        self._updates += times.shape[0]
+
+    def _check_clock(self, times: np.ndarray) -> None:
         if self._last_timestamp is not None:
             expected = self._last_timestamp + self.step
-            if timestamp != expected:
-                raise DatabaseError(
-                    f"update at {timestamp} but expected {expected} "
-                    f"(step={self.step})"
-                )
+            if int(times[0]) != expected:
+                raise self._clock_error(times[0], expected)
+        if times.shape[0] > 1:
+            gaps = np.flatnonzero(np.diff(times) != self.step)
+            if gaps.size:
+                i = gaps[0]
+                raise self._clock_error(times[i + 1], times[i] + self.step)
+
+    def _clock_error(self, timestamp, expected) -> DatabaseError:
+        return DatabaseError(
+            f"update at {int(timestamp)} but expected {int(expected)} "
+            f"(step={self.step})"
+        )
+
+    def _check_block(self, values, n: int) -> np.ndarray:
+        """The ``(sources, n)`` float64 block, once every check passed."""
         missing = set(self.sources) - set(values)
         extra = set(values) - set(self.sources)
         if missing or extra:
@@ -201,14 +281,29 @@ class RoundRobinDatabase:
                 f"update sources mismatch: missing={sorted(missing)}, "
                 f"unknown={sorted(extra)}"
             )
-        for name in self.sources:
-            v = float(values[name])
-            if not np.isfinite(v):
-                raise DatabaseError(f"non-finite value for source {name!r}")
-            for archive in self._archives[name]:
-                archive.push(timestamp, v)
-        self._last_timestamp = timestamp
-        self._updates += 1
+        columns = [values[name] for name in self.sources]
+        try:
+            block = np.array(columns, dtype=np.float64)
+        except ValueError:
+            block = None  # ragged columns, or a value that is not a number
+        if block is None or block.shape != (len(columns), n):
+            for name, column in zip(self.sources, columns):
+                shape = np.shape(column)
+                if shape != (n,):
+                    raise DatabaseError(
+                        f"source {name!r} has shape {shape}, expected ({n},)"
+                    )
+            block = np.array(columns, dtype=np.float64)  # raises for the non-number
+        finite = np.isfinite(block)
+        if not finite.all():
+            # Name the source sequential updates would have rejected
+            # first: the earliest bad tick, then source order.
+            tick = np.flatnonzero(~finite.all(axis=0))[0]
+            source = np.flatnonzero(~finite[:, tick])[0]
+            raise DatabaseError(
+                f"non-finite value for source {self.sources[source]!r}"
+            )
+        return block
 
     # -- reads ------------------------------------------------------------------
 
@@ -231,17 +326,16 @@ class RoundRobinDatabase:
         start, end:
             Optional inclusive timestamp bounds.
         """
-        if source not in self._archives:
+        if source not in self._index:
             raise DatabaseError(
                 f"unknown data source {source!r}; have {list(self.sources)}"
             )
-        archives = self._archives[source]
-        if not 0 <= archive < len(archives):
+        if not 0 <= archive < len(self._archives):
             raise DatabaseError(
                 f"archive index {archive} out of range "
-                f"(have {len(archives)} archives)"
+                f"(have {len(self._archives)} archives)"
             )
-        return archives[archive].fetch(start, end)
+        return self._archives[archive].fetch(self._index[source], start, end)
 
     def __repr__(self) -> str:
         return (

@@ -61,7 +61,6 @@ from repro.core.larpredictor import Forecast
 from repro.core.online import OnlineLARPredictor
 from repro.core.qa import AuditRecord, PredictionQualityAssuror
 from repro.exceptions import ConfigurationError, NotFittedError
-from repro.experiments.report import format_table
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.serving.engine import BatchedTickEngine
 from repro.serving.retrain import RetrainScheduler
@@ -226,6 +225,10 @@ class FleetMetrics:
 
     def render(self, *, max_rows: int = 20) -> str:
         """Fixed-width text report (truncated to *max_rows* streams)."""
+        # Imported here: the experiments package pulls in the trace
+        # generators, which serving does not otherwise need.
+        from repro.experiments.report import format_table
+
         rows = [
             [
                 m.name,

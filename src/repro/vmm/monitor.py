@@ -7,13 +7,16 @@ interval. The collected data is stored in a Round Robin Database."
 
 :class:`PerformanceMonitoringAgent` is that component for the simulated
 host: it drives the host/guest simulation at one-minute resolution and
-streams every sample into a per-VM :class:`~repro.db.rrd.RoundRobinDatabase`
-with two archives — the raw one-minute samples and the consolidated
-(averaged) report-interval archive the profiler later reads (5 minutes
-for VM2-VM5, 30 minutes for VM1).
+writes each VM's whole sample matrix, in one block, into a per-VM
+:class:`~repro.db.rrd.RoundRobinDatabase` with two archives — the raw
+one-minute samples and the consolidated (averaged) report-interval
+archive the profiler later reads (5 minutes for VM2-VM5, 30 minutes for
+VM1).
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.db.rrd import ArchiveSpec, RoundRobinDatabase
 from repro.exceptions import ConfigurationError
@@ -119,10 +122,8 @@ class PerformanceMonitoringAgent:
                 ArchiveSpec("average", interval, consolidated_rows),
             ],
         )
-        for minute in range(n_minutes):
-            timestamp = minute * SAMPLE_STEP_SECONDS
-            rrd.update(
-                timestamp,
-                {metric: float(samples[metric][minute]) for metric in METRICS},
-            )
+        rrd.update_many(
+            np.arange(n_minutes) * SAMPLE_STEP_SECONDS,
+            {metric: samples[metric] for metric in METRICS},
+        )
         return rrd

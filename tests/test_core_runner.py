@@ -81,6 +81,42 @@ class TestEvaluate:
         for t in targets[1:]:
             np.testing.assert_array_equal(targets[0], t)
 
+    def test_evaluate_all_labels_the_oracle_once(self, smooth_series, monkeypatch):
+        r = StrategyRunner(LARConfig(window=5)).fit(smooth_series[:200])
+        # LAR and P-LAR call best_labels themselves; leave them out so
+        # every call counted is the runner's.
+        strategies = [
+            s for s in default_strategies(r.pool) if s.name not in ("LAR", "P-LAR")
+        ]
+        calls = []
+        original = r.pool.best_labels
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(r.pool, "best_labels", counting)
+        ev = r.evaluate_all(smooth_series[200:], strategies)
+        assert len(calls) == 1
+        shared = [res.best_labels for res in ev.results.values()]
+        assert len(shared) == len(strategies)
+        assert all(labels is shared[0] for labels in shared)
+        assert not shared[0].flags.writeable
+
+    def test_evaluate_all_matches_per_strategy_evaluate(self, smooth_series):
+        r = StrategyRunner(LARConfig(window=5)).fit(smooth_series[:200])
+        ev = r.evaluate_all(smooth_series[200:], default_strategies(r.pool))
+        prepared = r.prepare_test(smooth_series[200:])
+        for strategy in default_strategies(r.pool):
+            alone = r.evaluate(None, strategy, prepared=prepared)
+            shared = ev.results[strategy.name]
+            for field in ("labels", "predictions", "targets", "best_labels"):
+                np.testing.assert_array_equal(
+                    getattr(shared, field), getattr(alone, field)
+                )
+            assert shared.mse == alone.mse
+            assert shared.forecast_accuracy == alone.forecast_accuracy
+
     def test_bad_strategy_label_count(self, smooth_series):
         class Broken(StaticSelection):
             def select(self, pool, test):

@@ -257,3 +257,30 @@ class TestExogenous:
         m = ExogenousModel(np.zeros(100), noise_std=1.0, lo=0.0)
         x = _gen(m, 100)
         assert x.min() >= 0.0
+
+
+class TestImportCost:
+    def test_import_repro_leaves_scipy_signal_unloaded(self):
+        """``lfilter`` is imported where it runs: loading ``scipy.signal``
+        costs about a second, and ``import repro`` never calls it."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro; print('scipy.signal' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

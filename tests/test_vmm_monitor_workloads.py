@@ -43,6 +43,26 @@ class TestMonitoringAgent:
         t, _ = rrd.fetch("Memory_size", archive=0)
         np.testing.assert_array_equal(t, np.arange(10) * 60)
 
+    def test_collect_stores_every_minute_once(self):
+        """The agent's block write holds each simulated minute once, and
+        the report archive is the per-bucket mean of those samples."""
+        host, vm = HostServer(), build_vm("VM2", seed=5).vm
+        rrd = PerformanceMonitoringAgent(host).collect(
+            vm, 97, report_interval_minutes=5, seed=11
+        )
+        samples = host.simulate_vm(vm, 97, seed=11)
+        assert rrd.n_updates == 97
+        assert rrd.last_timestamp == 96 * 60
+        for metric in METRICS:
+            assert samples[metric].shape == (97,)
+            t, v = rrd.fetch(metric, archive=1)
+            np.testing.assert_array_equal(t, (np.arange(19) * 5 + 4) * 60)
+            buckets = samples[metric][:95].reshape(19, 5)
+            expected = np.array(
+                [np.asarray([float(x) for x in bucket]).mean() for bucket in buckets]
+            )
+            np.testing.assert_array_equal(v.view(np.uint64), expected.view(np.uint64))
+
     def test_validation(self):
         agent = PerformanceMonitoringAgent(HostServer())
         with pytest.raises(ConfigurationError):
