@@ -52,9 +52,15 @@ def test_pool_parallel_training_pass(benchmark):
     benchmark(lambda: pool.best_labels(FRAMES, targets, smooth_window=10))
 
 
-def test_knn_brute_queries(benchmark):
-    clf = KNNClassifier(k=3, algorithm="brute").fit(TRAIN_FEATURES, TRAIN_LABELS)
-    benchmark(lambda: clf.predict(QUERIES))
+@pytest.mark.parametrize("width", [2, 16])
+def test_knn_brute_queries(benchmark, width):
+    """At the paper's n = 2 PCA features and at 16 (window 16 with PCA
+    off): the exact distance kernel makes one pass per coordinate."""
+    rng = np.random.default_rng(width)
+    train = np.hstack([TRAIN_FEATURES, rng.standard_normal((5000, width - 2))])
+    queries = np.hstack([QUERIES, rng.standard_normal((1000, width - 2))])
+    clf = KNNClassifier(k=3, algorithm="brute").fit(train, TRAIN_LABELS)
+    benchmark(lambda: clf.predict(queries))
 
 
 def test_knn_kdtree_queries(benchmark):

@@ -1,14 +1,12 @@
 """Vectorized pairwise distance kernels.
 
 k-NN classification cost is dominated by the distance matrix between test
-and training points. All kernels here are fully vectorized: the Euclidean
-path expands ``|a - b|^2 = |a|^2 - 2 a.b + |b|^2`` so the cross term is a
-stacked BLAS product, one ``(1, d) @ (d, n)`` per query row. A single
-GEMM over the whole batch can round the same memory row differently
-depending on its column, so identical training rows would stop being
-equidistant and the k-NN tie rule (oldest first) would break. One
-product per row gives every row of a batch the bits a one-row query
-gets — the form the fleet's batched tick engine computes too.
+and training points. Every squared Euclidean distance the library ranks
+by (brute-force k-NN, the KD-tree's leaf scans, the fleet's batched tick
+engine) comes from one kernel, :func:`squared_distances`, which sums
+``(q_j - x_j)^2`` over the coordinates in order. Equal inputs give equal
+bits on every path, so identical training rows are exactly equidistant
+and the k-NN tie rule (oldest first) holds at every feature width.
 """
 
 from __future__ import annotations
@@ -18,6 +16,7 @@ import numpy as np
 from repro.exceptions import ConfigurationError, DataError
 
 __all__ = [
+    "squared_distances",
     "squared_euclidean_distances",
     "euclidean_distances",
     "manhattan_distances",
@@ -44,22 +43,34 @@ def _check_pair(A, B) -> tuple[np.ndarray, np.ndarray]:
     return A, B
 
 
+def squared_distances(queries, memory, *, out=None, work=None) -> np.ndarray:
+    """``(..., m)`` squared Euclidean distances from ``(..., d)``
+    *queries* to a coordinate-major ``(..., d, m)`` *memory*: each sums
+    ``(q_j - x_j)^2`` over ``j = 0 .. d - 1`` in order, so a point with a
+    ``+inf`` coordinate is ``+inf`` away. *out* and *work* are optional
+    recycled arrays of the result's shape (the result and a scratch).
+    """
+    d = memory.shape[-2]
+    if queries.shape[-1] != d:
+        raise DataError(f"feature dimensions differ: {queries.shape[-1]} vs {d}")
+    out = np.subtract(queries[..., 0, None], memory[..., 0, :], out=out)
+    np.multiply(out, out, out=out)
+    for j in range(1, d):
+        work = np.subtract(queries[..., j, None], memory[..., j, :], out=work)
+        np.multiply(work, work, out=work)
+        np.add(out, work, out=out)
+    return out
+
+
 def squared_euclidean_distances(A, B) -> np.ndarray:
     """``(len(A), len(B))`` matrix of squared Euclidean distances.
 
     Preferred for nearest-neighbour *ranking*: the square root is
     monotone, so skipping it changes no ordering and saves a pass.
-    Round-off from the expanded form can produce tiny negatives; they
-    are clamped to zero. Row *i* carries exactly the bits of the
-    one-row call on ``A[i]``.
+    Row *i* carries exactly the bits of the one-row call on ``A[i]``.
     """
     A, B = _check_pair(A, B)
-    aa = np.einsum("ij,ij->i", A, A)[:, None]
-    bb = np.einsum("ij,ij->i", B, B)[None, :]
-    cross = np.matmul(A[:, None, :], B.T)[:, 0, :]
-    d2 = aa + bb - 2.0 * cross
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+    return squared_distances(A, B.T)
 
 
 def euclidean_distances(A, B) -> np.ndarray:

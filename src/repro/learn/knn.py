@@ -7,10 +7,10 @@ PCA-reduced feature space.
 
 Three ``algorithm`` settings choose the query backend:
 
-* ``brute`` — a BLAS-backed distance matrix (one product per query
-  row, so a batch ranks exactly as one-row queries do) plus a
-  deterministic top-k selection; optimal for the small training sets
-  of a single trace fold.
+* ``brute`` — the exact distance matrix of :mod:`repro.learn.distance`
+  (the KD-tree and the fleet's tick engine use its kernel too, so all
+  rank alike) plus a deterministic top-k selection; optimal for the
+  small training sets of a single trace fold.
 * ``kd_tree`` — the :class:`repro.learn.kdtree.KDTree` index; wins when
   the training set is large and the feature dimension small (exactly the
   n = 2 PCA regime), reproducing §7.3's complexity discussion.

@@ -12,16 +12,16 @@ same tick *fleet-wide*:
 * per-stream z-score coefficients and PCA bases are stacked in the
   engine's row arrays, so normalization is one broadcast and feature
   projection one 3-D ``matmul``;
-* every stream's k-NN memory lives in a padded
-  ``(n_streams, capacity, d)`` ring tensor (ring layout by absolute row
-  index) with cached squared norms, so the fleet's N single-point
-  queries become one batched distance computation plus one
-  deterministic top-k selection (:mod:`repro.learn.topk`). The ring is
-  sized by the deepest live memory *after* eviction, so memories full
-  at ``max_memory`` write each new row into the slot their oldest row
-  frees. Dead slots are encoded in the ring itself — a ``+inf``
-  squared norm and a tie key above every live row's — so they rank
-  behind every live row with no per-tick mask;
+* every stream's k-NN memory lives in a padded, coordinate-major
+  ``(n_streams, d, capacity)`` ring tensor (ring layout by absolute row
+  index), so the fleet's N single-point queries become one call of the
+  per-stream classifier's distance kernel plus one deterministic top-k
+  selection (:mod:`repro.learn.topk`). The ring is sized by the deepest
+  live memory *after* eviction, so memories full at ``max_memory``
+  write each new row into the slot their oldest row frees. Dead slots
+  are encoded in the ring itself — ``+inf`` coordinates and a tie key
+  above every live row's — so they rank behind every live row with no
+  per-tick mask;
 * the pool members run through the batched trainer's stacked kernels
   (:mod:`repro.predictors.stacked`), one frame per stream: LAST, AR and
   SW_AVG each run once over every row, and each row keeps the member
@@ -42,7 +42,7 @@ demotions, and out-of-order attaches or installs the engine restores
 fleet order with one permutation per row array. A full-fleet
 tick therefore always selects ``slice(0, S)``: basic indexing makes
 every kernel read **views** of the stacked tensors instead of copying
-the ``(S, cap, d)`` memory ring, and per-tick scratch buffers are
+the ``(S, d, cap)`` memory ring, and per-tick scratch buffers are
 recycled across ticks. Partial row subsets fall back to fancy-index
 gathers, bit-identically.
 
@@ -115,7 +115,8 @@ chosen for that property (elementwise broadcasts, row-wise reductions,
 stacked ``matmul`` whose slices hit the same BLAS calls, grouped
 trailing-slice row-sums that reproduce ``np.mean``'s summation order, a
 QA running sum that replays ``record()``'s subtract-then-add order, and
-a shared lexicographic top-k rule for distance ties); the parity suites in
+the per-stream classifier's own distance kernel and top-k rule, so
+distance ties break alike at every feature width); the parity suites in
 ``tests/test_serving_engine.py`` and
 ``tests/test_serving_qa_stacked.py`` lock it in.
 
@@ -143,6 +144,7 @@ import numpy as np
 from repro.core.larpredictor import Forecast
 from repro.core.online import OnlineLARPredictor
 from repro.core.qa import AuditRecord, PredictionQualityAssuror
+from repro.learn.distance import squared_distances
 from repro.learn.knn import KNNClassifier
 from repro.learn.topk import lexicographic_topk
 from repro.learn.voting import majority_vote
@@ -160,8 +162,8 @@ _POOL_NAMES = np.array(("", "LAST", "AR", "SW_AVG"), dtype=object)
 _MEMBERS = tuple(_POOL_NAMES[1:].tolist())
 _MIN_ROW_CAPACITY = 4
 #: Tie key of a dead ring slot. It sorts after every live row's
-#: absolute index, so a dead slot (distance ``+inf`` through its
-#: ``_mem_bb``) loses even to a live row whose distance overflowed.
+#: absolute index, so a dead slot (``+inf`` coordinates, so distance
+#: ``+inf``) loses even to a live row whose distance overflowed.
 _DEAD_KEY = np.iinfo(np.int64).max
 #: ``max_memory`` of an uncapped row: ``hi + 1 - _NO_CAP`` never exceeds
 #: a live ``lo``, so the learn step's eviction keeps every row.
@@ -356,15 +358,14 @@ class BatchedTickEngine:
     def _alloc_memory(self, row_cap: int) -> None:
         """Fresh memory ring at the current capacity, all dead.
 
-        A dead slot holds ``+inf`` in ``_mem_bb`` and :data:`_DEAD_KEY`
-        in ``_mem_abs``: its distance computes to ``+inf`` (its stale
-        ``_mem_x`` stays finite) and it sorts after every live row, so
-        the distance kernel needs no per-tick mask.
+        ``_mem_x`` is coordinate-major, ``(rows, d, cap)``. A dead slot
+        holds ``+inf`` coordinates and :data:`_DEAD_KEY` in ``_mem_abs``:
+        its distance computes to ``+inf`` and it sorts after every live
+        row, so the distance kernel needs no per-tick mask.
         """
         cap, d = self._mem_cap, self._n_features
-        self._mem_x = np.zeros((row_cap, cap, d), dtype=np.float64)
+        self._mem_x = np.full((row_cap, d, cap), np.inf, dtype=np.float64)
         self._mem_y = np.empty((row_cap, cap), dtype=np.int64)
-        self._mem_bb = np.full((row_cap, cap), np.inf, dtype=np.float64)
         self._mem_abs = np.full((row_cap, cap), _DEAD_KEY, dtype=np.int64)
 
     def _row_arrays(self) -> tuple:
@@ -375,7 +376,7 @@ class BatchedTickEngine:
                 self._pend_norm, self._pend_label, self._fresh, self._hist,
                 self._hist_hi, self._deferred, self._replayed, self._sel,
                 self._sel_first, self._dirty, self._mem_x, self._mem_y,
-                self._mem_bb, self._mem_abs, self._mem_lo, self._mem_hi)
+                self._mem_abs, self._mem_lo, self._mem_hi)
 
     def _grow_rows(self, used: int) -> None:
         old = self._row_arrays()
@@ -385,16 +386,14 @@ class BatchedTickEngine:
 
     def _grow_memory(self, needed: int) -> None:
         """Widen the memory ring, moving every live row to its slot."""
-        old_x, old_y = self._mem_x, self._mem_y
-        old_bb, old_abs = self._mem_bb, self._mem_abs
+        old_x, old_y, old_abs = self._mem_x, self._mem_y, self._mem_abs
         self._mem_cap = _pow2_at_least(needed)
         self._alloc_memory(self._tails.shape[0])
         rows, slots = np.nonzero(old_abs != _DEAD_KEY)
         abs_idx = old_abs[rows, slots]
         new = abs_idx % self._mem_cap
-        self._mem_x[rows, new] = old_x[rows, slots]
+        self._mem_x[rows, :, new] = old_x[rows, :, slots]
         self._mem_y[rows, new] = old_y[rows, slots]
-        self._mem_bb[rows, new] = old_bb[rows, slots]
         self._mem_abs[rows, new] = abs_idx
 
     def _history_cap(self, needed: int) -> int:
@@ -639,21 +638,26 @@ class BatchedTickEngine:
 
     def _reload_memory(self, entry: _Entry) -> None:
         clf = entry.classifier
-        lo, hi = clf.discarded_total_, clf.appended_total_
+        self._write_memory(
+            np.array([entry.row]), clf.discarded_total_,
+            clf.appended_total_, clf._X[None], clf._y[None],
+        )
+        entry.clf_version = clf.version
+
+    def _write_memory(self, rows, lo: int, hi: int, X, y) -> None:
+        """Make absolute rows ``lo .. hi - 1`` the whole memory of engine
+        *rows*; ``X[i]`` and ``y[i]`` hold row ``rows[i]``'s, oldest first."""
         if hi - lo > self._mem_cap:
             self._grow_memory(hi - lo)
-        row = entry.row
         abs_idx = np.arange(lo, hi, dtype=np.int64)
-        slots = abs_idx % self._mem_cap
-        self._mem_abs[row] = _DEAD_KEY
-        self._mem_bb[row] = np.inf
-        self._mem_abs[row, slots] = abs_idx
-        self._mem_x[row, slots] = clf._X
-        self._mem_y[row, slots] = clf._y
-        self._mem_bb[row, slots] = np.einsum("ij,ij->i", clf._X, clf._X)
-        self._mem_lo[row] = lo
-        self._mem_hi[row] = hi
-        entry.clf_version = clf.version
+        at, slots = rows[:, None], abs_idx % self._mem_cap
+        self._mem_abs[rows] = _DEAD_KEY
+        self._mem_x[rows] = np.inf
+        self._mem_abs[at, slots] = abs_idx
+        self._mem_x[at, :, slots] = X
+        self._mem_y[at, slots] = y
+        self._mem_lo[rows] = lo
+        self._mem_hi[rows] = hi
 
     # -- retrains -----------------------------------------------------------
 
@@ -773,22 +777,9 @@ class BatchedTickEngine:
         # discard_oldest() trims it to max_memory: absolute rows lo .. N-1.
         total = fit.labels.shape[1]
         lo = 0 if cap is None else max(0, total - cap)
-        if total - lo > self._mem_cap:
-            self._grow_memory(total - lo)
-        feats = fit.features[pick, lo:]
-        abs_idx = np.arange(lo, total, dtype=np.int64)
-        grid = (rows[:, None], abs_idx % self._mem_cap)
-        self._mem_abs[rows] = _DEAD_KEY
-        self._mem_bb[rows] = np.inf
-        self._mem_abs[grid] = abs_idx
-        self._mem_x[grid] = feats
-        self._mem_y[grid] = fit.labels[pick, lo:]
-        flat = feats.reshape(-1, feats.shape[2])
-        self._mem_bb[grid] = np.einsum("ij,ij->i", flat, flat).reshape(
-            feats.shape[:2]
+        self._write_memory(
+            rows, lo, total, fit.features[pick, lo:], fit.labels[pick, lo:]
         )
-        self._mem_lo[rows] = lo
-        self._mem_hi[rows] = total
 
     @_locked
     def release(self, entry: _Entry) -> None:
@@ -816,7 +807,7 @@ class BatchedTickEngine:
     def _retire(self, row: int, lo: int, hi: int) -> None:
         """Mark the ring slots of absolute rows ``lo .. hi - 1`` dead."""
         slots = np.arange(lo, hi, dtype=np.int64) % self._mem_cap
-        self._mem_bb[row, slots] = np.inf
+        self._mem_x[row, :, slots] = np.inf
         self._mem_abs[row, slots] = _DEAD_KEY
 
     def _sync_watched(self) -> None:
@@ -972,7 +963,7 @@ class BatchedTickEngine:
         start = max(lo, old_hi)
         if hi > start:
             clf._append_rows(
-                _ring_span(self._mem_x[row], start, hi),
+                _ring_span(self._mem_x[row].T, start, hi),
                 _ring_span(self._mem_y[row], start, hi),
             )
 
@@ -980,18 +971,11 @@ class BatchedTickEngine:
 
     def _classify(self, sel, feats: np.ndarray) -> np.ndarray:
         """Batched k-NN majority vote: one label per selected row."""
-        mem_x = self._mem_x[sel]
-        n, cap = feats.shape[0], mem_x.shape[1]
-        aa = self._buf("aa", (n,))
-        np.einsum("ij,ij->i", feats, feats, out=aa)
-        cross3 = self._buf("cross3", (n, 1, cap))
-        np.matmul(feats[:, None, :], mem_x.transpose(0, 2, 1), out=cross3)
-        cross = cross3[:, 0, :]
-        d2 = self._buf("d2", (n, cap))
-        np.add(aa[:, None], self._mem_bb[sel], out=d2)
-        np.multiply(cross, 2.0, out=cross)
-        np.subtract(d2, cross, out=d2)
-        np.maximum(d2, 0.0, out=d2)
+        shape = (feats.shape[0], self._mem_cap)
+        d2 = squared_distances(
+            feats, self._mem_x[sel], out=self._buf("d2", shape),
+            work=self._buf("d2_work", shape),
+        )
         _, slots = lexicographic_topk(d2, self._k, tie_keys=self._mem_abs[sel])
         neighbor_labels = np.take_along_axis(self._mem_y[sel], slots, axis=1)
         return majority_vote(neighbor_labels)
@@ -999,11 +983,7 @@ class BatchedTickEngine:
     def _features(self, sel, frames: np.ndarray) -> np.ndarray:
         """Stacked PCA projection (or the frames themselves, PCA off)."""
         if self._n_features == self._window:
-            if frames.flags.c_contiguous:
-                return frames
-            feats = self._buf("feats_copy", frames.shape)
-            np.copyto(feats, frames)
-            return feats
+            return frames
         n = frames.shape[0]
         centered = self._buf("centered", (n, self._window))
         np.subtract(frames, self._pmean[sel], out=centered)
@@ -1296,15 +1276,14 @@ class BatchedTickEngine:
             # Retire evicted slots first: the new row may reuse one.
             one = gone == 1
             freed = lo[one] % cap
-            self._mem_bb[rows[one], freed] = np.inf
+            self._mem_x[rows[one], :, freed] = np.inf
             self._mem_abs[rows[one], freed] = _DEAD_KEY
             for i in np.flatnonzero(gone > 1).tolist():
                 self._retire(int(rows[i]), int(lo[i]), int(new_lo[i]))
         slots = hi % cap
-        self._mem_x[rows, slots] = feats
+        self._mem_x[rows, :, slots] = feats
         self._mem_y[rows, slots] = labels
         self._mem_abs[rows, slots] = hi
-        self._mem_bb[rows, slots] = np.einsum("ij,ij->i", feats, feats)
         self._mem_hi[sel] = hi + 1
         self._mem_lo[sel] = new_lo
         return labels, t

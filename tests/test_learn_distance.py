@@ -12,6 +12,7 @@ from repro.learn.distance import (
     euclidean_distances,
     manhattan_distances,
     pairwise_distances,
+    squared_distances,
     squared_euclidean_distances,
 )
 
@@ -35,7 +36,6 @@ class TestEuclidean:
         np.testing.assert_allclose(fast, naive, atol=1e-10)
 
     def test_no_negative_from_roundoff(self):
-        # Identical points: expanded form can produce tiny negatives.
         A = np.full((3, 4), 1e8)
         d2 = squared_euclidean_distances(A, A)
         assert (d2 >= 0.0).all()
@@ -70,13 +70,9 @@ class TestEuclidean:
     def test_property_symmetry_and_identity(self, A, B):
         d = euclidean_distances(A, B)
         dT = euclidean_distances(B, A)
-        np.testing.assert_allclose(d, dT.T, atol=1e-8)
+        np.testing.assert_array_equal(d, dT.T)
         self_d = euclidean_distances(A, A)
-        # The expanded |a|^2 - 2ab + |b|^2 form carries round-off that
-        # grows with coordinate magnitude; the self-distance is zero up
-        # to that scale-relative error.
-        scale = 1.0 + float(np.abs(A).max(initial=0.0))
-        np.testing.assert_allclose(np.diag(self_d), 0.0, atol=1e-6 * scale)
+        np.testing.assert_array_equal(np.diag(self_d), 0.0)
 
     @given(points)
     @settings(max_examples=30, deadline=None)
@@ -89,6 +85,35 @@ class TestEuclidean:
             for j in range(min(n, 4)):
                 for k in range(min(n, 4)):
                     assert d[i, j] <= d[i, k] + d[k, j] + 1e-6
+
+
+class TestSquaredDistancesKernel:
+    def test_stacked_queries_equal_one_row_calls(self):
+        """Each query of a stacked call against its own coordinate-major
+        memory gets the bits of the one-row call, in the recycled
+        arrays it was handed."""
+        rng = np.random.default_rng(0)
+        Q = rng.standard_normal((4, 5))
+        M = rng.standard_normal((4, 5, 9))
+        out, work = np.empty((4, 9)), np.empty((4, 9))
+        d2 = squared_distances(Q, M, out=out, work=work)
+        assert d2 is out
+        for i in range(4):
+            np.testing.assert_array_equal(
+                d2[i], squared_euclidean_distances(Q[i], M[i].T)[0]
+            )
+        np.testing.assert_allclose(d2, ((Q[:, :, None] - M) ** 2).sum(axis=1))
+
+    def test_infinite_coordinates_are_infinitely_far(self):
+        memory = np.full((3, 4), np.inf)
+        memory[:, 0] = 0.0
+        d2 = squared_distances(np.ones(3), memory)
+        assert d2[0] == 3.0
+        assert np.isposinf(d2[1:]).all()
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DataError):
+            squared_distances(np.ones(3), np.ones((4, 5)))
 
 
 class TestOtherMetrics:

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.core.config import LARConfig
+from repro.core.online import OnlineLARPredictor
 from repro.exceptions import ConfigurationError, DataError, NotFittedError
 from repro.learn.kdtree import KDTree
 from repro.learn.knn import KNNClassifier
@@ -18,6 +20,28 @@ def _two_blobs(n=60, seed=0):
     X = np.vstack([a, b])
     y = np.array([1] * n + [2] * n)
     return X, y
+
+
+def _assert_duplicates_rank_oldest_first(seed, size, width, n_queries):
+    """Brute-force neighbours of memory rows drawn from 60 distinct
+    points, one-row and batched, equal an exact ``np.lexsort((index,
+    d2))`` reference, in which identical rows share one distance by
+    construction."""
+    rng = np.random.default_rng(seed)
+    distinct = rng.standard_normal((60, width))
+    codes = rng.integers(0, 60, size=size)
+    X = distinct[codes]
+    y = rng.integers(1, 4, size=size)
+    Q = X[rng.integers(0, size, size=n_queries)]
+    clf = KNNClassifier(k=3, algorithm="brute").fit(X, y)
+    _, batched = clf.kneighbors(Q)
+    order = np.arange(size)
+    for i, q in enumerate(Q):
+        diff = distinct - q
+        d2 = np.einsum("ij,ij->i", diff, diff)[codes]
+        expected = np.lexsort((order, d2))[:3]
+        np.testing.assert_array_equal(clf.kneighbors(q)[1][0], expected)
+        np.testing.assert_array_equal(batched[i], expected)
 
 
 class TestKDTree:
@@ -77,6 +101,15 @@ class TestKDTree:
         d, i = tree.query_many(rng.standard_normal((7, 2)), 3)
         assert d.shape == (7, 3)
         assert i.shape == (7, 3)
+
+    @pytest.mark.parametrize("k", [-1, 0, 2.5, True, 51])
+    def test_query_many_checks_k_like_query(self, k):
+        tree = KDTree(np.random.default_rng(2).standard_normal((50, 2)))
+        X = np.zeros((3, 2))
+        with pytest.raises(ConfigurationError):
+            tree.query(X[0], k)
+        with pytest.raises(ConfigurationError):
+            tree.query_many(X, k)
 
     @given(
         arrays(
@@ -225,6 +258,44 @@ class TestKNNClassifierBehaviour:
                 idx[i], np.lexsort((order, d2))[:3]
             )
         assert (clf.predict(Q) == [clf.predict_one(q) for q in Q]).all()
+
+    @pytest.mark.parametrize(
+        "window, n_components", [(5, 2), (5, None), (16, None)]
+    )
+    def test_tree_and_brute_agree_on_three_level_windows(
+        self, window, n_components
+    ):
+        """A memory of windows over a three-level feed holds many points
+        at exactly equal distances from a query. Both backends compute
+        them with one kernel, so they return the same neighbours in the
+        same order, at the paper's window 5 / PCA 2 and with PCA off."""
+        series = np.random.default_rng(3).integers(0, 3, 700).astype(float)
+        predictor = OnlineLARPredictor(
+            LARConfig(window=window, n_components=n_components),
+            max_memory=512,
+        )
+        predictor.train(series[:200])
+        predictor.observe_many(series[200:])
+        X, y = predictor._classifier._X, predictor._classifier._y
+        brute = KNNClassifier(k=3, algorithm="brute").fit(X, y)
+        tree = KNNClassifier(k=3, algorithm="kd_tree").fit(X, y)
+        brute_d, brute_i = brute.kneighbors(X[::3])
+        tree_d, tree_i = tree.kneighbors(X[::3])
+        np.testing.assert_array_equal(tree_i, brute_i)
+        np.testing.assert_array_equal(tree_d, brute_d)
+
+    @pytest.mark.parametrize("width", [2, 3, 5, 16])
+    def test_duplicate_rows_rank_oldest_first_at_every_width(self, width):
+        _assert_duplicates_rank_oldest_first(0, 711, width, 200)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("width", [2, 3, 5, 16])
+    def test_duplicate_rows_rank_oldest_first_full_search(self, width):
+        """Ten memory sizes of 513-2303 rows, three seeds, 200 queries
+        each."""
+        for seed in range(3):
+            for size in np.linspace(513, 2303, 10).astype(int):
+                _assert_duplicates_rank_oldest_first(seed, size, width, 200)
 
     def test_auto_backend_brute_for_small(self):
         X, y = _two_blobs(n=20)

@@ -60,8 +60,8 @@ def _assert_same_state(batched, loop):
 
 def _assert_ring_invariants(fleet):
     """Each attached row's live slots hold its checked-out classifier's
-    rows; the rest are dead: ``+inf`` squared norm and the dead-slot
-    tie key."""
+    rows; the rest are dead: ``+inf`` coordinates and the dead-slot tie
+    key."""
     engine = fleet._engine
     engine.prepare()
     cap = engine._mem_cap
@@ -74,15 +74,12 @@ def _assert_ring_invariants(fleet):
         np.testing.assert_array_equal(
             engine._mem_abs[row, slots], np.arange(lo, hi), err_msg=entry.name
         )
-        np.testing.assert_array_equal(engine._mem_x[row, slots], clf._X)
+        np.testing.assert_array_equal(engine._mem_x[row, :, slots], clf._X)
         np.testing.assert_array_equal(engine._mem_y[row, slots], clf._y)
-        np.testing.assert_array_equal(
-            engine._mem_bb[row, slots], np.einsum("ij,ij->i", clf._X, clf._X)
-        )
         dead = np.ones(cap, dtype=bool)
         dead[slots] = False
         assert (engine._mem_abs[row, dead] == _DEAD_KEY).all(), entry.name
-        assert np.isposinf(engine._mem_bb[row, dead]).all(), entry.name
+        assert np.isposinf(engine._mem_x[row, :, dead]).all(), entry.name
 
 
 def _walk_feed(seed=0, drift=0.05, noise=0.15):
@@ -175,6 +172,22 @@ class TestBatchedParity:
             lar=LARConfig(n_components=None), qa_threshold=4.0
         )
         batched, loop = _drive(config, _walk_feed(seed=5), 120)
+        _assert_same_state(batched, loop)
+
+    def test_parity_with_pca_disabled_at_sixteen_features(self):
+        """Window 16 with PCA off: 16-D memories of a three-level feed,
+        full of equidistant rows, where the engine and the loop vote
+        alike only if they compute every distance with the same bits."""
+        config = FleetConfig(
+            lar=LARConfig(window=16, n_components=None), min_train=200
+        )
+        rng = np.random.default_rng(3)
+
+        def feed(t, names):
+            return {n: float(rng.integers(0, 3)) for n in names}
+
+        names = [f"s{i}" for i in range(12)]
+        batched, loop = _drive(config, feed, 700, names=names)
         _assert_same_state(batched, loop)
 
     def test_ineligible_pool_falls_back_identically(self):

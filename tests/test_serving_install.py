@@ -29,8 +29,8 @@ _ROW_ARRAYS = (
     "_sqring", "_sq_count", "_max_mem", "_qa_ring", "_qa_count", "_qa_sum",
     "_qa_step", "_qa_due", "_pend_value", "_pend_norm", "_pend_label",
     "_fresh", "_hist", "_hist_hi", "_deferred", "_replayed", "_sel",
-    "_sel_first", "_dirty", "_mem_x", "_mem_y", "_mem_bb", "_mem_abs",
-    "_mem_lo", "_mem_hi",
+    "_sel_first", "_dirty", "_mem_x", "_mem_y", "_mem_abs", "_mem_lo",
+    "_mem_hi",
 )
 
 
