@@ -1,8 +1,9 @@
 """Micro-benchmarks of the computational components (paper §7.3).
 
 The paper's complexity discussion: PCA costs O(d^2 W) + O(d^3), k-NN
-testing is O(N) per query with a brute scan and sub-linear with the
-KD-tree of refs [12][13], and the LARPredictor amortizes classification
+testing is O(N) per query with the exact scan (the KD-tree of refs
+[12][13] pays off only far beyond the paper's memory sizes; DESIGN.md
+records the crossover), and the LARPredictor amortizes classification
 overhead by running a single pool member per step. These benches pin the
 throughput of each stage so regressions in the vectorized kernels are
 caught.
@@ -11,7 +12,6 @@ caught.
 import numpy as np
 import pytest
 
-from repro.learn.kdtree import KDTree
 from repro.learn.knn import KNNClassifier
 from repro.learn.pca import PCA
 from repro.predictors.ar import ARPredictor, yule_walker
@@ -59,17 +59,8 @@ def test_knn_brute_queries(benchmark, width):
     rng = np.random.default_rng(width)
     train = np.hstack([TRAIN_FEATURES, rng.standard_normal((5000, width - 2))])
     queries = np.hstack([QUERIES, rng.standard_normal((1000, width - 2))])
-    clf = KNNClassifier(k=3, algorithm="brute").fit(train, TRAIN_LABELS)
+    clf = KNNClassifier(k=3).fit(train, TRAIN_LABELS)
     benchmark(lambda: clf.predict(queries))
-
-
-def test_knn_kdtree_queries(benchmark):
-    clf = KNNClassifier(k=3, algorithm="kd_tree").fit(TRAIN_FEATURES, TRAIN_LABELS)
-    benchmark(lambda: clf.predict(QUERIES))
-
-
-def test_kdtree_build(benchmark):
-    benchmark(lambda: KDTree(TRAIN_FEATURES, leaf_size=16))
 
 
 def test_preprocess_pipeline(benchmark):
@@ -80,7 +71,7 @@ def test_preprocess_pipeline(benchmark):
 @pytest.mark.parametrize("n_points", [500, 5000])
 def test_knn_scaling(benchmark, n_points):
     """O(N) brute-force scaling of the testing phase (§7.3)."""
-    clf = KNNClassifier(k=3, algorithm="brute").fit(
+    clf = KNNClassifier(k=3).fit(
         TRAIN_FEATURES[:n_points], TRAIN_LABELS[:n_points]
     )
     benchmark(lambda: clf.predict(QUERIES[:200]))

@@ -189,11 +189,9 @@ class OnlineLARPredictor:
         labels = self._runner.pool.best_labels(
             train.frames, train.targets, smooth_window=self.label_smoothing
         )
-        # Brute force, never the auto backend's KD-tree: every observe()
-        # appends a row, which would rebuild the tree for each query.
-        self._classifier = KNNClassifier(
-            k=self.config.k, algorithm="brute"
-        ).fit(train.features, labels)
+        self._classifier = KNNClassifier(k=self.config.k).fit(
+            train.features, labels
+        )
         self._reset_stream_state(x)
         return self
 
@@ -264,7 +262,6 @@ class OnlineLARPredictor:
             parts.features,
             parts.labels,
             k=online.config.k,
-            algorithm="brute",
             label_counts=parts.label_counts,
         )
         online._reset_stream_state(np.asarray(parts.history, dtype=np.float64))

@@ -56,8 +56,6 @@ def _classifier_spec(classifier: Classifier) -> dict:
         return {
             "type": "knn",
             "k": classifier.k,
-            "algorithm": classifier.algorithm,
-            "leaf_size": classifier.leaf_size,
             "weights": classifier.weights,
         }
     if isinstance(classifier, GaussianNBClassifier):
@@ -87,11 +85,11 @@ def _classifier_spec(classifier: Classifier) -> dict:
 def _build_classifier(spec: dict) -> Classifier:
     kind = spec.get("type")
     if kind == "knn":
+        # Specs written before 8.0 also carry "algorithm" and
+        # "leaf_size" (the retired KD-tree backend's options); every
+        # memory now runs the one exact search, so both are ignored.
         return KNNClassifier(
-            k=int(spec["k"]),
-            algorithm=str(spec["algorithm"]),
-            leaf_size=int(spec["leaf_size"]),
-            weights=str(spec.get("weights", "uniform")),
+            k=int(spec["k"]), weights=str(spec.get("weights", "uniform"))
         )
     if kind == "naive_bayes":
         return GaussianNBClassifier(var_smoothing=float(spec["var_smoothing"]))
@@ -356,9 +354,6 @@ def load_online_larpredictor(path):
             "online archives must carry a k-NN classifier, "
             f"got {meta['classifier'].get('type')!r}"
         )
-    # Online memories query brute force; archives written before 4.1
-    # recorded the "auto" backend.
-    classifier.algorithm = "brute"
     online._classifier = classifier.fit(memory_x, memory_y)
     online._history = deque(history.tolist(), maxlen=online.history_limit)
     online._recent_sq = deque(

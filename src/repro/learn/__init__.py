@@ -9,15 +9,8 @@ claim and the classifier-choice ablation.
 
 from repro.learn.pca import PCA
 from repro.learn.base import Classifier
-from repro.learn.distance import (
-    euclidean_distances,
-    squared_euclidean_distances,
-    manhattan_distances,
-    chebyshev_distances,
-    pairwise_distances,
-)
+from repro.learn.distance import euclidean_distances, squared_euclidean_distances
 from repro.learn.knn import KNNClassifier
-from repro.learn.kdtree import KDTree
 from repro.learn.naive_bayes import GaussianNBClassifier
 from repro.learn.centroid import NearestCentroidClassifier
 from repro.learn.tree import DecisionTreeClassifier
@@ -29,11 +22,7 @@ __all__ = [
     "Classifier",
     "euclidean_distances",
     "squared_euclidean_distances",
-    "manhattan_distances",
-    "chebyshev_distances",
-    "pairwise_distances",
     "KNNClassifier",
-    "KDTree",
     "GaussianNBClassifier",
     "NearestCentroidClassifier",
     "DecisionTreeClassifier",

@@ -1,8 +1,8 @@
-"""Vectorized pairwise distance kernels.
+"""The exact distance kernel behind every nearest-neighbour search.
 
 k-NN classification cost is dominated by the distance matrix between test
 and training points. Every squared Euclidean distance the library ranks
-by (brute-force k-NN, the KD-tree's leaf scans, the fleet's batched tick
+by (brute-force k-NN, nearest centroids, the fleet's batched tick
 engine) comes from one kernel, :func:`squared_distances`, which sums
 ``(q_j - x_j)^2`` over the coordinates in order. Equal inputs give equal
 bits on every path, so identical training rows are exactly equidistant
@@ -13,15 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, DataError
+from repro.exceptions import DataError
 
 __all__ = [
     "squared_distances",
     "squared_euclidean_distances",
     "euclidean_distances",
-    "manhattan_distances",
-    "chebyshev_distances",
-    "pairwise_distances",
 ]
 
 
@@ -76,45 +73,3 @@ def squared_euclidean_distances(A, B) -> np.ndarray:
 def euclidean_distances(A, B) -> np.ndarray:
     """``(len(A), len(B))`` matrix of Euclidean distances (paper eq. 6)."""
     return np.sqrt(squared_euclidean_distances(A, B))
-
-
-def manhattan_distances(A, B) -> np.ndarray:
-    """``(len(A), len(B))`` matrix of L1 distances.
-
-    Materializes the ``(n, m, d)`` difference tensor, so intended for the
-    small feature dimensions (n = 2 PCA components) this library works in.
-    """
-    A, B = _check_pair(A, B)
-    return np.abs(A[:, None, :] - B[None, :, :]).sum(axis=2)
-
-
-def chebyshev_distances(A, B) -> np.ndarray:
-    """``(len(A), len(B))`` matrix of L-infinity distances."""
-    A, B = _check_pair(A, B)
-    return np.abs(A[:, None, :] - B[None, :, :]).max(axis=2)
-
-
-_METRICS = {
-    "euclidean": euclidean_distances,
-    "sqeuclidean": squared_euclidean_distances,
-    "manhattan": manhattan_distances,
-    "chebyshev": chebyshev_distances,
-}
-
-
-def pairwise_distances(A, B, metric: str = "euclidean") -> np.ndarray:
-    """Dispatch to a named distance kernel.
-
-    Parameters
-    ----------
-    metric:
-        One of ``euclidean``, ``sqeuclidean``, ``manhattan``,
-        ``chebyshev``.
-    """
-    try:
-        fn = _METRICS[metric]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown metric {metric!r}; choose from {sorted(_METRICS)}"
-        ) from None
-    return fn(A, B)

@@ -5,16 +5,13 @@ beyond storing the labelled windows, classification by majority vote of
 the k = 3 closest training windows under Euclidean distance in the
 PCA-reduced feature space.
 
-Three ``algorithm`` settings choose the query backend:
-
-* ``brute`` — the exact distance matrix of :mod:`repro.learn.distance`
-  (the KD-tree and the fleet's tick engine use its kernel too, so all
-  rank alike) plus a deterministic top-k selection; optimal for the
-  small training sets of a single trace fold.
-* ``kd_tree`` — the :class:`repro.learn.kdtree.KDTree` index; wins when
-  the training set is large and the feature dimension small (exactly the
-  n = 2 PCA regime), reproducing §7.3's complexity discussion.
-* ``auto`` — picks ``kd_tree`` when it is expected to pay off.
+Queries run one exact search: the distance kernel of
+:mod:`repro.learn.distance` (the fleet's tick engine uses it too, so
+both rank alike) plus the deterministic top-k selection of
+:mod:`repro.learn.topk`, over blocks of query rows that bound the
+scratch memory of a large batch against a large memory. The paper's
+memories hold a few hundred rows; §7.3's KD-tree is not kept (DESIGN.md
+records the measured crossover).
 
 Storage is an amortized growth buffer: the memory lives in a
 capacity-doubling ring (``_Xbuf``/``_ybuf`` plus start/end offsets), so
@@ -34,19 +31,19 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.learn.base import Classifier
-from repro.learn.kdtree import KDTree
 from repro.learn.topk import lexicographic_topk
 from repro.learn.voting import majority_vote, weighted_vote
 from repro.learn.distance import squared_euclidean_distances
+from repro.util.validation import check_finite
 
 __all__ = ["KNNClassifier"]
 
-_BACKENDS = ("auto", "brute", "kd_tree")
-# Below this many training points a vectorized scan beats tree traversal.
-_AUTO_TREE_THRESHOLD = 2048
-# KD-trees lose their pruning power in high dimensions.
-_AUTO_TREE_MAX_DIM = 8
 _MIN_CAPACITY = 8
+#: Distances computed per block of query rows in
+#: :meth:`KNNClassifier.kneighbors` (8 MiB of float64), which bounds the
+#: scratch memory of a large batch against a large memory. Every query
+#: row is computed on its own, so blocking changes no bit of the result.
+_BLOCK_ELEMENTS = 1 << 20
 
 
 def _round_capacity(n: int) -> int:
@@ -83,10 +80,6 @@ class KNNClassifier(Classifier):
         tests pin down). Among *equidistant* neighbours, the one stored
         earliest in the memory ranks first, so queries are deterministic
         even when the memory holds duplicate feature rows.
-    algorithm:
-        ``brute``, ``kd_tree``, or ``auto``.
-    leaf_size:
-        Leaf size for the KD-tree backend.
     weights:
         ``"uniform"`` is the paper's plain majority vote; ``"distance"``
         weights each neighbour's vote by inverse distance (the weighted
@@ -94,37 +87,24 @@ class KNNClassifier(Classifier):
         neighbour then dominates the vote outright.
     """
 
-    def __init__(
-        self,
-        k: int = 3,
-        *,
-        algorithm: str = "auto",
-        leaf_size: int = 16,
-        weights: str = "uniform",
-    ):
+    def __init__(self, k: int = 3, *, weights: str = "uniform"):
         super().__init__()
         if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
             raise ConfigurationError(f"k must be a positive integer, got {k!r}")
         if k % 2 == 0:
             raise ConfigurationError(f"k must be odd to avoid vote ties, got {k}")
-        if algorithm not in _BACKENDS:
-            raise ConfigurationError(
-                f"algorithm must be one of {_BACKENDS}, got {algorithm!r}"
-            )
         if weights not in ("uniform", "distance"):
             raise ConfigurationError(
                 f"weights must be 'uniform' or 'distance', got {weights!r}"
             )
         self.k = int(k)
         #: Bumped by every public mutation (:meth:`fit`,
-        #: :meth:`partial_fit`, :meth:`discard_oldest`, a reassigned
-        #: :attr:`algorithm`). Mirrors — the batched tick engine keeps a
-        #: stacked copy of the memory — reload their copy when the
-        #: counter moved past their stamp; their own writes go through
-        #: the private helpers and leave it alone.
+        #: :meth:`partial_fit`, :meth:`discard_oldest`). Mirrors — the
+        #: batched tick engine keeps a stacked copy of the memory —
+        #: reload their copy when the counter moved past their stamp;
+        #: their own writes go through the private helpers and leave it
+        #: alone.
         self.version = 0
-        self._algorithm = algorithm
-        self.leaf_size = int(leaf_size)
         self.weights = weights
         self._Xbuf: np.ndarray | None = None
         self._ybuf: np.ndarray | None = None
@@ -133,7 +113,6 @@ class KNNClassifier(Classifier):
         self._appended = 0
         self._discarded = 0
         self._label_counts: dict[int, int] = {}
-        self._tree: KDTree | None = None
 
     @classmethod
     def from_rows(
@@ -142,8 +121,6 @@ class KNNClassifier(Classifier):
         y: np.ndarray,
         *,
         k: int = 3,
-        algorithm: str = "auto",
-        leaf_size: int = 16,
         weights: str = "uniform",
         label_counts: dict[int, int] | None = None,
     ) -> "KNNClassifier":
@@ -153,16 +130,15 @@ class KNNClassifier(Classifier):
         label) training rows in stacked tensors; this constructor turns
         one stream's slice into a classifier whose internal state is
         indistinguishable from ``KNNClassifier(k).fit(X, y)`` — same
-        growth-buffer capacity, offsets, and counters (the KD-tree
-        index, when the backend resolves to one, is built lazily on the
-        first query either way). Rows must already be
-        validated: finite float64 features, int64 labels. A caller that
-        already counted the labels (the batched trainer counts whole
-        bursts in one vectorized pass) hands them in as *label_counts* —
-        ``{label: count}`` in ascending label order, zero counts
-        omitted — and the per-classifier counting pass is skipped.
+        growth-buffer capacity, offsets, and counters. Rows must already
+        be validated: finite float64 features, int64 labels. A caller
+        that already counted the labels (the batched trainer counts
+        whole bursts in one vectorized pass) hands them in as
+        *label_counts* — ``{label: count}`` in ascending label order,
+        zero counts omitted — and the per-classifier counting pass is
+        skipped.
         """
-        clf = cls(k, algorithm=algorithm, leaf_size=leaf_size, weights=weights)
+        clf = cls(k, weights=weights)
         X = np.ascontiguousarray(X, dtype=np.float64)
         y = np.ascontiguousarray(y, dtype=np.int64)
         if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
@@ -180,21 +156,6 @@ class KNNClassifier(Classifier):
             clf._label_counts, dtype=np.int64, count=len(clf._label_counts)
         )
         return clf
-
-    @property
-    def algorithm(self) -> str:
-        """Query backend: ``brute``, ``kd_tree``, or ``auto``."""
-        return self._algorithm
-
-    @algorithm.setter
-    def algorithm(self, value: str) -> None:
-        if value not in _BACKENDS:
-            raise ConfigurationError(
-                f"algorithm must be one of {_BACKENDS}, got {value!r}"
-            )
-        self._algorithm = value
-        self._tree = None
-        self.version += 1
 
     # -- storage views --------------------------------------------------------
 
@@ -250,13 +211,6 @@ class KNNClassifier(Classifier):
             label_counts = {int(v): int(c) for v, c in zip(values, counts)}
         self._label_counts = dict(label_counts)
         self.version += 1
-        # The KD-tree index (when the backend resolves to one) is built
-        # lazily on the first query, exactly like after a partial_fit
-        # mutation: a freshly fitted memory is often trimmed straight to
-        # ``max_memory`` (the online predictors evict right after fit),
-        # and an eager index over the pre-eviction rows would be thrown
-        # away unqueried.
-        self._tree = None
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
         distances, neighbor_idx = self.kneighbors(X)
@@ -287,9 +241,7 @@ class KNNClassifier(Classifier):
         k-NN is memory-based, so incremental learning is exact: new
         (sample, label) pairs simply join the stored training set. The
         append lands in a capacity-doubling growth buffer (O(1)
-        amortized; no per-call copy of the whole memory). The KD-tree
-        index, if one was built, is invalidated and lazily rebuilt on
-        the next query batch under the ``auto``/``kd_tree`` policy.
+        amortized; no per-call copy of the whole memory).
         """
         self._require_fitted()
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -348,17 +300,22 @@ class KNNClassifier(Classifier):
 
         Returns ``(n_queries, k)`` arrays sorted by increasing distance;
         equidistant neighbours are ordered by memory index (oldest
-        first), making the result deterministic.
+        first), making the result deterministic. A query row holding a
+        NaN or an infinity raises :class:`~repro.exceptions.DataError`.
         """
         self._require_fitted()
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if self._tree is None and self._resolve_backend() == "kd_tree":
-            self._tree = KDTree(self._X, leaf_size=self.leaf_size)
-        if self._tree is not None:
-            return self._tree.query_many(X, self.k)
-        d2 = squared_euclidean_distances(X, self._X)
-        top_d2, idx = lexicographic_topk(d2, self.k)
-        return np.sqrt(top_d2), idx
+        check_finite(X, name="query")
+        n = X.shape[0]
+        dist = np.empty((n, self.k), dtype=np.float64)
+        idx = np.empty((n, self.k), dtype=np.intp)
+        step = max(1, _BLOCK_ELEMENTS // self.n_samples_)
+        for lo in range(0, n, step):
+            d2 = squared_euclidean_distances(X[lo : lo + step], self._X)
+            top_d2, top_idx = lexicographic_topk(d2, self.k)
+            dist[lo : lo + step] = np.sqrt(top_d2)
+            idx[lo : lo + step] = top_idx
+        return dist, idx
 
     def predict_proba(self, X) -> np.ndarray:
         """Per-class vote fractions, ordered like :attr:`classes_`."""
@@ -392,7 +349,6 @@ class KNNClassifier(Classifier):
             counts[label] = c + 1
         if new_class:
             self._refresh_classes()
-        self._tree = None
 
     def _discard_rows(self, n: int) -> None:
         """Retire the *n* oldest rows (no checks)."""
@@ -400,7 +356,6 @@ class KNNClassifier(Classifier):
         self._drop_label_counts(self._ybuf[start : start + n])  # type: ignore[index]
         self._buf_start = start + n
         self._discarded += n
-        self._tree = None
 
     def _ensure_capacity(self, n_new: int) -> None:
         cap = self._Xbuf.shape[0]  # type: ignore[union-attr]
@@ -454,17 +409,7 @@ class KNNClassifier(Classifier):
     def _refresh_classes(self) -> None:
         self.classes_ = np.array(sorted(self._label_counts), dtype=np.int64)
 
-    def _resolve_backend(self) -> str:
-        if self.algorithm != "auto":
-            return self.algorithm
-        assert self._Xbuf is not None
-        n = self._buf_end - self._buf_start
-        d = self._Xbuf.shape[1]
-        if n >= _AUTO_TREE_THRESHOLD and d <= _AUTO_TREE_MAX_DIM:
-            return "kd_tree"
-        return "brute"
-
     def __repr__(self) -> str:
         state = "fitted" if self.is_fitted else "unfitted"
-        return f"KNNClassifier(k={self.k}, algorithm={self.algorithm!r}, {state})"
+        return f"KNNClassifier(k={self.k}, weights={self.weights!r}, {state})"
 

@@ -124,13 +124,12 @@ Eligibility and fallback
 ------------------------
 A trained stream is served by the engine only when its components match
 what the stacked kernels cover: the paper pool (LAST/AR/SW_AVG), a
-fixed-size (or disabled) PCA, a uniform-weight brute-force
-:class:`~repro.learn.knn.KNNClassifier` (the backend every online
-predictor builds), the fleet's ``label_smoothing`` and
-``history_limit``, and a plain
-:class:`~repro.core.qa.PredictionQualityAssuror` with the fleet's audit
-geometry. Everything else transparently falls back to the per-stream
-loop, stream by stream.
+fixed-size (or disabled) PCA, a uniform-weight
+:class:`~repro.learn.knn.KNNClassifier` (what every online predictor
+builds), the fleet's ``label_smoothing`` and ``history_limit``, and a
+plain :class:`~repro.core.qa.PredictionQualityAssuror` with the fleet's
+audit geometry. Everything else transparently falls back to the
+per-stream loop, stream by stream.
 """
 
 from __future__ import annotations
@@ -569,11 +568,7 @@ class BatchedTickEngine:
         ):
             return False
         clf = predictor._classifier
-        if (
-            type(clf) is not KNNClassifier
-            or clf.weights != "uniform"
-            or clf.algorithm != "brute"
-        ):
+        if type(clf) is not KNNClassifier or clf.weights != "uniform":
             return False
         pool = predictor._runner.pool
         if not is_paper_pool(pool):

@@ -1,5 +1,7 @@
 """Unit tests for LARPredictor persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,21 @@ from repro.learn.logistic import SoftmaxClassifier
 from repro.learn.naive_bayes import GaussianNBClassifier
 from repro.learn.tree import DecisionTreeClassifier
 from repro.traces.synthetic import conflict_series
+
+
+def _rewrite_meta(path, edit):
+    """Rewrite an archive's JSON metadata in place through *edit*."""
+    with np.load(path) as archive:
+        arrays = {k: archive[k] for k in archive.files}
+    meta = json.loads(str(arrays["__meta__"]))
+    edit(meta)
+    arrays["__meta__"] = np.array(json.dumps(meta))
+    np.savez(path, **arrays)
+
+
+def _pre_8_knn_spec(meta):
+    """Give the k-NN spec the backend keys archives carried before 8.0."""
+    meta["classifier"].update(algorithm="kd_tree", leaf_size=16)
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +96,18 @@ class TestRoundtrip:
             lar.evaluate(series[300:]).labels, back.evaluate(series[300:]).labels
         )
 
+    def test_pre_8_knn_spec_loads(self, trained, series, tmp_path):
+        """Specs written before 8.0 name a k-NN backend and leaf size;
+        both are ignored and the model forecasts as saved."""
+        path = tmp_path / "old.npz"
+        save_larpredictor(trained, path)
+        _rewrite_meta(path, _pre_8_knn_spec)
+        back = load_larpredictor(path)
+        np.testing.assert_array_equal(
+            trained.predict_series(series[300:]), back.predict_series(series[300:])
+        )
+        assert trained.forecast(series) == back.forecast(series)
+
     def test_name_without_npz_suffix(self, trained, tmp_path):
         # np.savez appends .npz; loading by the original name must work.
         save_larpredictor(trained, tmp_path / "model")
@@ -115,16 +144,9 @@ class TestErrors:
             load_larpredictor(path)
 
     def test_version_mismatch_rejected(self, trained, tmp_path):
-        import json
-
         path = tmp_path / "old.npz"
         save_larpredictor(trained, path)
-        with np.load(path) as archive:
-            arrays = {k: archive[k] for k in archive.files}
-        meta = json.loads(str(arrays["__meta__"]))
-        meta["format_version"] = 999
-        arrays["__meta__"] = np.array(json.dumps(meta))
-        np.savez(path, **arrays)
+        _rewrite_meta(path, lambda meta: meta.update(format_version=999))
         with pytest.raises(DataError, match="format"):
             load_larpredictor(path)
 
@@ -162,6 +184,19 @@ class TestOnlineRoundtrip:
         for v in series[380:440]:
             assert online.observe(v) == back.observe(v)
         assert online.forecast().value == back.forecast().value
+
+    def test_pre_8_knn_spec_loads(self, series, tmp_path):
+        from repro.core import load_online_larpredictor, save_online_larpredictor
+
+        online = self.streamed(series, max_memory=200)
+        path = tmp_path / "old.npz"
+        save_online_larpredictor(online, path)
+        _rewrite_meta(path, _pre_8_knn_spec)
+        back = load_online_larpredictor(path)
+        assert back.forecast() == online.forecast()
+        for v in series[380:440]:
+            assert online.observe(v) == back.observe(v)
+            assert online.forecast() == back.forecast()
 
     def test_untrained_rejected(self, tmp_path):
         from repro.core import OnlineLARPredictor, save_online_larpredictor

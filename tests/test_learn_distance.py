@@ -6,12 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.exceptions import ConfigurationError, DataError
+from repro.exceptions import DataError
 from repro.learn.distance import (
-    chebyshev_distances,
     euclidean_distances,
-    manhattan_distances,
-    pairwise_distances,
     squared_distances,
     squared_euclidean_distances,
 )
@@ -114,36 +111,3 @@ class TestSquaredDistancesKernel:
     def test_dimension_mismatch(self):
         with pytest.raises(DataError):
             squared_distances(np.ones(3), np.ones((4, 5)))
-
-
-class TestOtherMetrics:
-    def test_manhattan(self):
-        d = manhattan_distances([[0.0, 0.0]], [[1.0, -2.0]])
-        assert d[0, 0] == pytest.approx(3.0)
-
-    def test_chebyshev(self):
-        d = chebyshev_distances([[0.0, 0.0]], [[1.0, -2.0]])
-        assert d[0, 0] == pytest.approx(2.0)
-
-    def test_metric_ordering(self):
-        """chebyshev <= euclidean <= manhattan pointwise."""
-        rng = np.random.default_rng(1)
-        A, B = rng.standard_normal((6, 5)), rng.standard_normal((4, 5))
-        c = chebyshev_distances(A, B)
-        e = euclidean_distances(A, B)
-        m = manhattan_distances(A, B)
-        assert (c <= e + 1e-12).all()
-        assert (e <= m + 1e-12).all()
-
-
-class TestDispatch:
-    @pytest.mark.parametrize(
-        "name", ["euclidean", "sqeuclidean", "manhattan", "chebyshev"]
-    )
-    def test_known_metrics(self, name):
-        d = pairwise_distances(np.ones((2, 3)), np.zeros((2, 3)), metric=name)
-        assert d.shape == (2, 2)
-
-    def test_unknown_metric(self):
-        with pytest.raises(ConfigurationError, match="unknown metric"):
-            pairwise_distances(np.ones((1, 2)), np.ones((1, 2)), metric="cosine")

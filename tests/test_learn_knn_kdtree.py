@@ -1,15 +1,14 @@
-"""Unit and property tests for the k-NN classifier and the KD-tree."""
+"""Unit tests for the k-NN classifier and its one exact search."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from repro.core.config import LARConfig
 from repro.core.online import OnlineLARPredictor
 from repro.exceptions import ConfigurationError, DataError, NotFittedError
-from repro.learn.kdtree import KDTree
+from repro.learn import knn
 from repro.learn.knn import KNNClassifier
 
 
@@ -33,7 +32,7 @@ def _assert_duplicates_rank_oldest_first(seed, size, width, n_queries):
     X = distinct[codes]
     y = rng.integers(1, 4, size=size)
     Q = X[rng.integers(0, size, size=n_queries)]
-    clf = KNNClassifier(k=3, algorithm="brute").fit(X, y)
+    clf = KNNClassifier(k=3).fit(X, y)
     _, batched = clf.kneighbors(Q)
     order = np.arange(size)
     for i, q in enumerate(Q):
@@ -44,101 +43,10 @@ def _assert_duplicates_rank_oldest_first(seed, size, width, n_queries):
         np.testing.assert_array_equal(batched[i], expected)
 
 
-class TestKDTree:
-    def test_single_point(self):
-        tree = KDTree([[1.0, 2.0]])
-        d, i = tree.query(np.array([1.0, 2.0]), 1)
-        assert d[0] == pytest.approx(0.0)
-        assert i[0] == 0
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(1)
-        pts = rng.standard_normal((300, 3))
-        tree = KDTree(pts, leaf_size=8)
-        for q in rng.standard_normal((20, 3)):
-            d, idx = tree.query(q, 5)
-            brute = np.linalg.norm(pts - q, axis=1)
-            order = np.argsort(brute)[:5]
-            np.testing.assert_allclose(np.sort(d), np.sort(brute[order]), atol=1e-10)
-
-    def test_k_too_large(self):
-        tree = KDTree(np.zeros((3, 2)))
-        with pytest.raises(ConfigurationError):
-            tree.query(np.zeros(2), 4)
-
-    def test_wrong_dimension_query(self):
-        tree = KDTree(np.zeros((3, 2)))
-        with pytest.raises(DataError):
-            tree.query(np.zeros(3), 1)
-
-    def test_identical_points_become_leaf(self):
-        tree = KDTree(np.ones((100, 2)), leaf_size=4)
-        d, i = tree.query(np.ones(2), 3)
-        np.testing.assert_allclose(d, 0.0)
-
-    @pytest.mark.parametrize("k", [3, 50])
-    def test_equidistant_points_rank_oldest_first(self, k):
-        """Ties in distance rank by index, oldest first: duplicate rows
-        and distinct grid points at equal distances, including ones on
-        a splitting plane at exactly the k-th distance."""
-        rng = np.random.default_rng(3)
-        distinct = rng.integers(-4, 5, size=(60, 2)).astype(np.float64)
-        pts = distinct[rng.integers(0, 60, size=2300)]
-        tree = KDTree(pts)
-        order = np.arange(pts.shape[0])
-        for q in pts[rng.integers(0, pts.shape[0], size=60)]:
-            diff = pts - q
-            d2 = np.einsum("ij,ij->i", diff, diff)
-            expected = np.lexsort((order, d2))[:k]
-            d, idx = tree.query(q, k)
-            np.testing.assert_array_equal(idx, expected)
-            np.testing.assert_array_equal(d, np.sqrt(d2[expected]))
-
-    def test_query_many_shapes(self):
-        rng = np.random.default_rng(2)
-        pts = rng.standard_normal((50, 2))
-        tree = KDTree(pts)
-        d, i = tree.query_many(rng.standard_normal((7, 2)), 3)
-        assert d.shape == (7, 3)
-        assert i.shape == (7, 3)
-
-    @pytest.mark.parametrize("k", [-1, 0, 2.5, True, 51])
-    def test_query_many_checks_k_like_query(self, k):
-        tree = KDTree(np.random.default_rng(2).standard_normal((50, 2)))
-        X = np.zeros((3, 2))
-        with pytest.raises(ConfigurationError):
-            tree.query(X[0], k)
-        with pytest.raises(ConfigurationError):
-            tree.query_many(X, k)
-
-    @given(
-        arrays(
-            np.float64,
-            st.tuples(st.integers(2, 60), st.just(2)),
-            elements=st.floats(min_value=-50, max_value=50, allow_nan=False),
-        ),
-        st.integers(1, 5),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_property_exactness(self, pts, k):
-        """Tree k-NN distances always equal brute-force distances."""
-        if k > pts.shape[0]:
-            return
-        tree = KDTree(pts, leaf_size=4)
-        q = pts[0] + 0.5
-        d, idx = tree.query(q, k)
-        brute = np.sort(np.linalg.norm(pts - q, axis=1))[:k]
-        np.testing.assert_allclose(np.sort(d), brute, atol=1e-8)
-
-
 class TestKNNClassifierConstruction:
     def test_even_k_rejected(self):
         with pytest.raises(ConfigurationError, match="odd"):
             KNNClassifier(k=2)
-
-    def test_bad_algorithm(self):
-        with pytest.raises(ConfigurationError):
-            KNNClassifier(k=3, algorithm="ball_tree")
 
     def test_k_exceeds_training_set(self):
         with pytest.raises(ConfigurationError):
@@ -165,13 +73,6 @@ class TestKNNClassifierBehaviour:
     def test_requires_fit(self):
         with pytest.raises(NotFittedError):
             KNNClassifier(k=3).predict(np.zeros((1, 2)))
-
-    def test_brute_and_tree_agree(self):
-        X, y = _two_blobs(n=100, seed=5)
-        test = np.random.default_rng(6).standard_normal((40, 2)) * 3.0
-        brute = KNNClassifier(k=3, algorithm="brute").fit(X, y).predict(test)
-        tree = KNNClassifier(k=3, algorithm="kd_tree").fit(X, y).predict(test)
-        np.testing.assert_array_equal(brute, tree)
 
     def test_kneighbors_sorted_by_distance(self):
         X, y = _two_blobs()
@@ -211,30 +112,6 @@ class TestKNNClassifierBehaviour:
         with pytest.raises(DataError):
             KNNClassifier(k=1).fit(np.zeros((2, 1)), [0.5, 1.5])
 
-    def test_auto_backend_picks_tree_for_large_low_dim(self):
-        rng = np.random.default_rng(7)
-        X = rng.standard_normal((3000, 2))
-        y = (X[:, 0] > 0).astype(int)
-        clf = KNNClassifier(k=3, algorithm="auto").fit(X, y)
-        # The index is lazy — a fresh fit is often evicted down to
-        # max_memory before any query — but the first query builds it.
-        assert clf._tree is None
-        clf.predict_one([0.0, 0.0])
-        assert clf._tree is not None
-
-    def test_tree_votes_match_brute_on_duplicate_rows(self):
-        """A memory of repeated rows large enough for ``auto`` to pick
-        the KD-tree votes exactly as brute force, query by query."""
-        rng = np.random.default_rng(0)
-        distinct = rng.standard_normal((60, 2))
-        X = distinct[rng.integers(0, 60, size=2300)]
-        y = rng.integers(1, 4, size=2300)
-        tree = KNNClassifier(k=3, algorithm="auto").fit(X, y)
-        brute = KNNClassifier(k=3, algorithm="brute").fit(X, y)
-        for q in X[rng.integers(0, 2300, size=100)]:
-            assert tree.predict_one(q) == brute.predict_one(q)
-        assert tree._tree is not None
-
     @pytest.mark.parametrize("seed", [0, 1])
     def test_batched_brute_queries_keep_the_tie_rule(self, seed):
         """A multi-row brute-force batch ranks equidistant duplicates
@@ -245,7 +122,7 @@ class TestKNNClassifierBehaviour:
         X = distinct[rng.integers(0, 60, size=2300)]
         y = rng.integers(1, 4, size=2300)
         Q = X[rng.integers(0, 2300, size=400)]
-        clf = KNNClassifier(k=3, algorithm="brute").fit(X, y)
+        clf = KNNClassifier(k=3).fit(X, y)
         dist, idx = clf.kneighbors(Q)
         order = np.arange(X.shape[0])
         for i, q in enumerate(Q):
@@ -262,13 +139,15 @@ class TestKNNClassifierBehaviour:
     @pytest.mark.parametrize(
         "window, n_components", [(5, 2), (5, None), (16, None)]
     )
-    def test_tree_and_brute_agree_on_three_level_windows(
+    def test_three_level_windows_match_lexsort_reference(
         self, window, n_components
     ):
         """A memory of windows over a three-level feed holds many points
-        at exactly equal distances from a query. Both backends compute
-        them with one kernel, so they return the same neighbours in the
-        same order, at the paper's window 5 / PCA 2 and with PCA off."""
+        at exactly equal distances from a query, at the paper's window 5
+        / PCA 2 and with PCA off. One-row and batched queries return the
+        neighbours of an exact ``np.lexsort((index, d2))`` reference, in
+        order, with its distances (``d2`` summed over the coordinates in
+        order, as the distance kernel defines it)."""
         series = np.random.default_rng(3).integers(0, 3, 700).astype(float)
         predictor = OnlineLARPredictor(
             LARConfig(window=window, n_components=n_components),
@@ -277,12 +156,18 @@ class TestKNNClassifierBehaviour:
         predictor.train(series[:200])
         predictor.observe_many(series[200:])
         X, y = predictor._classifier._X, predictor._classifier._y
-        brute = KNNClassifier(k=3, algorithm="brute").fit(X, y)
-        tree = KNNClassifier(k=3, algorithm="kd_tree").fit(X, y)
-        brute_d, brute_i = brute.kneighbors(X[::3])
-        tree_d, tree_i = tree.kneighbors(X[::3])
-        np.testing.assert_array_equal(tree_i, brute_i)
-        np.testing.assert_array_equal(tree_d, brute_d)
+        clf = KNNClassifier(k=3).fit(X, y)
+        Q = X[::3]
+        dist, idx = clf.kneighbors(Q)
+        order = np.arange(X.shape[0])
+        for i, q in enumerate(Q):
+            d2 = np.zeros(X.shape[0])
+            for j in range(X.shape[1]):
+                d2 += (X[:, j] - q[j]) ** 2
+            expected = np.lexsort((order, d2))[:3]
+            np.testing.assert_array_equal(idx[i], expected)
+            np.testing.assert_array_equal(dist[i], np.sqrt(d2[expected]))
+            np.testing.assert_array_equal(clf.kneighbors(q)[1][0], expected)
 
     @pytest.mark.parametrize("width", [2, 3, 5, 16])
     def test_duplicate_rows_rank_oldest_first_at_every_width(self, width):
@@ -297,11 +182,78 @@ class TestKNNClassifierBehaviour:
             for size in np.linspace(513, 2303, 10).astype(int):
                 _assert_duplicates_rank_oldest_first(seed, size, width, 200)
 
-    def test_auto_backend_brute_for_small(self):
-        X, y = _two_blobs(n=20)
-        clf = KNNClassifier(k=3, algorithm="auto").fit(X, y)
-        clf.predict_one([0.0, 0.0])
-        assert clf._tree is None
+
+class TestNonFiniteQueries:
+    """Every query row must be finite, at every memory size."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        X, y = _two_blobs(n=50)
+        clf = KNNClassifier(k=3).fit(X, y)
+        for query in ([bad, 0.0], [[1.0, 1.0], [0.0, bad]]):
+            with pytest.raises(DataError, match="non-finite"):
+                clf.predict(query)
+            with pytest.raises(DataError, match="non-finite"):
+                clf.predict_proba(query)
+            with pytest.raises(DataError, match="non-finite"):
+                clf.kneighbors(query)
+
+    def test_empty_batch_returns_empty_arrays(self):
+        X, y = _two_blobs(n=50)
+        clf = KNNClassifier(k=3).fit(X, y)
+        dist, idx = clf.kneighbors(np.empty((0, 2)))
+        assert dist.shape == idx.shape == (0, 3)
+        assert clf.predict(np.empty((0, 2))).shape == (0,)
+        assert clf.predict_proba(np.empty((0, 2))).shape == (0, 2)
+
+
+class TestBlockedSearch:
+    def test_blocks_equal_one_block_bit_for_bit(self, monkeypatch):
+        """A batch split into several query blocks, the last one
+        partial, over a memory of equidistant duplicate rows, returns
+        the bits of the single-block call."""
+        rng = np.random.default_rng(4)
+        distinct = rng.standard_normal((20, 2))
+        X = distinct[rng.integers(0, 20, size=300)]
+        y = rng.integers(1, 4, size=300)
+        Q = np.vstack([X[rng.integers(0, 300, size=30)],
+                       rng.standard_normal((17, 2))])
+        clf = KNNClassifier(k=3).fit(X, y)
+        whole_d, whole_i = clf.kneighbors(Q)
+        blocks = []
+        topk = knn.lexicographic_topk
+
+        def counting_topk(d2, k):
+            blocks.append(d2.shape[0])
+            return topk(d2, k)
+
+        monkeypatch.setattr(knn, "lexicographic_topk", counting_topk)
+        monkeypatch.setattr(knn, "_BLOCK_ELEMENTS", 5 * 300)
+        block_d, block_i = clf.kneighbors(Q)
+        assert blocks == [5] * 9 + [2]
+        np.testing.assert_array_equal(block_i, whole_i)
+        np.testing.assert_array_equal(block_d, whole_d)
+        np.testing.assert_array_equal(
+            clf.predict(Q), [clf.predict_one(q) for q in Q]
+        )
+
+    def test_large_batch_runs_in_bounded_memory(self):
+        """5000 queries against 5000 rows: an unblocked search would
+        hold a 5000 x 5000 float64 distance matrix (191 MiB) and as
+        much scratch."""
+        rng = np.random.default_rng(5)
+        clf = KNNClassifier(k=3).fit(
+            rng.standard_normal((5000, 2)), rng.integers(1, 4, 5000)
+        )
+        Q = rng.standard_normal((5000, 2))
+        tracemalloc.start()
+        try:
+            dist, idx = clf.kneighbors(Q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert dist.shape == idx.shape == (5000, 3)
 
 
 class TestDistanceWeighting:

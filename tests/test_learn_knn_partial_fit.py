@@ -57,22 +57,6 @@ class TestPartialFit:
         with pytest.raises(ConfigurationError):
             clf.partial_fit([[1.0, 2.0]], [1.5])
 
-    def test_tree_backend_rebuilt_lazily(self):
-        """partial_fit invalidates the tree; the next query rebuilds it
-        (the docstring's promise — appends must not pay a rebuild each)."""
-        rng = np.random.default_rng(1)
-        X = rng.standard_normal((3000, 2))
-        y = (X[:, 0] > 0).astype(int)
-        clf = KNNClassifier(k=3, algorithm="kd_tree").fit(X, y)
-        assert clf._tree is None  # lazy: fit does not pay for an index
-        clf.predict_one([0.0, 0.0])
-        assert clf._tree is not None  # built on the query path
-        clf.partial_fit([[0.0, 0.0]], [1])
-        assert clf._tree is None  # invalidated, not rebuilt inline
-        clf.predict_one([0.0, 0.0])
-        assert clf._tree is not None  # rebuilt on the query path
-        assert clf._tree.n_points == 3001
-
     def test_appends_amortized_no_full_copy_per_step(self):
         """The memory buffer must not be reallocated on every append."""
         clf = _base()

@@ -951,10 +951,9 @@ class TestEngineOwnedState:
 
 class TestDeepMemories:
     def test_memories_past_2048_rows_stay_on_the_engine(self):
-        """Online classifiers query brute force at any depth, so a
-        memory past the auto backend's KD-tree threshold (2048 rows)
-        keeps its stream batched, with forecasts identical to the
-        per-stream loop."""
+        """A memory past 2048 rows (the depth at which the retired
+        KD-tree backend once took over) keeps its stream batched, with
+        forecasts identical to the per-stream loop."""
         config = FleetConfig(
             min_train=2100, history_limit=2200, max_memory=None,
             qa_threshold=50.0,
@@ -982,7 +981,6 @@ class TestDeepMemories:
         assert all(engine.serves(name) for name in names)
         for name in names:
             clf = batched._streams[name].predictor._classifier
-            assert clf.algorithm == "brute"
             assert clf.n_samples_ > 2048
         _assert_same_state(batched, loop)
 
