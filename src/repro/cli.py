@@ -8,7 +8,7 @@
     python -m repro ablation <knob>         # window|k|pca|classifier|pool
     python -m repro report DIR              # export all artifacts (txt/csv/json)
     python -m repro generate-traces DIR     # write the trace set as CSVs
-    python -m repro assess FILE.csv         # §8 applicability assessment
+    python -m repro assess FILE.csv         # §8 applicability (exit 0/3)
     python -m repro frontier FILE.csv       # §8 cost/performance frontier
     python -m repro fleet [--streams N]     # multi-stream serving simulation
     python -m repro obs [--format FMT]      # telemetry demo (drift storm)
@@ -76,7 +76,12 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=None)
 
     assess = sub.add_parser(
-        "assess", help="applicability assessment of a CSV trace (paper §8)"
+        "assess", help="applicability assessment of a CSV trace (paper §8)",
+        description=(
+            "Applicability assessment of a CSV trace (paper §8). Exit "
+            "status: 0 when LAR is recommended, 3 when it is not; 1 is "
+            "a crash and 2 a usage error."
+        ),
     )
     assess.add_argument("trace", help="CSV written by repro's trace I/O")
     assess.add_argument("--window", type=int, default=5)
@@ -259,7 +264,8 @@ def _run(args) -> int:
             trace.values, config=LARConfig(window=args.window)
         )
         print(f"{trace.trace_id}: {report.render()}")
-        return 0 if report.recommended else 1
+        # 3, not 1: a Python traceback exits 1, so a verdict must not.
+        return 0 if report.recommended else 3
     elif args.command == "fleet":
         return _run_fleet(args)
     elif args.command == "obs":

@@ -137,12 +137,6 @@ class OnlineLARPredictor:
         # Trailing squared errors per pool member for online labelling.
         self._recent_sq: deque[np.ndarray] = deque(maxlen=self.label_smoothing)
         self._windows_learned = 0
-        #: Bumped by every mutating method (:meth:`train`,
-        #: :meth:`retrain`, :meth:`observe`, and the restore paths).
-        #: Mirrors — the batched tick engine stacks each stream's tail,
-        #: label-smoothing window, and frozen parameters — treat a bump
-        #: as "my copy of this predictor is stale, reload it".
-        self.version = 0
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -309,7 +303,6 @@ class OnlineLARPredictor:
         self._history.append(value)
         w = self.config.window
         if len(self._history) < w + 1:
-            self.version += 1
             return None
         pipeline = self._runner.pipeline
         z = pipeline.normalizer.transform(self._tail(w + 1))
@@ -328,7 +321,6 @@ class OnlineLARPredictor:
         )
         self._windows_learned += 1
         self._evict_if_needed()
-        self.version += 1
         return label
 
     def observe_many(self, values) -> list[int | None]:
@@ -353,7 +345,6 @@ class OnlineLARPredictor:
         self._recent_sq.clear()
         self._windows_learned = 0
         self._evict_if_needed()
-        self.version += 1
 
     def _tail(self, n: int) -> np.ndarray:
         """Last *n* history values in O(n) — never touches the full deque.

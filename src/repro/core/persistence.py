@@ -360,5 +360,4 @@ def load_online_larpredictor(path):
         [row for row in recent_sq], maxlen=online.label_smoothing
     )
     online._windows_learned = int(meta["windows_learned"])
-    online.version += 1
     return online

@@ -99,12 +99,6 @@ class PredictionQualityAssuror:
         #: receives each breaching one, so a caller that wants a log
         #: keeps its own.
         self.breaches_total = 0
-        #: Bumped by every mutating method (:meth:`record`,
-        #: :meth:`acknowledge_retraining`, :meth:`load_state_dict`).
-        #: Mirrors — the batched tick engine keeps a stacked copy of the
-        #: error window — treat a bump as "my copy of this QA is stale,
-        #: reload it".
-        self.version = 0
 
     # -- streaming interface ------------------------------------------------
 
@@ -158,7 +152,6 @@ class PredictionQualityAssuror:
         self._sq_errors.append(sq)
         self._sq_sum += sq
         self._step += 1
-        self.version += 1
         if self._step % self.audit_interval == 0:
             return self._audit()
         return None
@@ -168,7 +161,6 @@ class PredictionQualityAssuror:
         self._retraining_due = False
         self._sq_errors.clear()
         self._sq_sum = 0.0
-        self.version += 1
 
     # -- persistence ----------------------------------------------------------
 
@@ -229,7 +221,6 @@ class PredictionQualityAssuror:
         self._step = step
         self._retraining_due = due
         self.breaches_total = breaches_total
-        self.version += 1
         return self
 
     # -- internals -------------------------------------------------------------

@@ -21,8 +21,9 @@ of the O(n) ``vstack`` copy it once paid per observation, and
 an offset instead of refitting. The fleet's batched tick engine
 (:mod:`repro.serving.engine`) keeps a stacked copy of this memory: it
 places rows in its ring by the ``appended_total_`` /
-``discarded_total_`` counters and reloads the copy whole when
-``version`` moves.
+``discarded_total_`` counters. Fleet code that writes a served
+stream's classifier detaches the stream from the engine first, and the
+engine reloads the copy whole.
 """
 
 from __future__ import annotations
@@ -98,13 +99,6 @@ class KNNClassifier(Classifier):
                 f"weights must be 'uniform' or 'distance', got {weights!r}"
             )
         self.k = int(k)
-        #: Bumped by every public mutation (:meth:`fit`,
-        #: :meth:`partial_fit`, :meth:`discard_oldest`). Mirrors — the
-        #: batched tick engine keeps a stacked copy of the memory —
-        #: reload their copy when the counter moved past their stamp;
-        #: their own writes go through the private helpers and leave it
-        #: alone.
-        self.version = 0
         self.weights = weights
         self._Xbuf: np.ndarray | None = None
         self._ybuf: np.ndarray | None = None
@@ -210,7 +204,6 @@ class KNNClassifier(Classifier):
             values, counts = _label_values_counts(y)
             label_counts = {int(v): int(c) for v, c in zip(values, counts)}
         self._label_counts = dict(label_counts)
-        self.version += 1
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
         distances, neighbor_idx = self.kneighbors(X)
@@ -263,7 +256,6 @@ class KNNClassifier(Classifier):
                 raise ConfigurationError("labels must be integers")
             y = y_int
         self._append_rows(X, y.astype(np.int64))
-        self.version += 1
         return self
 
     def discard_oldest(self, n: int) -> "KNNClassifier":
@@ -286,7 +278,6 @@ class KNNClassifier(Classifier):
                 f"k={self.k} samples"
             )
         self._discard_rows(n)
-        self.version += 1
         return self
 
     @property

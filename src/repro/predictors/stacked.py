@@ -33,17 +33,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.predictors.ar import ARPredictor
-from repro.predictors.last import LastValuePredictor
-from repro.predictors.pool import PredictorPool
-from repro.predictors.sw_avg import SlidingWindowAveragePredictor
 
 __all__ = [
     "StackedARParams",
     "ar_predict_frames_stacked",
     "last_predict_frames_stacked",
     "sw_avg_predict_frames_stacked",
-    "is_paper_pool",
     "paper_pool_predict_frames_stacked",
 ]
 
@@ -109,22 +104,6 @@ def sw_avg_predict_frames_stacked(
     """Stacked SW_AVG (whole-frame window) over a frame tensor: the mean
     along each frame."""
     return frames.mean(axis=2, out=out)
-
-
-def is_paper_pool(pool: PredictorPool) -> bool:
-    """Whether *pool* is structurally the paper's LAST/AR/SW_AVG trio.
-
-    The batched tick engine only stacks pools with this exact member
-    sequence (and an SW_AVG without a window); anything else falls back
-    to the per-stream loop.
-    """
-    if len(pool) != 3:
-        return False
-    return (
-        type(pool[0]) is LastValuePredictor
-        and type(pool[1]) is ARPredictor
-        and type(pool[2]) is SlidingWindowAveragePredictor
-    )
 
 
 def paper_pool_predict_frames_stacked(

@@ -38,8 +38,8 @@ Fleet-ordered rows
 ------------------
 Attached rows are kept in the fleet's stream order. A retrained model
 is installed into its stream's existing row, and after adds, removes,
-demotions, and out-of-order attaches or installs the engine restores
-fleet order with one permutation per row array. A full-fleet
+and out-of-order attaches or installs the engine restores fleet order
+with one permutation per row array. A full-fleet
 tick therefore always selects ``slice(0, S)``: basic indexing makes
 every kernel read **views** of the stacked tensors instead of copying
 the ``(S, d, cap)`` memory ring, and per-tick scratch buffers are
@@ -79,15 +79,13 @@ other check-out. The old model is dropped unwritten: its row settles
 only the stream-level state it owes (tick count, selections, QA step).
 A model retrained again before anyone reads it is never built.
 
-A check-out leaves every ``version`` counter alone and puts the row on
-a watch list. The next :meth:`BatchedTickEngine.prepare` compares only
-the watched rows' counters with the stamps they were synced at, and
-reloads a row whole when any of its predictor, classifier or QA
-counters moved (an ``observe``, an in-place ``retrain``, a
-per-stream-loop tick, a ``partial_fit``, an
-``acknowledge_retraining``). Rows nobody read sync nothing.
-Membership is reconciled only when the fleet's
-``(epoch, stream count)`` key moves.
+A check-out only reads the row: the row stays the engine's. Writers
+detach: fleet code that writes a served stream's objects (a
+per-stream-loop tick, a per-stream replay of an asynchronous retrain)
+calls :meth:`BatchedTickEngine.detach` first, which checks the row out
+and hands the stream back, and the next :meth:`BatchedTickEngine.sync`
+reloads the row whole from the objects. Membership is reconciled only
+when the fleet's ``(epoch, stream count)`` key moves.
 
 An asynchronous retrain's model learns the ticks its stream served
 while it trained the same way: :meth:`BatchedTickEngine.replay` runs
@@ -120,16 +118,18 @@ distance ties break alike at every feature width); the parity suites in
 ``tests/test_serving_engine.py`` and
 ``tests/test_serving_qa_stacked.py`` lock it in.
 
-Eligibility and fallback
-------------------------
-A trained stream is served by the engine only when its components match
-what the stacked kernels cover: the paper pool (LAST/AR/SW_AVG), a
-fixed-size (or disabled) PCA, a uniform-weight
-:class:`~repro.learn.knn.KNNClassifier` (what every online predictor
-builds), the fleet's ``label_smoothing`` and ``history_limit``, and a
-plain :class:`~repro.core.qa.PredictionQualityAssuror` with the fleet's
-audit geometry. Everything else transparently falls back to the
-per-stream loop, stream by stream.
+Coverage
+--------
+Coverage is decided per fleet, not per stream. The fleet builds every
+stream from its one :class:`~repro.serving.fleet.FleetConfig`, so the
+engine serves every trained stream of a config the stacked kernels
+cover: the paper pool (LAST/AR/SW_AVG) and a fixed-size (or disabled)
+PCA, the configs the stacked trainer accepts too. A fleet of any other
+config (``lar.extended_pool``, or ``lar.min_variance``) serves every
+stream on the per-stream loop. A stream archive on disk is the one
+input that could differ, and
+:func:`~repro.serving.persistence.load_fleet` rejects one the fleet's
+config would not build.
 """
 
 from __future__ import annotations
@@ -144,12 +144,10 @@ from repro.core.larpredictor import Forecast
 from repro.core.online import OnlineLARPredictor
 from repro.core.qa import AuditRecord, PredictionQualityAssuror
 from repro.learn.distance import squared_distances
-from repro.learn.knn import KNNClassifier
 from repro.learn.topk import lexicographic_topk
 from repro.learn.voting import majority_vote
 from repro.predictors.stacked import (
     StackedARParams,
-    is_paper_pool,
     paper_pool_predict_frames_stacked,
 )
 from repro.serving.trainer import build_predictor
@@ -217,15 +215,12 @@ def _locked(method):
 class _Entry:
     """Engine-side bookkeeping for one attached stream.
 
-    ``pred_version`` / ``clf_version`` / ``qa_version`` stamp the
-    counters the row was last synced at. A model installed from a
-    fitted group has no objects yet: ``predictor`` and ``classifier``
-    are ``None`` and ``fit`` holds ``(histories, GroupFit, index)``
-    until the first check-out builds them.
+    A model installed from a fitted group has no object yet:
+    ``predictor`` is ``None`` and ``fit`` holds ``(histories, GroupFit,
+    index)`` until the first check-out builds it.
     """
 
-    __slots__ = ("engine", "name", "state", "predictor", "classifier", "qa",
-                 "row", "pred_version", "clf_version", "qa_version", "fit")
+    __slots__ = ("engine", "name", "state", "predictor", "qa", "row", "fit")
 
     def __init__(self, engine: "BatchedTickEngine", name: str, state,
                  row: int, fit=None):
@@ -233,25 +228,19 @@ class _Entry:
         self.name = name
         self.state = state
         self.predictor: OnlineLARPredictor | None = state._predictor
-        self.classifier: KNNClassifier | None = (
-            None if fit is not None else self.predictor._classifier
-        )
         self.qa: PredictionQualityAssuror = state._qa
         self.row = row
-        self.pred_version = -1
-        self.clf_version = -1
-        self.qa_version = -1
         self.fit = fit
 
 
 class BatchedTickEngine:
     """Stacked per-stream state + batched tick kernels for one fleet.
 
-    The engine self-synchronizes: :meth:`prepare` reconciles the fleet's
+    The engine self-synchronizes: :meth:`sync` reconciles the fleet's
     stream table with the registry (attaching newly trained streams,
-    swapping retrained models into their rows, detaching removed ones)
-    and reloads whatever was mutated after a :meth:`checkout`. Rows are
-    kept in fleet order, so the full-fleet tick reads slices.
+    swapping retrained models into their rows, reloading detached
+    streams, dropping removed ones). Rows are kept in fleet order, so
+    the full-fleet tick reads slices.
     """
 
     def __init__(self, fleet) -> None:
@@ -282,9 +271,6 @@ class BatchedTickEngine:
         self._names: list[str] = []
         # (fleet epoch clock, stream count) at the last reconcile.
         self._sync_key: tuple[int, int] | None = None
-        # Entries checked out since the last prepare(): the only rows
-        # whose objects anyone outside the engine can have mutated.
-        self._watch: set[_Entry] = set()
         self._lock = threading.RLock()
         # Ingest ticks run, the stamp of a member's first selection
         # since a row's last check-out.
@@ -441,25 +427,16 @@ class BatchedTickEngine:
     # -- membership ---------------------------------------------------------
 
     @_locked
-    def prepare(self) -> None:
-        """Reconcile membership, then reload every row mutated after a
-        check-out.
-
-        Call once before a batched operation; :meth:`forecast_batch`
-        calls it itself, :meth:`PredictionFleet.ingest` calls it before
-        :meth:`ingest_batch`.
-        """
-        self.sync()
-        if self._watch:
-            self._sync_watched()
-
     def sync(self) -> None:
         """Reconcile the registry with the fleet's current stream table.
 
-        Runs only when the fleet's epoch clock or stream count moved
-        (every predictor swap and every added stream advances the
-        clock, every removal changes the count), or after a
-        :meth:`detach`.
+        Call once before a batched operation: :meth:`forecast_batch`,
+        :meth:`install` and :meth:`replay` call it themselves,
+        :meth:`PredictionFleet.ingest` calls it before
+        :meth:`ingest_batch`. Runs only when the fleet's epoch clock or
+        stream count moved (every predictor swap and every added stream
+        advances the clock, every removal changes the count), or after
+        a :meth:`detach` or :meth:`release`.
         """
         if not self._supported:
             return
@@ -472,30 +449,19 @@ class BatchedTickEngine:
         entries = self._entries
         for entry in self._rows:
             state = states.get(entry.name)
-            # An installed model not yet built has no predictor on either
-            # side; every swap away from it detaches or releases the
-            # entry first, so _entry identity catches those.
-            if state is entry.state and (
-                state._entry is entry
-                and state._predictor is entry.predictor
-                and state._qa is entry.qa
-            ):
+            # Every swap of a served stream's model, and every write to
+            # its objects, releases or detaches the entry first, so
+            # _entry identity catches them all.
+            if state is entry.state and state._entry is entry:
                 continue
             self._drop(entry)
-            if (
-                state is not None
-                and state._predictor is not None
-                and self._eligible(state._predictor, state._qa)
-            ):
-                # A retrained model takes over its stream's row.
+            if state is not None and state._predictor is not None:
+                # A retrained model, or the objects written after a
+                # detach, take over the stream's row.
                 self._attach(entry.name, state, entry.row)
         used = len(self._rows)
         for name, state in states.items():
-            if (
-                state._predictor is not None
-                and name not in entries
-                and self._eligible(state._predictor, state._qa)
-            ):
+            if state._predictor is not None and name not in entries:
                 if used == self._tails.shape[0]:
                     self._grow_rows(used)
                 self._attach(name, state, used)
@@ -521,9 +487,10 @@ class BatchedTickEngine:
     def detach(self, entry: _Entry) -> None:
         """Check *entry* out and hand its stream back to the fleet.
 
-        ``_StreamState`` calls this before it swaps the stream's
-        predictor or its QA. The next :meth:`sync` attaches whatever the
-        stream holds then.
+        Fleet code calls this before it writes a served stream's
+        objects: the per-stream loop's tick and a per-stream replay of
+        an asynchronous retrain. The next :meth:`sync` reloads the row
+        whole from whatever the stream holds then.
         """
         self.checkout(entry)
         entry.state._entry = None
@@ -546,46 +513,12 @@ class BatchedTickEngine:
         """Whether *name* is currently served by the batched path."""
         return name in self._entries
 
-    def _qa_eligible(self, qa: PredictionQualityAssuror) -> bool:
-        # The stacked QA ring shares one geometry across rows, so a
-        # stream whose assuror diverges from the fleet policy (or is a
-        # subclass with its own behavior) stays on the per-stream loop.
-        return (
-            type(qa) is PredictionQualityAssuror
-            and qa.audit_window == self._qa_window
-            and qa.audit_interval == self._qa_interval
-            and qa.threshold == self._qa_threshold
-        )
-
-    def _eligible(
-        self, predictor: OnlineLARPredictor, qa: PredictionQualityAssuror
-    ) -> bool:
-        if not self._qa_eligible(qa):
-            return False
-        if (
-            predictor.label_smoothing != self._smoothing
-            or predictor.history_limit != self._history_limit
-        ):
-            return False
-        clf = predictor._classifier
-        if type(clf) is not KNNClassifier or clf.weights != "uniform":
-            return False
-        pool = predictor._runner.pool
-        if not is_paper_pool(pool):
-            return False
-        if pool[1].order != self._ar_order or pool[2].window is not None:
-            return False
-        pca = predictor._runner.pipeline.pca
-        if pca is None:
-            return self._n_features == self._window
-        return pca.components_.shape == (self._n_features, self._window)
-
     # -- loading rows ---------------------------------------------------------
 
     def _load_row(self, entry: _Entry) -> None:
         """Load one stream's whole predictor, QA and memory into its row."""
         predictor = entry.predictor
-        entry.classifier = predictor._classifier
+        clf = predictor._classifier
         row = entry.row
         pipeline = predictor._runner.pipeline
         self._mu[row] = pipeline.normalizer.mean
@@ -618,7 +551,6 @@ class BatchedTickEngine:
         self._replayed[row] = 0
         self._sel[row] = 0
         self._dirty[row] = False
-        entry.pred_version = predictor.version
         qa = entry.qa
         count = len(qa._sq_errors)
         self._qa_ring[row] = 0.0
@@ -628,16 +560,10 @@ class BatchedTickEngine:
         self._qa_sum[row] = qa._sq_sum
         self._qa_step[row] = qa._step
         self._qa_due[row] = qa._retraining_due
-        entry.qa_version = qa.version
-        self._reload_memory(entry)
-
-    def _reload_memory(self, entry: _Entry) -> None:
-        clf = entry.classifier
         self._write_memory(
-            np.array([entry.row]), clf.discarded_total_,
-            clf.appended_total_, clf._X[None], clf._y[None],
+            np.array([row]), clf.discarded_total_, clf.appended_total_,
+            clf._X[None], clf._y[None],
         )
-        entry.clf_version = clf.version
 
     def _write_memory(self, rows, lo: int, hi: int, X, y) -> None:
         """Make absolute rows ``lo .. hi - 1`` the whole memory of engine
@@ -674,29 +600,24 @@ class BatchedTickEngine:
         return self._hist[rows[:, None], slots]
 
     @_locked
-    def install(self, states: list, histories: np.ndarray, fit) -> list:
+    def install(self, states: list, histories: np.ndarray, fit) -> None:
         """Install a fitted group's new models into engine rows.
 
         Row *i* of *histories* and of *fit* (a
         :class:`~repro.serving.trainer.GroupFit`) is the new model of
-        ``states[i]`` (``None`` skips the row). Each stream whose QA the
-        engine can stack gets its row written straight from the fit, one
-        scatter per row array: exactly what :meth:`_load_row` would load
-        from the trained predictor after ``acknowledge_retraining()`` on
-        the stream's QA. The predictor itself is built at the row's
-        first check-out. A served stream's old row settles what it owes
-        the stream (:meth:`release`) and is reused; other streams get
-        new rows, and the rows return to fleet order. Returns whether
-        each stream was installed; the caller builds the rest.
+        ``states[i]`` (``None`` skips the row). Each stream gets its row
+        written straight from the fit, one scatter per row array:
+        exactly what :meth:`_load_row` would load from the trained
+        predictor after ``acknowledge_retraining()`` on the stream's QA.
+        The predictor itself is built at the row's first check-out. A
+        served stream's old row settles what it owes the stream
+        (:meth:`release`) and is reused; other streams get new rows, and
+        the rows return to fleet order.
         """
-        self.prepare()
-        installed = [
-            state is not None and self._qa_eligible(state._qa)
-            for state in states
-        ]
-        pick = [i for i, ok in enumerate(installed) if ok]
+        self.sync()
+        pick = [i for i, state in enumerate(states) if state is not None]
         if not pick:
-            return installed
+            return
         rows = []
         appended = False
         for i in pick:
@@ -727,13 +648,12 @@ class BatchedTickEngine:
             histories, fit, [states[i]._qa._step for i in pick],
         )
         if appended:
-            # prepare() left every row a live stream's current entry.
+            # sync() left every row a live stream's current entry.
             entries = self._entries
             self._reorder([
                 e for name in self._fleet._streams
                 if (e := entries.get(name)) is not None
             ])
-        return installed
 
     def _write_fit(self, rows, pick, histories, fit, steps) -> None:
         """Write fit rows *pick* into engine *rows* (see :meth:`install`)."""
@@ -805,41 +725,6 @@ class BatchedTickEngine:
         self._mem_x[row, :, slots] = np.inf
         self._mem_abs[row, slots] = _DEAD_KEY
 
-    def _sync_watched(self) -> None:
-        """Reload every row mutated after a check-out.
-
-        Only checked-out rows can have been: every reader outside the
-        engine checks its stream out first, and the engine's own writes
-        leave the ``version`` counters alone. A row whose counters all
-        match its stamps is left as it is. Any other row is reloaded
-        whole, or, when it stopped being batchable, detached and its
-        stream served per-stream.
-        """
-        # A scrape thread may still add to the old set; its check-outs
-        # mutate nothing, so a lost add is harmless.
-        self._watch, watched = set(), list(self._watch)
-        demoted: list[_Entry] = []
-        for entry in watched:
-            if (
-                self._entries.get(entry.name) is not entry
-                or entry.predictor is None
-            ):
-                continue  # detached since its check-out, or never built
-            if (
-                entry.predictor.version == entry.pred_version
-                and entry.classifier.version == entry.clf_version
-                and entry.qa.version == entry.qa_version
-            ):
-                continue
-            if self._eligible(entry.predictor, entry.qa):
-                self._load_row(entry)
-            else:
-                demoted.append(entry)
-        if demoted:
-            for entry in demoted:
-                self._drop(entry)
-            self._reorder([e for e in self._rows if e.name in self._entries])
-
     # -- check-out ------------------------------------------------------------
 
     def checkout(self, entry: _Entry) -> None:
@@ -847,12 +732,10 @@ class BatchedTickEngine:
 
         Afterwards the stream's ``_StreamState`` counters, pending
         forecast, QA, predictor and classifier are exactly what S
-        ``record()`` + ``observe()`` calls would have left. No
-        ``version`` counter moves: the engine stays the row's owner.
-        The row goes on the watch list, so a mutation made through the
-        checked-out objects reloads it at the next :meth:`prepare`.
+        ``record()`` + ``observe()`` calls would have left. The engine
+        stays the row's owner: code that writes the objects detaches the
+        stream first (:meth:`detach`).
         """
-        self._watch.add(entry)
         if self._dirty[entry.row]:
             self._checkout(entry)
 
@@ -902,9 +785,6 @@ class BatchedTickEngine:
         predictor = build_predictor(cfg, histories[index], fit, index)
         entry.fit = None
         entry.predictor = entry.state._predictor = predictor
-        entry.classifier = predictor._classifier
-        entry.pred_version = predictor.version
-        entry.clf_version = entry.classifier.version
 
     # The per-stream deques below hold their ring as of the row's last
     # check-out or load, so a check-out appends only the newest entries
@@ -948,7 +828,7 @@ class BatchedTickEngine:
         # The classifier: retire what the ring evicted, then append what
         # it still holds. Rows appended and evicted again between two
         # check-outs only advance the absolute counters.
-        clf = entry.classifier
+        clf = predictor._classifier
         lo, hi = int(self._mem_lo[row]), int(self._mem_hi[row])
         old_lo, old_hi = clf._discarded, clf._appended
         if lo > old_lo:
@@ -1031,7 +911,7 @@ class BatchedTickEngine:
         engine for the matching :meth:`ingest_batch` to audit, and
         becomes its stream's ``pending`` forecast at the next check-out.
         """
-        self.prepare()
+        self.sync()
         if not self._rows:
             return {}
         if names is None:
@@ -1151,11 +1031,9 @@ class BatchedTickEngine:
         if not np.isfinite(errs).all():
             # A non-finite pair must raise exactly like the per-stream
             # loop: at its stream, with the streams before it in the
-            # tick fully processed. Serve none of the tick here, so the
-            # fleet runs all of it per-stream on checked-out objects;
-            # their version bumps reload the rows at the next prepare().
-            for entry in entries:
-                self.checkout(entry)
+            # tick fully processed. Serve none of the tick here: the
+            # fleet runs all of it per-stream, detaching each stream
+            # before it writes the stream's objects.
             return {}
         np.multiply(errs, errs, out=errs)
         w = self._qa_window

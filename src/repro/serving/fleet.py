@@ -291,13 +291,13 @@ class FleetMetrics:
         }
 
 
-def _checked_out(field: str, *, swaps: bool = False) -> property:
+def _checked_out(field: str, *, settable: bool = True) -> property:
     """A ``_StreamState`` attribute stored in slot *field* that checks
     its stream out of the batched engine before every read and write.
 
-    For a component the engine serves (*swaps*), storing a different
-    object detaches the stream instead, and the engine's next sync
-    attaches what the stream holds then.
+    Without *settable*, the attribute is read-only: the fleet swaps a
+    stream's model only through retrain integration and ``load``,
+    which write the backing slot.
     """
 
     def get(state):
@@ -314,13 +314,10 @@ def _checked_out(field: str, *, swaps: bool = False) -> property:
     def set_(state, value):
         entry = state._entry
         if entry is not None:
-            if not swaps:
-                entry.engine.checkout(entry)
-            elif value is not getattr(state, field):
-                entry.engine.detach(entry)
+            entry.engine.checkout(entry)
         setattr(state, field, value)
 
-    return property(get, set_)
+    return property(get, set_ if settable else None)
 
 
 class _StreamState:
@@ -330,11 +327,14 @@ class _StreamState:
     stream (``_entry`` is its engine row), the engine holds the stream's
     newest tick state. ``predictor``, ``qa``, ``pending``, ``ticks`` and
     ``selections`` check the stream out of the engine on every access,
-    so whoever reads them sees current objects. Engine and fleet hot
-    paths read the ``_``-prefixed backing slots. A model installed into
-    its engine row by a stacked retrain has no object until the first
-    check-out builds it: ``_predictor`` is ``None`` while ``_entry`` is
-    set.
+    so whoever reads them sees current objects; ``predictor`` and
+    ``qa`` are read-only. A check-out leaves the row the engine's, so
+    fleet code that writes a served stream's objects detaches it first
+    (:meth:`~repro.serving.engine.BatchedTickEngine.detach`). Engine
+    and fleet hot paths read the ``_``-prefixed backing slots. A model
+    installed into its engine row by a stacked retrain has no object
+    until the first check-out builds it: ``_predictor`` is ``None``
+    while ``_entry`` is set.
     """
 
     __slots__ = (
@@ -343,8 +343,8 @@ class _StreamState:
         "due_at", "epoch", "_entry",
     )
 
-    predictor = _checked_out("_predictor", swaps=True)
-    qa = _checked_out("_qa", swaps=True)
+    predictor = _checked_out("_predictor", settable=False)
+    qa = _checked_out("_qa", settable=False)
     pending = _checked_out("_pending")
     ticks = _checked_out("_ticks")
     selections = _checked_out("_selections")
@@ -616,8 +616,8 @@ class PredictionFleet:
         the :class:`~repro.serving.engine.BatchedTickEngine` are
         processed fleet-wide in a handful of NumPy ops; the result is
         bit-identical to the per-stream loop (``batched=False``), which
-        remains both the fallback for ineligible streams and the parity
-        reference.
+        remains both the path of configs the engine does not cover and
+        the parity reference.
 
         Returns the online label learned per stream (``None`` while a
         stream is warming up). The whole batch is validated before any
@@ -640,7 +640,7 @@ class PredictionFleet:
         learned: dict[str, int | None] = {}
         if batched:
             engine = self._get_engine()
-            engine.prepare()
+            engine.sync()
             learned = engine.ingest_batch(names, clean)
         by_name = None
         loop_n = len(names) - len(learned)
@@ -704,15 +704,22 @@ class PredictionFleet:
     def _ingest_per_stream(
         self, clean: dict[str, float], batch_learned: dict[str, int]
     ) -> dict[str, int | None]:
-        """The per-stream tick loop: warm-up buffering plus the fallback
-        serve path for streams the batched engine does not cover."""
+        """The per-stream tick loop: warm-up buffering, plus the serve
+        path of a ``batched=False`` tick, of a config the batched engine
+        does not cover, and of a tick the engine handed back (a
+        non-finite audit error, which must raise at its stream)."""
         learned: dict[str, int | None] = {}
         for name, value in clean.items():
             if name in batch_learned:
                 learned[name] = batch_learned[name]
                 continue
             state = self._streams[name]
-            if state._predictor is None and state._entry is None:
+            entry = state._entry
+            if entry is not None:
+                # The loop writes the stream's objects: hand them back,
+                # and the engine's next sync reloads the row whole.
+                entry.engine.detach(entry)
+            if state._predictor is None:
                 # Warming up: no engine row, so the slots are current.
                 state.buffer.append(value)
                 state._ticks += 1
@@ -754,8 +761,8 @@ class PredictionFleet:
         is remembered so the matching :meth:`ingest` audits it instead
         of recomputing.
 
-        With ``batched=True`` (the default), eligible streams are
-        forecast fleet-wide by the
+        With ``batched=True`` (the default), the trained streams of a
+        config the engine covers are forecast fleet-wide by the
         :class:`~repro.serving.engine.BatchedTickEngine` — bit-identical
         to the per-stream loop (``batched=False``), just a handful of
         NumPy ops instead of N Python call chains.

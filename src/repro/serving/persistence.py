@@ -140,6 +140,38 @@ def _load_stream_archive(directory: Path, name: str, archive):
         ) from exc
 
 
+def _check_stream_model(config, name: str, predictor) -> None:
+    """Raise ``DataError`` unless *predictor* is a model *config* builds.
+
+    The fleet builds every stream from its one config, and its tick
+    engine serves every trained stream with that config's kernels; a
+    stream archive on disk is the one input that can differ. An AR
+    coefficient vector of the wrong length already fails in
+    ``ARPredictor.load_state_dict``.
+    """
+    lar = config.lar
+    found = {
+        "LAR config": (predictor.config, lar),
+        "label_smoothing": (predictor.label_smoothing, config.label_smoothing),
+        "max_memory": (predictor.max_memory, config.max_memory),
+        "history_limit": (predictor.history_limit, config.history_limit),
+        "k-NN weights": (predictor._classifier.weights, "uniform"),
+    }
+    pca = predictor._runner.pipeline.pca
+    if pca is not None:
+        rows = lar.n_components or pca.components_.shape[0]
+        found["PCA basis shapes"] = (
+            (pca.components_.shape, pca.mean_.shape),
+            ((rows, lar.window), (lar.window,)),
+        )
+    for what, (got, want) in found.items():
+        if got != want:
+            raise DataError(
+                f"archive of stream {name!r} has {what} {got!r}, but the "
+                f"fleet's config builds {want!r}"
+            )
+
+
 def save_fleet(fleet, directory) -> None:
     """Write *fleet* under *directory* (created if missing).
 
@@ -199,6 +231,12 @@ def load_fleet(directory, *, telemetry=None):
         (metrics, spans, events) is process-local and never persisted;
         only the fleet-level ``deferred_retrains`` aggregate travels
         with the manifest.
+
+    Raises ``DataError`` naming the stream when an archive lies outside
+    *directory*, cannot be read, or holds a model the manifest's config
+    would not build (another LAR config, ``label_smoothing``,
+    ``max_memory`` or ``history_limit``, a distance-weighted k-NN, or a
+    PCA basis or AR coefficient vector of the wrong shape).
     """
     from repro.serving.fleet import PredictionFleet
 
@@ -241,7 +279,9 @@ def load_fleet(directory, *, telemetry=None):
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise DataError(f"malformed stream entry in manifest: {exc}") from exc
         if archive is not None:
-            state.predictor = _load_stream_archive(directory, name, archive)
+            predictor = _load_stream_archive(directory, name, archive)
+            _check_stream_model(fleet.config, name, predictor)
+            state._predictor = predictor
     # The due flags above were set directly, bypassing the scheduler.
     # .get(): manifests written before 7.1 carry no due clock.
     fleet._retrain.restore(int(manifest.get("due_seq", 0)))

@@ -25,8 +25,7 @@ to one :class:`RetrainScheduler`:
   tick engine's rows
   (:meth:`~repro.serving.engine.BatchedTickEngine.install`); each
   stream's predictor object is built when something first reads it. A
-  per-stream unit's predictor, and a stacked unit's streams whose QA
-  the engine cannot stack, swap in as objects. Either way the old
+  per-stream unit's predictor swaps in as an object. Either way the old
   model is dropped unwritten.
 * **Sync** (``retrain_mode="sync"``) runs a round's units in-process on
   the fleet's :class:`~repro.serving.trainer.BatchedTrainEngine` and
@@ -41,11 +40,12 @@ to one :class:`RetrainScheduler`:
   new model learns the recorded values: on its engine row, in one batched
   replay for every stream the drain integrated
   (:meth:`~repro.serving.engine.BatchedTickEngine.replay`), or through
-  :meth:`~repro.core.online.OnlineLARPredictor.observe_many` for a
-  stream the engine does not serve. Training reads only the submission
-  snapshot and both replays take the ``observe()`` path the live model
-  would have taken, so the integrated model is bit-identical to a sync
-  retrain at the submission tick served since (pinned by
+  :meth:`~repro.core.online.OnlineLARPredictor.observe_many` on a
+  per-stream drain (which detaches an engine-served stream first) and
+  for a stream the engine does not serve. Training reads only the
+  submission snapshot and both replays take the ``observe()`` path the
+  live model would have taken, so the integrated model is bit-identical
+  to a sync retrain at the submission tick served since (pinned by
   ``tests/test_serving_async.py``).
 
 A landed result whose stream was removed (``removed``) or swapped models
@@ -70,11 +70,7 @@ from repro.parallel.pool_exec import (
     shutdown_persistent_pool,
     submit as pool_submit,
 )
-from repro.serving.trainer import (
-    BatchedTrainEngine,
-    _stack_by_length,
-    build_predictor,
-)
+from repro.serving.trainer import BatchedTrainEngine, _stack_by_length
 
 __all__ = ["RetrainScheduler", "build_units", "run_unit"]
 
@@ -370,8 +366,8 @@ class RetrainScheduler:
         limit = fleet.config.retrain_window
         engine = fleet._engine
         if engine is not None:
-            # Rows mutated through checked-out objects reload first.
-            engine.prepare()
+            # Streams detached since the last batched call reload first.
+            engine.sync()
         histories: list = [None] * len(due)
         served: dict[int, tuple[list, list]] = {}
         rest: list[int] = []
@@ -617,6 +613,11 @@ class RetrainScheduler:
         if batched and engine is not None and replay:
             replay = engine.replay(replay)
         for state, values in replay:
+            entry = state._entry
+            if entry is not None:
+                # observe_many() writes the objects: hand them back, and
+                # the engine's next sync reloads the row whole.
+                entry.engine.detach(entry)
             state.predictor.observe_many(values)
         return [rec.name for rec, _ in live]
 
@@ -653,20 +654,14 @@ class RetrainScheduler:
     def _land(self, kind: str, payload, value, states: list) -> list:
         """What each stream of a computed unit swaps in: its new
         predictor, or ``None`` where the model went straight into the
-        tick engine's rows (:meth:`BatchedTickEngine.install`). A
-        ``None`` in *states* (a stale result) gets nothing. The
-        ``train.rebuild`` span times the install and the objects built
-        for streams the engine cannot serve."""
+        tick engine's rows (:meth:`BatchedTickEngine.install`, timed by
+        the ``train.rebuild`` span). A ``None`` in *states* (a stale
+        result) gets nothing."""
         if kind == COLD_ONE:
             return [value]
-        fleet = self._fleet
         with self._span("train.rebuild", len(states)):
-            installed = fleet._get_engine().install(states, payload, value)
-            return [
-                None if done or state is None
-                else build_predictor(fleet.config, payload[i], value, i)
-                for i, (state, done) in enumerate(zip(states, installed))
-            ]
+            self._fleet._get_engine().install(states, payload, value)
+        return [None] * len(states)
 
     def _integrate(self, state, predictor, was_retrain: bool) -> None:
         """Make a (re)trained model the serving model, with full retrain
@@ -693,11 +688,8 @@ class RetrainScheduler:
         state.buffer.clear()
         state._pending = None
         state.pending_at = -1
-        qa = state._qa
-        qa.acknowledge_retraining()
-        if state._entry is not None:
-            # Installed: the row already holds the acknowledged QA.
-            state._entry.qa_version = qa.version
+        # An installed row already holds the acknowledged QA.
+        state._qa.acknowledge_retraining()
         self.clear_due(state)
         if fleet._tel is not None:
             (fleet._m.retrains if was_retrain else fleet._m.trains).inc()

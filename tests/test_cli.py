@@ -109,8 +109,9 @@ class TestTraceCommands:
         )
         path = tmp_path / "noise.csv"
         save_trace(trace, path)
-        # Non-recommendation signals through the exit code.
-        assert main(["assess", str(path)]) == 1
+        # Non-recommendation signals through the exit code: 3, since a
+        # Python traceback exits 1.
+        assert main(["assess", str(path)]) == 3
         assert "prefer the static" in capsys.readouterr().out
 
 

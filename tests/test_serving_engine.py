@@ -63,11 +63,11 @@ def _assert_ring_invariants(fleet):
     rows; the rest are dead: ``+inf`` coordinates and the dead-slot tie
     key."""
     engine = fleet._engine
-    engine.prepare()
+    engine.sync()
     cap = engine._mem_cap
     for entry in engine._rows:
         engine.checkout(entry)
-        clf, row = entry.classifier, entry.row
+        clf, row = entry.predictor._classifier, entry.row
         lo, hi = clf.discarded_total_, clf.appended_total_
         assert (engine._mem_lo[row], engine._mem_hi[row]) == (lo, hi)
         slots = np.arange(lo, hi) % cap
@@ -349,10 +349,18 @@ class TestMemoryRing:
             fleet.remove_stream("s2")
         live.remove("s2")
         tick(200)
+
+        def detach(*edited):
+            # Writers detach: the next sync reloads each row whole.
+            for name in edited:
+                batched._engine.detach(batched._streams[name]._entry)
+
         # Out of band: retire rows, then append rows the engine never saw.
+        detach("s4")
         for fleet in (batched, loop):
             fleet._streams["s4"].predictor._classifier.discard_oldest(5)
         _assert_ring_invariants(batched)
+        detach("s4", "s5")
         for fleet in (batched, loop):
             clf = fleet._streams["s4"].predictor._classifier
             clf.partial_fit(clf._X[:3] + 0.5, clf._y[:3])
@@ -363,9 +371,10 @@ class TestMemoryRing:
         for t in range(201, 230):
             tick(t)
         # Past the ring's capacity on the last row: the sync widens the
-        # ring after it has already synced every other row.
+        # ring when it reloads that row, after every other row.
         engine = batched._engine
         last = engine._rows[-1].name
+        detach(last)
         for fleet in (batched, loop):
             clf = fleet._streams[last].predictor._classifier
             n = engine._mem_cap - clf.n_samples_ + 1
@@ -445,25 +454,25 @@ class TestBatchedCost:
         assert calls["n"] == 0
 
     def test_engine_memory_ring_stays_synced_incrementally(self):
-        """Steady-state ticks must not trigger full memory reloads."""
+        """Steady-state ticks must not trigger full row reloads."""
         fleet, feed, names = self._warm_fleet()
         fleet.forecast_all(batched=True)
         fleet.ingest(feed(98, names), batched=True)
         engine = fleet._engine
         reloads = {"n": 0}
-        orig = type(engine)._reload_memory
+        orig = type(engine)._load_row
 
         def counting_reload(self, entry):
             reloads["n"] += 1
             return orig(self, entry)
 
-        type(engine)._reload_memory = counting_reload
+        type(engine)._load_row = counting_reload
         try:
             for t in range(100, 110):
                 fleet.forecast_all(batched=True)
                 fleet.ingest(feed(t, names), batched=True)
         finally:
-            type(engine)._reload_memory = orig
+            type(engine)._load_row = orig
         assert reloads["n"] == 0
 
 
@@ -508,45 +517,12 @@ class TestGatherFree:
         after = {k: id(v) for k, v in engine._scratch.items()}
         assert before == after
 
-    def test_qa_ineligible_stream_falls_back(self):
-        """A stream whose assuror is a subclass must stay on the
-        per-stream loop — and still produce identical results."""
-        from repro.core.qa import PredictionQualityAssuror
-
-        class CustomQA(PredictionQualityAssuror):
-            pass
-
-        config = FleetConfig(qa_threshold=4.0)
-        names = ["a", "b", "c"]
-        fast = PredictionFleet(config, streams=names)
-        loop = PredictionFleet(config, streams=names)
-        for fleet in (fast, loop):
-            state = fleet._streams["b"]
-            custom = CustomQA(
-                config.qa_threshold,
-                audit_window=config.audit_window,
-                audit_interval=config.audit_interval,
-                on_breach=state.qa.on_breach,
-            )
-            state.qa = custom
-        feed = _walk_feed(seed=9)
-        for t in range(120):
-            vals = feed(t, names)
-            fa = fast.forecast_all(batched=True)
-            fb = loop.forecast_all(batched=False)
-            assert fa == fb
-            assert fast.ingest(vals, batched=True) == loop.ingest(
-                vals, batched=False
-            )
-        assert not fast._engine.serves("b")
-        assert fast._engine.serves("a")
-        _assert_same_state(fast, loop)
-
 
 class TestMixedPaths:
-    """Per-stream mutations of engine-served streams. Each bumps the
-    predictor's ``version`` counter, and the engine reloads the whole
-    row: tail, label smoothing, normalizer, PCA and AR parameters."""
+    """Per-stream reads and writes of engine-served streams. A per-stream
+    tick detaches each stream it writes, and the engine reloads the
+    whole row at its next sync: tail, label smoothing, normalizer, PCA
+    and AR parameters."""
 
     def test_unbatched_ticks_keep_parity(self):
         config = FleetConfig(qa_threshold=4.0)
@@ -821,65 +797,6 @@ class TestMixedPaths:
         assert stale > 0  # the point of the test
         _assert_same_state(mixed, loop)
 
-    def test_replacing_a_served_streams_qa(self):
-        """Assigning a new QA to an engine-served stream detaches it.
-        The engine re-attaches it with the new QA's window when the QA
-        matches the fleet's audit geometry and leaves it to the
-        per-stream loop when it does not; either way the stream serves
-        as its loop twin does."""
-        from repro.core.qa import PredictionQualityAssuror
-
-        config = FleetConfig(qa_threshold=4.0)
-        names = [f"s{i}" for i in range(5)]
-        mixed = PredictionFleet(config, streams=names)
-        loop = PredictionFleet(config, streams=names)
-        feed = _walk_feed(seed=7)
-        for t in range(220):
-            if t in (120, 170):
-                window = config.audit_window * (1 if t == 120 else 2)
-                for fleet in (mixed, loop):
-                    state = fleet._streams["s3"]
-                    state.qa = PredictionQualityAssuror(
-                        config.qa_threshold,
-                        audit_window=window,
-                        audit_interval=config.audit_interval,
-                        on_breach=state.qa.on_breach,
-                    )
-            if t == 169:
-                assert mixed._engine.serves("s3")
-            vals = feed(t, names)
-            assert mixed.forecast_all(batched=True) == (
-                loop.forecast_all(batched=False)
-            ), t
-            assert mixed.ingest(vals, batched=True) == (
-                loop.ingest(vals, batched=False)
-            ), t
-            if t == 150:
-                _assert_same_state(mixed, loop)
-        assert not mixed._engine.serves("s3")
-        assert mixed._engine.serves("s2")
-        _assert_same_state(mixed, loop)
-
-    def test_in_place_retrain_reloads_row(self):
-        config = FleetConfig(qa_threshold=4.0)
-        names = [f"s{i}" for i in range(6)]
-        feed = _walk_feed(seed=1)
-        batched, loop = _drive(config, feed, 120, names=names)
-        for fleet in (batched, loop):
-            predictor = fleet._streams["s2"].predictor
-            predictor.retrain(predictor.recent_history(96))
-        served = 0
-        for t in range(120, 160):
-            vals = feed(t, names)
-            fa = batched.forecast_all(batched=True)
-            assert fa == loop.forecast_all(batched=False), t
-            served += len(fa)
-            assert batched.ingest(vals, batched=True) == (
-                loop.ingest(vals, batched=False)
-            ), t
-        assert served == 240
-        _assert_same_state(batched, loop)
-
 
 class TestEngineOwnedState:
     """The batched tick writes only the engine's arrays; per-stream
@@ -900,8 +817,9 @@ class TestEngineOwnedState:
             # Read through the engine's own references: no check-out.
             return {
                 e.name: (
-                    e.classifier._buf_end, e.classifier.appended_total_,
-                    len(e.predictor._history), e.qa._step, e.state._ticks,
+                    (clf := e.predictor._classifier)._buf_end,
+                    clf.appended_total_, len(e.predictor._history),
+                    e.qa._step, e.state._ticks,
                 )
                 for e in engine._rows
             }

@@ -180,6 +180,16 @@ class TestStreamLifecycle:
         out = fleet.forecast_all()
         assert set(out) == {"warm"}
 
+    def test_predictor_and_qa_are_read_only(self, warm_fleet):
+        """A stream's model changes only through retrains and ``load``."""
+        fleet, _ = warm_fleet
+        state = fleet._streams["a"]
+        assert fleet._engine.serves("a")
+        with pytest.raises(AttributeError):
+            state.predictor = fleet._streams["b"].predictor
+        with pytest.raises(AttributeError):
+            state.qa = fleet._streams["b"].qa
+
 
 class TestIngest:
     def test_batched_returns_per_stream_labels(self, warm_fleet):
@@ -571,6 +581,47 @@ class TestPersistence:
             load_fleet(path.parent)
         archive.unlink()
         with pytest.raises(DataError, match="stream 'b'"):
+            load_fleet(path.parent)
+
+    @pytest.mark.parametrize(
+        "swap, match",
+        [
+            ("label_smoothing", "label_smoothing 11"),
+            ("pca__components", "PCA basis shapes"),
+            ("pred__AR__coefficients", "AR state has 4 coefficients"),
+        ],
+        ids=["label_smoothing", "pca_basis", "ar_coefficients"],
+    )
+    def test_archive_the_config_would_not_build_names_the_stream(
+        self, warm_fleet, tmp_path, swap, match
+    ):
+        """Every stream of a fleet is built from its one config, so a
+        replaced archive that config would not build is refused."""
+        from repro.core.persistence import save_online_larpredictor
+
+        fleet, _ = warm_fleet
+        path, manifest = self._saved(warm_fleet, tmp_path / "f")
+        archive = path.parent / manifest["streams"][1]["archive"]
+        if swap == "label_smoothing":
+            cfg = fleet.config
+            other = OnlineLARPredictor(
+                cfg.lar,
+                label_smoothing=cfg.label_smoothing + 1,
+                max_memory=cfg.max_memory,
+                history_limit=cfg.history_limit,
+            ).train(fleet._streams["b"].predictor.recent_history())
+            save_online_larpredictor(other, archive)
+        else:
+            with np.load(archive) as saved:
+                arrays = dict(saved)
+            # One row or coefficient too many, or one too few.
+            arrays[swap] = (
+                np.vstack([arrays[swap], arrays[swap][:1]])
+                if swap == "pca__components"
+                else arrays[swap][:-1]
+            )
+            np.savez(archive, **arrays)
+        with pytest.raises(DataError, match=f"stream 'b'.*{match}"):
             load_fleet(path.parent)
 
     def test_not_a_fleet_directory(self, tmp_path):

@@ -185,47 +185,6 @@ class TestBuildOnFirstRead:
         assert fleet.metrics() == loop.metrics()
 
 
-class TestObjectPath:
-    def test_streams_the_engine_cannot_serve_swap_in_built_predictors(self):
-        """A stream whose QA the engine cannot stack gets its predictor
-        built at integration from the same stacked fit, and serves on
-        the per-stream loop; the others are installed unbuilt. Both
-        stay bit-identical to the loop."""
-        from repro.core.qa import PredictionQualityAssuror
-
-        config = _config()
-        names = [f"s{i}" for i in range(4)]
-        fleet = PredictionFleet(config, streams=names)
-        loop = PredictionFleet(config, streams=names)
-        for side in (fleet, loop):
-            side._streams["s1"].qa = PredictionQualityAssuror(
-                config.qa_threshold,
-                audit_window=2 * config.audit_window,
-                audit_interval=config.audit_interval,
-            )
-        feed = _feed(7)
-        for t in range(70):
-            values = feed(t, names)
-            fa, _ = _tick(fleet, values)
-            fb, _ = _tick(loop, values, batched=False)
-            assert fa == fb, t
-        for side in (fleet, loop):
-            _order_all(side)
-        assert fleet.run_pending_retrains() == loop.run_pending_retrains(
-            batched=False
-        )
-        odd = fleet._streams["s1"]
-        assert odd._entry is None and odd._predictor is not None
-        assert sorted(_unbuilt(fleet)) == ["s0", "s2", "s3"]
-        for t in range(70, 110):
-            values = feed(t, names)
-            fa, _ = _tick(fleet, values)
-            fb, _ = _tick(loop, values, batched=False)
-            assert fa == fb, t
-        assert not fleet._engine.serves("s1")
-        assert fleet.metrics() == loop.metrics()
-
-
 class TestRingSnapshot:
     @pytest.mark.parametrize(
         "overrides",

@@ -12,8 +12,8 @@ running sum, same breach latch, same ``state_dict``, and the same
 ``on_breach`` dispatches (bit-identical window MSEs; with a threshold
 every audit exceeds, that is every audit's record). These properties
 drive batched and loop fleets through the same feeds across audit
-geometries, mid-stream ``acknowledge_retraining`` resets, and
-round-trips through persistence, and compare everything.
+geometries, retrains, and round-trips through persistence, and compare
+everything.
 """
 
 from hypothesis import given, settings
@@ -55,7 +55,7 @@ def _qa_state(fleet):
     return out
 
 
-def _serve_pair(seed, audit_window, audit_interval, ticks, *, ack_at=None,
+def _serve_pair(seed, audit_window, audit_interval, ticks, *,
                 hooks=False, hook_tick=25, **overrides):
     """Drive a batched and a loop fleet identically; return both + hook logs.
 
@@ -94,11 +94,6 @@ def _serve_pair(seed, audit_window, audit_interval, ticks, *, ack_at=None,
             fleet.ingest(
                 {name: feeds[name][t] for name in names}, batched=batched
             )
-            if ack_at is not None and t == ack_at:
-                # An out-of-band reset, exactly what a retrain does —
-                # the engine must notice (version bump) and resync its
-                # ring mirror before the next tick's audits.
-                fleet._streams[names[0]].qa.acknowledge_retraining()
             fleet.run_pending_retrains(batched=batched)
         fleets.append(fleet)
         logs.append(log)
@@ -118,15 +113,6 @@ class TestStackedQAParity:
         batched, loop, _, _ = _serve_pair(
             seed, audit_window, audit_interval, 70
         )
-        assert _qa_state(batched) == _qa_state(loop)
-
-    @given(
-        st.integers(min_value=0, max_value=10_000),
-        st.integers(min_value=0, max_value=69),
-    )
-    @settings(max_examples=10, deadline=None)
-    def test_mid_stream_acknowledge_resyncs_mirror(self, seed, ack_at):
-        batched, loop, _, _ = _serve_pair(seed, 8, 4, 70, ack_at=ack_at)
         assert _qa_state(batched) == _qa_state(loop)
 
     @given(st.integers(min_value=0, max_value=10_000))
@@ -156,11 +142,7 @@ class TestStackedQAParity:
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=10, deadline=None)
     def test_state_dict_round_trip_continues_identically(self, seed):
-        """Restore every QA mid-serve; both paths resume bit-identically.
-
-        ``load_state_dict`` bumps ``version``, so this also exercises
-        the engine's stale-mirror reload on the very next tick.
-        """
+        """Restore every QA mid-serve; both paths resume bit-identically."""
         batched, loop, _, _ = _serve_pair(seed, 8, 4, 40)
         for fleet in (batched, loop):
             for state in fleet._streams.values():

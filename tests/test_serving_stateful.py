@@ -2,14 +2,17 @@
 batched paths bit-identical to the per-stream loop.
 
 A hypothesis state machine drives two sync fleets with one config:
-``fast`` makes every call with ``batched=True`` (tick engine, stacked
-retrains installed into engine rows, predictor objects built on first
-read), ``ref`` every call with ``batched=False`` (the per-stream loop,
-the paper-faithful reference). Streams come and go, ticks arrive with
-and without level shifts, retrains are ordered and run, objects are read
-between ticks, and ``fast`` is saved and reloaded mid-run. After every
-step both fleets must forecast the same bits and report the same
-per-stream metrics.
+``ref`` makes every call with ``batched=False`` (the per-stream loop,
+the paper-faithful reference). ``fast`` makes most calls with
+``batched=True`` (tick engine, stacked retrains installed into engine
+rows, predictor objects built on first read), but it also ticks and
+retrains per stream and forecasts single streams through their
+objects. Writers detach: each per-stream write hands its stream back
+from the engine, which reloads the row whole at its next batched call.
+Streams come and go, ticks arrive with and without level shifts,
+retrains are ordered and run, objects are read between ticks, and
+``fast`` is saved and reloaded mid-run. After every step both fleets
+must forecast the same bits and report the same per-stream metrics.
 """
 
 from __future__ import annotations
@@ -86,7 +89,7 @@ class FleetParity(RuleBasedStateMachine):
             for fleet, batched in self._both():
                 fleet.ingest(values, batched=batched)
             self.t += 1
-        self.run_pending_retrains()
+        self.run_pending_retrains(batched=True)
 
     @rule(name=st.sampled_from(NAMES))
     def add_stream(self, name):
@@ -116,9 +119,36 @@ class FleetParity(RuleBasedStateMachine):
             ), self.t
             self.t += 1
 
-    @rule()
-    def run_pending_retrains(self):
-        assert self.fast.run_pending_retrains(batched=True) == (
+    @rule(
+        ticks=st.integers(1, 6),
+        shift=st.booleans(),
+        forecast=st.sampled_from((None, True, False)),
+    )
+    def per_stream_tick(self, ticks, shift, forecast):
+        """Ticks both fleets ingest through the per-stream loop, after a
+        forecast ``fast`` makes batched (``True``), per stream
+        (``False``) or not at all (``None``)."""
+        for _ in range(ticks):
+            values = self._values(shift)
+            if forecast is not None:
+                assert self.fast.forecast_all(batched=forecast) == (
+                    self.ref.forecast_all(batched=False)
+                ), self.t
+            assert self.fast.ingest(values, batched=False) == (
+                self.ref.ingest(values, batched=False)
+            ), self.t
+            self.t += 1
+
+    @rule(name=st.sampled_from(NAMES))
+    def forecast_one(self, name):
+        """One stream's forecast through its objects; the next ingest
+        audits it on both paths."""
+        if name in self.fast and self.fast.is_trained(name):
+            assert self.fast.forecast(name) == self.ref.forecast(name), self.t
+
+    @rule(batched=st.booleans())
+    def run_pending_retrains(self, batched):
+        assert self.fast.run_pending_retrains(batched=batched) == (
             self.ref.run_pending_retrains(batched=False)
         )
 
