@@ -323,81 +323,6 @@ def test_gather_free_deep_memory_gate(capsys):
     )
 
 
-def test_telemetry_overhead_gate(capsys):
-    """CI gate: disabled telemetry must cost <= 2% on the serve loop.
-
-    Three modes over the identical 500-stream serve workload:
-
-    * **off** — the default: the fleet holds no telemetry object and
-      every instrumentation site reduces to one attribute check;
-    * **null** — an explicitly passed :meth:`Telemetry.disabled`
-      null-object instance: the hooks run, as no-ops;
-    * **on** — live telemetry, reported for information only.
-
-    The gate holds *null* against *off*: the null-object mode is the
-    observable cost of having instrumentation hooks in the hot path at
-    all, and it must stay in the noise. Timing is tick-interleaved
-    (see :func:`_serve_interleaved`) so clock drift and thermal effects
-    land on every mode evenly; the gate holds the *median* per-round
-    null/off ratio so a single noise spike cannot fail it while a real
-    systematic cost still shifts every round.
-    """
-    from statistics import median
-
-    from repro.obs import Telemetry
-
-    n = 500
-    rounds = 8
-    feeds = _build_feeds(n)
-    fleets = {
-        "off": _warm_fleet(feeds),
-        "null": _warm_fleet(feeds, telemetry=Telemetry.disabled()),
-        "on": _warm_fleet(feeds, telemetry=Telemetry()),
-    }
-    # One untimed serve per mode to settle allocators and engine caches.
-    for fleet in fleets.values():
-        _serve(fleet, feeds)
-
-    times = {mode: [] for mode in fleets}
-    ratios = {mode: [] for mode in fleets}
-    for _ in range(rounds):
-        elapsed = _serve_interleaved(fleets, feeds)
-        for mode, t in elapsed.items():
-            times[mode].append(t)
-            ratios[mode].append(t / elapsed["off"])
-
-    overhead = {mode: median(ratios[mode]) - 1.0 for mode in fleets}
-    emit(
-        capsys,
-        format_table(
-            ["telemetry", "mean serve seconds", "median overhead vs off",
-             "per-round range"],
-            [
-                [
-                    mode,
-                    sum(times[mode]) / rounds,
-                    f"{overhead[mode]:+.2%}",
-                    f"{min(ratios[mode]) - 1.0:+.2%} .. "
-                    f"{max(ratios[mode]) - 1.0:+.2%}",
-                ]
-                for mode in fleets
-            ],
-            precision=4,
-            title=(
-                f"Telemetry overhead at {n} streams x {rounds} rounds: "
-                f"null median {overhead['null']:+.2%} (per-round "
-                f"{min(ratios['null']) - 1.0:+.2%} .. "
-                f"{max(ratios['null']) - 1.0:+.2%})"
-            ),
-        ),
-    )
-    assert overhead["null"] <= 0.02, (
-        f"null-object telemetry costs {overhead['null']:+.2%} (median of "
-        f"{rounds} tick-interleaved rounds) over the telemetry-off serve "
-        f"loop at {n} streams (budget: +2%)"
-    )
-
-
 def test_flight_recorder_overhead_gate(capsys):
     """CI gate: the flight recorder must cost <= 3% on the serve loop.
 

@@ -408,8 +408,8 @@ def _report_fleet(args, fleet, elapsed: float) -> int:
         f"served {n} streams x {ticks} ticks in {elapsed:.2f}s "
         f"({n * ticks / elapsed:,.0f} stream-ticks/sec)"
     )
-    if fleet.telemetry.enabled:
-        tel = fleet.telemetry
+    tel = fleet.telemetry
+    if tel is not None:
         if args.telemetry:
             print()
             print(tel.tracer.render())

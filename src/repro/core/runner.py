@@ -20,6 +20,7 @@ from repro.exceptions import ConfigurationError
 from repro.predictors.pool import PredictorPool
 from repro.preprocess.pipeline import PreparedData, PreprocessPipeline
 from repro.selection.base import SelectionStrategy
+from repro.selection.oracle import OracleSelection
 from repro.util.validation import as_series
 
 __all__ = ["StrategyRunner", "build_pool", "build_pipeline", "default_strategies"]
@@ -136,7 +137,8 @@ class StrategyRunner:
         """Evaluate several strategies on one shared test split.
 
         The oracle labels of the split are computed once and shared,
-        read-only, by every strategy's result.
+        read-only, by every strategy's result, and serve as P-LAR's
+        selection too.
         """
         prepared = self.prepare_test(test_series)
         train = self.train_data
@@ -159,7 +161,11 @@ class StrategyRunner:
         best_labels: np.ndarray,
     ) -> StrategyResult:
         strategy.fit(self.pool, train)
-        labels = strategy.select(self.pool, test)
+        if type(strategy).select is OracleSelection.select:
+            # The oracle selects exactly the split's best labels.
+            labels = best_labels
+        else:
+            labels = strategy.select(self.pool, test)
         labels = np.asarray(labels, dtype=np.int64)
         if labels.shape != (len(test),):
             raise ConfigurationError(
@@ -189,7 +195,6 @@ def default_strategies(pool: PredictorPool) -> Sequence[SelectionStrategy]:
     """
     from repro.selection.cumulative_mse import CumulativeMSESelector
     from repro.selection.learned import LearnedSelection
-    from repro.selection.oracle import OracleSelection
     from repro.selection.static import StaticSelection
 
     strategies: list[SelectionStrategy] = [

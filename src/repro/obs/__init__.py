@@ -19,13 +19,13 @@ budget deferred. Three legs, bundled by :class:`Telemetry`:
 plus exporters (:mod:`repro.obs.exporters`): Prometheus text exposition
 and JSON snapshots.
 
-Enable it on a fleet with ``PredictionFleet(config, telemetry=True)``;
-when disabled (the default) the serving hot loops skip instrumentation
-behind a single attribute check, and :data:`NULL_TELEMETRY` stands in
-so exporters and snapshots still work unconditionally.
+Enable it on a fleet with ``PredictionFleet(config, telemetry=True)``.
+Telemetry is on or off: off (the default) is ``None``, both on
+``fleet.telemetry`` and inside the serving hot loops, which skip every
+hook behind a single ``is not None`` check.
 """
 
-from repro.obs.events import NULL_EVENT_LOG, Event, EventLog, NullEventLog
+from repro.obs.events import Event, EventLog
 from repro.obs.flight import (
     AnomalyTrigger,
     FlightRecorder,
@@ -46,24 +46,20 @@ from repro.obs.exporters import (
 )
 from repro.obs.registry import (
     DEFAULT_TIME_BUCKETS,
-    NULL_REGISTRY,
     TRAIN_TIME_BUCKETS,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
 )
-from repro.obs.telemetry import NULL_TELEMETRY, NullTelemetry, Telemetry
-from repro.obs.tracing import NULL_TRACER, NullTracer, PhaseStats, Span, Tracer
+from repro.obs.telemetry import Telemetry
+from repro.obs.tracing import PhaseStats, Span, Tracer
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
     "DEFAULT_TIME_BUCKETS",
     "TRAIN_TIME_BUCKETS",
     "SpanRecord",
@@ -76,15 +72,9 @@ __all__ = [
     "Span",
     "PhaseStats",
     "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
     "Event",
     "EventLog",
-    "NullEventLog",
-    "NULL_EVENT_LOG",
     "Telemetry",
-    "NullTelemetry",
-    "NULL_TELEMETRY",
     "prometheus_text",
     "parse_prometheus_text",
     "json_snapshot",

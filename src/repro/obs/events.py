@@ -24,7 +24,8 @@ kind                   meaning (``data`` payload keys)
 
 Every event carries the fleet's ingest-tick index and the stream name,
 so the ring can be joined against span timings and counters on either
-axis.
+axis. With telemetry off there is no log: the fleet holds ``None`` and
+skips each emission behind one ``is not None`` check.
 """
 
 from __future__ import annotations
@@ -35,15 +36,15 @@ from typing import NamedTuple
 
 from repro.exceptions import ConfigurationError
 
-__all__ = ["Event", "EventLog", "NullEventLog", "NULL_EVENT_LOG"]
+__all__ = ["Event", "EventLog"]
 
 
 class Event(NamedTuple):
     """One structured log entry.
 
     A NamedTuple rather than a dataclass: the serving hot path emits
-    one of these per audited stream per tick, and tuple construction
-    is what keeps the telemetry overhead gate honest.
+    these at tick rate, and tuple construction is what keeps live
+    telemetry inside its overhead gate.
 
     Attributes
     ----------
@@ -198,19 +199,3 @@ class EventLog:
             f"EventLog(capacity={self.capacity}, retained={len(self._ring)}, "
             f"total_emitted={self._seq}, dropped={self._dropped})"
         )
-
-
-class NullEventLog(EventLog):
-    """No-op event log: emits vanish, reads are empty."""
-
-    def __init__(self) -> None:
-        super().__init__(capacity=1)
-
-    def emit(
-        self, kind: str, *, tick: int = 0, stream: str | None = None, **data
-    ) -> None:  # type: ignore[override]
-        return None
-
-
-#: Shared inert event log (what disabled telemetry exposes).
-NULL_EVENT_LOG = NullEventLog()

@@ -18,9 +18,9 @@ tracing span records into one ``repro_span_seconds`` family labelled
 ``span="tick.knn_query"``. Families are created on first use and
 returned idempotently, so call sites never coordinate registration.
 
-Every class has a null counterpart (:data:`NULL_REGISTRY` hands them
-out) whose methods are no-ops; disabled telemetry binds those, so an
-instrumented call site costs one attribute lookup plus a no-op call.
+There is no disabled registry: with telemetry off the serving stack
+holds no registry at all, and each instrumented call site is skipped
+behind one ``is not None`` check (:mod:`repro.obs.telemetry`).
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
     "DEFAULT_TIME_BUCKETS",
     "TRAIN_TIME_BUCKETS",
 ]
@@ -298,67 +296,3 @@ class MetricsRegistry:
         if kind == "histogram":
             return family.child(key, buckets)
         return family.child(key)
-
-
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-_NULL_COUNTER = _NullCounter()
-_NULL_GAUGE = _NullGauge()
-_NULL_HISTOGRAM = _NullHistogram((1.0,))
-
-
-class NullRegistry(MetricsRegistry):
-    """No-op registry: hands out shared inert instruments."""
-
-    def counter(self, name: str, help: str = "", **labels) -> Counter:
-        return _NULL_COUNTER
-
-    def gauge(self, name: str, help: str = "", **labels) -> Gauge:
-        return _NULL_GAUGE
-
-    def histogram(
-        self, name: str, help: str = "", *,
-        buckets=None, **labels,
-    ) -> Histogram:
-        return _NULL_HISTOGRAM
-
-    def families(self):
-        return []
-
-    def snapshot(self) -> dict:
-        return {}
-
-    def add_collector(self, collector) -> None:
-        pass
-
-    def remove_collector(self, collector) -> None:
-        pass
-
-
-#: Shared inert registry (what disabled telemetry exposes).
-NULL_REGISTRY = NullRegistry()

@@ -10,22 +10,20 @@ Instrumented components hold a single ``Telemetry`` reference (or
 * :attr:`Telemetry.events` — the bounded structured event ring
   (:class:`~repro.obs.events.EventLog`).
 
-:class:`NullTelemetry` (singleton :data:`NULL_TELEMETRY`) is the same
-shape with all three legs inert, so a caller handed "whatever the fleet
-exposes" can snapshot/export unconditionally. Inside the serving hot
-loops the convention is stricter: disabled telemetry is ``None`` and
-hooks sit behind an ``is not None`` check, so the disabled cost is one
-attribute load and a branch.
+Telemetry is on or off: off is ``None`` everywhere (a fleet's
+:attr:`~repro.serving.fleet.PredictionFleet.telemetry` included), and
+every hook sits behind an ``is not None`` check, so the disabled cost
+is one attribute load and a branch.
 """
 
 from __future__ import annotations
 
-from repro.obs.events import NULL_EVENT_LOG, EventLog
+from repro.obs.events import EventLog
 from repro.obs.flight import FlightRecorder
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
-from repro.obs.tracing import NULL_TRACER, Tracer
+from repro.obs.registry import MetricsRegistry
+from repro.obs.tracing import Tracer
 
-__all__ = ["Telemetry", "NullTelemetry", "NULL_TELEMETRY"]
+__all__ = ["Telemetry"]
 
 
 class Telemetry:
@@ -47,8 +45,6 @@ class Telemetry:
         Ring size of the flight recorder when enabled.
     """
 
-    enabled = True
-
     def __init__(
         self,
         *,
@@ -69,13 +65,12 @@ class Telemetry:
             self.tracer.attach_flight(self.flight)
         return self.flight
 
-    @staticmethod
-    def disabled() -> "NullTelemetry":
-        """The shared inert telemetry object."""
-        return NULL_TELEMETRY
-
     def snapshot(self) -> dict:
-        """JSON-safe dump of all legs."""
+        """JSON-safe dump of all legs.
+
+        ``"enabled"`` is always ``True``; the key stays so that readers
+        of saved snapshots keep parsing them.
+        """
         doc = {
             "enabled": True,
             "metrics": self.registry.snapshot(),
@@ -92,28 +87,3 @@ class Telemetry:
             f"spans={len(self.tracer.stats())}, "
             f"events={len(self.events)})"
         )
-
-
-class NullTelemetry(Telemetry):
-    """Telemetry-shaped null object: every leg is a shared no-op."""
-
-    enabled = False
-    flight = None
-
-    def __init__(self) -> None:
-        self.registry = NULL_REGISTRY
-        self.tracer = NULL_TRACER
-        self.events = NULL_EVENT_LOG
-
-    def enable_flight(self, capacity: int = 4096) -> None:
-        return None
-
-    def snapshot(self) -> dict:
-        return {"enabled": False}
-
-    def __repr__(self) -> str:
-        return "NullTelemetry()"
-
-
-#: The shared inert telemetry instance.
-NULL_TELEMETRY = NullTelemetry()

@@ -15,8 +15,8 @@ engines are single-threaded batch kernels, so a stack of span contexts
 span's body raises, the time up to the raise is still recorded — a
 phase that dies slowly should look slow.
 
-:data:`NULL_TRACER` is the disabled counterpart: ``span()`` returns a
-shared inert context manager and never reads the clock.
+There is no disabled tracer: with telemetry off the hot paths hold
+``None`` and skip every span without reading the clock.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.obs.registry import (
     MetricsRegistry,
 )
 
-__all__ = ["Span", "PhaseStats", "Tracer", "NullTracer", "NULL_TRACER"]
+__all__ = ["Span", "PhaseStats", "Tracer"]
 
 
 class PhaseStats:
@@ -208,54 +208,3 @@ class Tracer:
             precision=3,
             title="Phase spans",
         )
-
-
-class _NullSpan:
-    __slots__ = ()
-
-    def set_batch(self, batch: int) -> None:
-        pass
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class NullTracer:
-    """No-op tracer: never reads the clock, aggregates nothing."""
-
-    flight = None
-
-    def span(self, name: str, *, batch: int | None = None) -> _NullSpan:
-        return _NULL_SPAN
-
-    def attach_flight(self, flight) -> None:
-        pass
-
-    def record(
-        self,
-        name: str,
-        seconds: float,
-        batch: int | None = None,
-        *,
-        start: float | None = None,
-    ) -> None:
-        pass
-
-    def stats(self) -> dict:
-        return {}
-
-    def snapshot(self) -> dict:
-        return {}
-
-    def render(self) -> str:
-        return "Phase spans\n(telemetry disabled)"
-
-
-#: Shared inert tracer (what disabled telemetry exposes).
-NULL_TRACER = NullTracer()

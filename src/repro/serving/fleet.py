@@ -61,7 +61,7 @@ from repro.core.larpredictor import Forecast
 from repro.core.online import OnlineLARPredictor
 from repro.core.qa import AuditRecord, PredictionQualityAssuror
 from repro.exceptions import ConfigurationError, NotFittedError
-from repro.obs import NULL_TELEMETRY, Telemetry
+from repro.obs import Telemetry
 from repro.serving.engine import BatchedTickEngine
 from repro.serving.retrain import RetrainScheduler
 from repro.serving.trainer import BatchedTrainEngine
@@ -448,10 +448,10 @@ class PredictionFleet:
     telemetry:
         ``True`` builds a fresh :class:`~repro.obs.Telemetry`; a
         :class:`~repro.obs.Telemetry` instance is used as given (pass
-        one to share a registry across fleets, or
-        ``Telemetry.disabled()`` to exercise the null implementation);
-        ``None``/``False`` (the default) turns instrumentation off —
-        the hot loops then skip every hook behind one attribute check.
+        one to share a registry across fleets); ``None``/``False`` (the
+        default) turns instrumentation off — the hot loops then skip
+        every hook behind one attribute check. Any other value raises
+        :class:`~repro.exceptions.ConfigurationError`.
     flight_dir:
         Directory for anomaly flight dumps. Setting it implies
         telemetry (a fresh :class:`~repro.obs.Telemetry` is built if
@@ -502,8 +502,13 @@ class PredictionFleet:
             self._tel = None
         elif telemetry is True:
             self._tel = Telemetry()
-        else:
+        elif isinstance(telemetry, Telemetry):
             self._tel = telemetry
+        else:
+            raise ConfigurationError(
+                f"telemetry must be None, a bool or a Telemetry, "
+                f"got {telemetry!r}"
+            )
         # QA breaches seen during the current ingest tick — the anomaly
         # trigger's storm signal (only counted with telemetry on).
         self._breaches_this_tick = 0
@@ -531,16 +536,26 @@ class PredictionFleet:
         return self._trigger
 
     def close(self) -> None:
-        """Disarm the anomaly trigger, if one was armed (idempotent)."""
+        """Let go of the telemetry's hooks (idempotent).
+
+        Settles the selection counters one last time and unregisters
+        the fleet's registry collector, so a registry shared with other
+        fleets neither keeps this one alive nor flushes it on later
+        reads; selections served after ``close`` no longer reach the
+        registry. Disarms the anomaly trigger, if one was armed.
+        """
+        if self._tel is not None:
+            self._flush_selections()
+            self._tel.registry.remove_collector(self._flush_selections)
         if self._trigger is not None:
             self._trigger.close()
 
     # -- stream lifecycle ---------------------------------------------------
 
     @property
-    def telemetry(self) -> Telemetry:
-        """The fleet's telemetry (the shared null object when disabled)."""
-        return self._tel if self._tel is not None else NULL_TELEMETRY
+    def telemetry(self) -> Telemetry | None:
+        """The fleet's telemetry, or ``None`` when it is off."""
+        return self._tel
 
     @property
     def stream_names(self) -> tuple[str, ...]:
@@ -812,19 +827,18 @@ class PredictionFleet:
         return out
 
     def forecast(self, name: str) -> Forecast:
-        """Next-value forecast for one stream (must be past warm-up)."""
+        """Next-value forecast for one stream (must be past warm-up).
+
+        Served as ``forecast_all((name,))``, so an engine-served stream
+        is forecast from its engine row without being checked out.
+        """
         state = self._require_stream(name)
-        if state.predictor is None:
+        if not state.trained:
             raise NotFittedError(
                 f"stream {name!r} is still warming up "
                 f"({len(state.buffer)}/{self.config.min_train} values)"
             )
-        fc = state.predictor.forecast()
-        state.pending = fc
-        state.pending_at = state.predictor.history_length
-        if self._tel is not None:
-            self._m.forecasts.inc()
-        return fc
+        return self.forecast_all((name,))[name]
 
     # -- training / retraining ----------------------------------------------
 

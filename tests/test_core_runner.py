@@ -83,8 +83,9 @@ class TestEvaluate:
 
     def test_evaluate_all_labels_the_oracle_once(self, smooth_series, monkeypatch):
         r = StrategyRunner(LARConfig(window=5)).fit(smooth_series[:200])
-        # LAR and P-LAR call best_labels themselves; leave them out so
-        # every call counted is the runner's.
+        # LAR labels its training split itself; leave it (and P-LAR,
+        # which reuses the runner's labels) out so every call counted is
+        # the runner's.
         strategies = [
             s for s in default_strategies(r.pool) if s.name not in ("LAR", "P-LAR")
         ]
@@ -102,6 +103,31 @@ class TestEvaluate:
         assert len(shared) == len(strategies)
         assert all(labels is shared[0] for labels in shared)
         assert not shared[0].flags.writeable
+
+    def test_evaluate_all_labels_each_split_once(self, smooth_series, monkeypatch):
+        """With the default strategies, two labellings per call: the
+        runner's of the test split, which P-LAR selects as is, and
+        LAR's of the training split."""
+        r = StrategyRunner(LARConfig(window=5)).fit(smooth_series[:200])
+        prepared = r.prepare_test(smooth_series[200:])
+        expected = r.pool.best_labels(prepared.frames, prepared.targets)
+        calls = []
+        original = r.pool.best_labels
+
+        def counting(frames, targets, **kwargs):
+            calls.append(len(frames))
+            return original(frames, targets, **kwargs)
+
+        monkeypatch.setattr(r.pool, "best_labels", counting)
+        ev = r.evaluate_all(smooth_series[200:], default_strategies(r.pool))
+        assert sorted(calls) == sorted([len(prepared), len(r.train_data)])
+        oracle = ev.results["P-LAR"]
+        assert oracle.labels.dtype == np.int64
+        np.testing.assert_array_equal(oracle.labels, expected)
+        np.testing.assert_array_equal(
+            oracle.predictions,
+            r.pool.predict_with_labels(prepared.frames, expected),
+        )
 
     def test_evaluate_all_matches_per_strategy_evaluate(self, smooth_series):
         r = StrategyRunner(LARConfig(window=5)).fit(smooth_series[:200])

@@ -9,12 +9,8 @@ from repro.core.config import LARConfig
 from repro.exceptions import ConfigurationError
 from repro.obs import (
     DEFAULT_TIME_BUCKETS,
-    NULL_TELEMETRY,
     EventLog,
     MetricsRegistry,
-    NullEventLog,
-    NullRegistry,
-    NullTracer,
     Telemetry,
     Tracer,
     json_snapshot,
@@ -114,14 +110,6 @@ class TestRegistry:
         json.dumps(snap)  # must not raise
         assert "repro_x_total" in snap
 
-    def test_null_registry_is_inert(self):
-        reg = NullRegistry()
-        reg.counter("repro_x_total", "X.").inc(5)
-        reg.gauge("repro_g", "G.").set(1.0)
-        reg.histogram("repro_h_seconds", "H.").observe(0.1)
-        assert reg.snapshot() == {}
-        assert reg.families() == []
-
 
 class TestHistogramBuckets:
     def test_bucket_edges_le_semantics(self):
@@ -219,13 +207,6 @@ class TestTracer:
             next(l for l in lines if "fast" in l)
         )
 
-    def test_null_tracer_is_inert(self):
-        tracer = NullTracer()
-        with tracer.span("phase.a", batch=3) as span:
-            span.set_batch(9)
-        tracer.record("phase.a", 1.0, 2)
-        assert tracer.stats() == {} and tracer.snapshot() == {}
-
 
 # -- event log ---------------------------------------------------------------
 
@@ -269,11 +250,6 @@ class TestEventLog:
         snap = json.loads(json.dumps(log.snapshot()))
         assert snap["events"][0]["kind"] == "qa_breach"
         assert snap["events"][0]["data"]["window_mse"] == 2.5
-
-    def test_null_event_log_is_inert(self):
-        log = NullEventLog()
-        assert log.emit("anything", tick=1) is None
-        assert len(log) == 0 and log.records() == ()
 
     def test_wraparound_keeps_emission_order(self):
         """After the ring laps, reads stay oldest-first with no holes."""
@@ -337,7 +313,6 @@ class TestEventLog:
 class TestTelemetry:
     def test_enabled_facade_wires_legs_together(self):
         tel = Telemetry()
-        assert tel.enabled
         with tel.tracer.span("phase.a", batch=1):
             pass
         tel.events.emit("tickle", tick=1)
@@ -345,16 +320,6 @@ class TestTelemetry:
         assert snap["enabled"] is True
         assert "phase.a" in snap["spans"]
         assert snap["events"]["total_emitted"] == 1
-
-    def test_disabled_singleton(self):
-        tel = Telemetry.disabled()
-        assert tel is NULL_TELEMETRY
-        assert not tel.enabled
-        with tel.tracer.span("phase.a"):
-            pass
-        tel.events.emit("tickle")
-        tel.registry.counter("repro_x_total", "X.").inc()
-        assert tel.snapshot() == {"enabled": False}
 
 
 # -- exporters ---------------------------------------------------------------
@@ -453,17 +418,27 @@ def storm_fleet(*, batched=True, telemetry=True, **config_overrides):
 class TestFleetTelemetry:
     def test_disabled_by_default(self):
         fleet = PredictionFleet(small_config())
-        assert fleet.telemetry is NULL_TELEMETRY
-        assert not fleet.telemetry.enabled
+        assert fleet.telemetry is None
 
     def test_telemetry_true_builds_registry(self):
         fleet = PredictionFleet(small_config(), telemetry=True)
-        assert fleet.telemetry.enabled
+        assert fleet.telemetry is not None
 
     def test_explicit_instance_used_as_is(self):
         tel = Telemetry()
         fleet = PredictionFleet(small_config(), telemetry=tel)
         assert fleet.telemetry is tel
+
+    @pytest.mark.parametrize(
+        "value",
+        ["yes", 1, 0, 1.0, np.bool_(True), MetricsRegistry()],
+        ids=["str", "one", "zero", "float", "numpy-bool", "registry"],
+    )
+    def test_rejects_what_is_not_telemetry(self, value):
+        with pytest.raises(
+            ConfigurationError, match="None, a bool or a Telemetry"
+        ):
+            PredictionFleet(small_config(), telemetry=value)
 
     def test_drift_storm_traces_both_engines(self):
         """Acceptance: per-phase spans for tick AND train engines."""
@@ -594,7 +569,7 @@ class TestFleetTelemetry:
         m = fleet.metrics()
         assert m.telemetry is None
         assert m.deferred_retrains == 0 or m.deferred_retrains > 0  # tracked
-        assert fleet.telemetry.snapshot() == {"enabled": False}
+        assert fleet.telemetry is None
 
     def test_deferred_metric_counts_budget_passes(self):
         fleet = storm_fleet(telemetry=False, max_retrains_per_tick=1)
@@ -629,7 +604,7 @@ class TestFleetTelemetryPersistence:
         fleet = storm_fleet(telemetry=False)
         fleet.save(tmp_path / "fleet")
         clone = PredictionFleet.load(tmp_path / "fleet", telemetry=True)
-        assert clone.telemetry.enabled
+        assert clone.telemetry is not None
         # The restore itself narrates stream registration.
         adds = clone.telemetry.events.records(kind="stream_add")
         assert len(adds) == len(fleet.stream_names)
@@ -701,6 +676,43 @@ class TestSelectionCounters:
     def test_no_counters_without_telemetry(self):
         fleet = storm_fleet(telemetry=False)
         assert fleet._sel_counters == {}
+
+    def test_closed_fleet_lets_go_of_a_shared_registry(self):
+        """``close()`` settles the selections one last time and drops the
+        fleet's collector: the shared registry keeps the series, no
+        longer flushes the fleet, and does not keep it alive."""
+        import gc
+        import weakref
+
+        tel = Telemetry()
+        fleet = PredictionFleet(
+            small_config(), streams=["a", "b"], telemetry=tel
+        )
+        feeds = drift_feeds(fleet.stream_names, 60)
+        serve(fleet, feeds, 0, 60)
+        expected = {
+            (name, predictor): float(count)
+            for name, state in fleet._streams.items()
+            for predictor, count in state.selections.items()
+        }
+        assert expected
+        fleet.close()
+        fleet.close()  # idempotent
+        assert tel.registry._collectors == []
+        ref = weakref.ref(fleet)
+        del fleet
+        gc.collect()
+        assert ref() is None
+        family = next(
+            f
+            for f in tel.registry.families()
+            if f.name == "repro_fleet_selections_total"
+        )
+        exported = {
+            (dict(labels)["stream"], dict(labels)["predictor"]): child.value
+            for labels, child in family.children.items()
+        }
+        assert exported == expected
 
 
 # -- live scrape endpoint ----------------------------------------------------

@@ -297,6 +297,31 @@ class TestPersistenceAfterInstall:
         assert restored.metrics() == fleet.metrics()
 
 
+class TestSingleStreamForecast:
+    def test_forecast_one_stream_builds_nothing(self):
+        """``forecast(name)`` serves an installed row nobody has read from
+        the engine, as ``forecast_all((name,))`` does: the row stays
+        unbuilt, and the forecast equals the per-stream loop twin's."""
+        config = _config()
+        names = [f"s{i}" for i in range(4)]
+        fleet = PredictionFleet(config, streams=names)
+        loop = PredictionFleet(config, streams=names)
+        feed = _feed(7)
+        for t in range(config.min_train):
+            values = feed(t, names)
+            _tick(fleet, values)
+            _tick(loop, values, batched=False)
+        assert sorted(_unbuilt(fleet)) == names
+        fc = fleet.forecast("s1")
+        assert fleet._streams["s1"]._entry.predictor is None
+        assert fc == loop.forecast_all(("s1",), batched=False)["s1"]
+        # The next tick audits that forecast, as the twin's does.
+        values = feed(config.min_train, names)
+        fleet.ingest(values)
+        loop.ingest(values, batched=False)
+        assert fleet.metrics() == loop.metrics()
+
+
 class TestEngineForecasts:
     def test_engine_forecasts_equal_constructed_ones(self):
         config = _config(qa_threshold=50.0)
