@@ -536,13 +536,15 @@ class PredictionFleet:
         return self._trigger
 
     def close(self) -> None:
-        """Let go of the telemetry's hooks (idempotent).
+        """Unhook the fleet from its telemetry's registry (idempotent).
 
-        Settles the selection counters one last time and unregisters
-        the fleet's registry collector, so a registry shared with other
-        fleets neither keeps this one alive nor flushes it on later
-        reads; selections served after ``close`` no longer reach the
-        registry. Disarms the anomaly trigger, if one was armed.
+        Settles the selection counters once and unregisters the fleet's
+        registry collector, so a registry shared with other fleets
+        neither keeps this one alive nor flushes it on later reads.
+        Disarms the anomaly trigger, if one was armed. Nothing else is
+        unhooked: a fleet used after ``close`` still records its ticks,
+        forecasts, spans and events, but its selection counters are
+        then settled only by :meth:`remove_stream`.
         """
         if self._tel is not None:
             self._flush_selections()
@@ -829,8 +831,10 @@ class PredictionFleet:
     def forecast(self, name: str) -> Forecast:
         """Next-value forecast for one stream (must be past warm-up).
 
-        Served as ``forecast_all((name,))``, so an engine-served stream
-        is forecast from its engine row without being checked out.
+        A stream the engine holds (served, or installed by a stacked
+        retrain and not yet read) is forecast from its engine row
+        without being checked out; a detached stream is forecast
+        through its objects, with no engine sync.
         """
         state = self._require_stream(name)
         if not state.trained:
@@ -838,7 +842,9 @@ class PredictionFleet:
                 f"stream {name!r} is still warming up "
                 f"({len(state.buffer)}/{self.config.min_train} values)"
             )
-        return self.forecast_all((name,))[name]
+        return self.forecast_all(
+            (name,), batched=state._entry is not None
+        )[name]
 
     # -- training / retraining ----------------------------------------------
 

@@ -543,8 +543,9 @@ class TestMixedPaths:
         _assert_same_state(mixed, loop)
 
     def test_single_stream_forecasts_between_batched_ingests(self):
-        """``forecast(name)`` checks its stream out, and the batched
-        ingest then audits that per-stream forecast, as the loop does."""
+        """A per-stream forecast of ``s1`` checks it out, and the batched
+        ingest then audits that object forecast, as the loop does;
+        ``forecast("s4")`` is served from its engine row instead."""
         config = FleetConfig(qa_threshold=4.0)
         names = [f"s{i}" for i in range(6)]
         mixed = PredictionFleet(config, streams=names)
@@ -553,8 +554,11 @@ class TestMixedPaths:
         for t in range(160):
             vals = feed(t, names)
             if t >= 70 and t % 3 == 0:
-                for name in ("s1", "s4"):
-                    assert mixed.forecast(name) == loop.forecast(name), t
+                ref = loop.forecast_all(("s1", "s4"), batched=False)
+                assert mixed.forecast_all(("s1",), batched=False) == (
+                    {"s1": ref["s1"]}
+                ), t
+                assert mixed.forecast("s4") == ref["s4"], t
             elif t % 3 == 1:
                 assert mixed.forecast_all(batched=True) == (
                     loop.forecast_all(batched=False)

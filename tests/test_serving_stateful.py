@@ -6,9 +6,10 @@ A hypothesis state machine drives two sync fleets with one config:
 the paper-faithful reference). ``fast`` makes most calls with
 ``batched=True`` (tick engine, stacked retrains installed into engine
 rows, predictor objects built on first read), but it also ticks and
-retrains per stream and forecasts single streams. Writers detach:
-each per-stream write hands its stream back from the engine, which
-reloads the row whole at its next batched call.
+retrains per stream and forecasts single streams, through their
+objects or their engine rows. Writers detach: each per-stream write
+hands its stream back from the engine, which reloads the row whole at
+its next batched call.
 Streams come and go, ticks arrive with and without level shifts,
 retrains are ordered and run, objects are read between ticks, and
 ``fast`` is saved and reloaded mid-run. After every step both fleets
@@ -139,12 +140,16 @@ class FleetParity(RuleBasedStateMachine):
             ), self.t
             self.t += 1
 
-    @rule(name=st.sampled_from(NAMES))
-    def forecast_one(self, name):
-        """One stream's forecast; the next ingest audits it on both
-        paths."""
+    @rule(name=st.sampled_from(NAMES), objects=st.booleans())
+    def forecast_one(self, name, objects):
+        """One stream's forecast, through its objects or through
+        ``forecast(name)``; the next ingest audits it on both paths."""
         if name in self.fast and self.fast.is_trained(name):
-            assert self.fast.forecast(name) == (
+            if objects:
+                fc = self.fast.forecast_all((name,), batched=False)[name]
+            else:
+                fc = self.fast.forecast(name)
+            assert fc == (
                 self.ref.forecast_all((name,), batched=False)[name]
             ), self.t
 
