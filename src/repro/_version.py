@@ -1,3 +1,3 @@
 """Single source of the package version."""
 
-__version__ = "10.0.0"
+__version__ = "10.1.0"

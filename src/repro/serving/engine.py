@@ -151,6 +151,12 @@ from repro.predictors.stacked import (
     paper_pool_predict_frames_stacked,
 )
 from repro.serving.trainer import build_predictor
+from repro.serving.warmup import (
+    gather_tails,
+    pow2_at_least,
+    ring_width,
+    widened,
+)
 
 __all__ = ["BatchedTickEngine"]
 
@@ -165,13 +171,6 @@ _DEAD_KEY = np.iinfo(np.int64).max
 #: ``max_memory`` of an uncapped row: ``hi + 1 - _NO_CAP`` never exceeds
 #: a live ``lo``, so the learn step's eviction keeps every row.
 _NO_CAP = np.iinfo(np.int64).max // 2
-
-
-def _pow2_at_least(n: int) -> int:
-    cap = 1
-    while cap < n:
-        cap *= 2
-    return cap
 
 
 def _ring_span(ring: np.ndarray, first: int, stop: int) -> np.ndarray:
@@ -284,11 +283,12 @@ class BatchedTickEngine:
         # ones included), so padding the ring to max_memory up front
         # would multiply the per-tick work while memories are still
         # shallow. _grow_memory doubles it as streams accumulate rows.
-        self._mem_cap = _pow2_at_least(2 * self._k)
+        self._mem_cap = pow2_at_least(2 * self._k)
         # The history ring likewise tracks the longest stored history:
         # it doubles before any row would wrap, up to history_limit
-        # slots, and only rows of a ring that wide wrap.
-        self._hist_cap = self._history_cap(cfg.min_train)
+        # slots, and only rows of a ring that wide wrap (sized like the
+        # fleet's warm-up ring, with its helpers).
+        self._hist_cap = ring_width(cfg.min_train, self._history_limit)
         self._alloc(_MIN_ROW_CAPACITY)
 
     # -- storage ------------------------------------------------------------
@@ -372,7 +372,7 @@ class BatchedTickEngine:
     def _grow_memory(self, needed: int) -> None:
         """Widen the memory ring, moving every live row to its slot."""
         old_x, old_y, old_abs = self._mem_x, self._mem_y, self._mem_abs
-        self._mem_cap = _pow2_at_least(needed)
+        self._mem_cap = pow2_at_least(needed)
         self._alloc_memory(self._tails.shape[0])
         rows, slots = np.nonzero(old_abs != _DEAD_KEY)
         abs_idx = old_abs[rows, slots]
@@ -381,20 +381,11 @@ class BatchedTickEngine:
         self._mem_y[rows, new] = old_y[rows, slots]
         self._mem_abs[rows, new] = abs_idx
 
-    def _history_cap(self, needed: int) -> int:
-        """History ring width for *needed* values: the next power of
-        two, at most ``history_limit``."""
-        cap = _pow2_at_least(needed)
-        limit = self._history_limit
-        return cap if limit is None else min(cap, limit)
-
     def _grow_history(self, needed: int) -> None:
         """Widen the history ring. Rows wrap only at the
         ``history_limit`` width, so every value keeps its slot."""
-        old = self._hist
-        self._hist_cap = self._history_cap(needed)
-        self._hist = np.zeros((old.shape[0], self._hist_cap), dtype=np.float64)
-        self._hist[:, : old.shape[1]] = old
+        self._hist_cap = ring_width(needed, self._history_limit)
+        self._hist = widened(self._hist, self._hist_cap)
 
     def _buf(self, name: str, shape: tuple) -> np.ndarray:
         """A recycled float64 scratch array."""
@@ -595,9 +586,7 @@ class BatchedTickEngine:
         rows = np.fromiter(
             (e.row for e in entries), dtype=np.intp, count=len(entries)
         )
-        first = self._hist_hi[rows] - length
-        slots = (first[:, None] + np.arange(length)) % self._hist_cap
-        return self._hist[rows[:, None], slots]
+        return gather_tails(self._hist, self._hist_hi, rows, length)
 
     @_locked
     def install(self, states: list, histories: np.ndarray, fit) -> None:

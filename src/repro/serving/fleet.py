@@ -15,7 +15,9 @@ serving layer:
   per tick instead of N.
 * **Lazy training** — a new stream buffers raw values until
   ``min_train`` of them exist, then trains on first use; before that it
-  simply has no forecast yet.
+  simply has no forecast yet. Every cold stream buffers into one
+  fleet-level ring (:mod:`repro.serving.warmup`), so a tick stores all
+  their values with one scatter, on either tick path.
 * **QA-driven retraining, out of band** — every ingested observation is
   audited against the forecast that predicted it; streams whose audit
   window breaches the threshold are *scheduled* and retrained together.
@@ -50,7 +52,6 @@ serving layer:
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
@@ -65,6 +66,7 @@ from repro.obs import Telemetry
 from repro.serving.engine import BatchedTickEngine
 from repro.serving.retrain import RetrainScheduler
 from repro.serving.trainer import BatchedTrainEngine
+from repro.serving.warmup import WarmupRing
 from repro.util.validation import check_positive_int_fields
 
 __all__ = ["FleetConfig", "PredictionFleet", "FleetMetrics", "StreamMetrics"]
@@ -323,13 +325,19 @@ def _checked_out(field: str, *, settable: bool = True) -> property:
 class _StreamState:
     """Mutable per-stream serving state (internal).
 
+    A cold stream's values live in the fleet's
+    :class:`~repro.serving.warmup.WarmupRing`, not here: until its
+    initial train integrates, ``ticks`` reads the stream's count in the
+    ring, and the ring's row is the history the initial train fits.
+
     While the :class:`~repro.serving.engine.BatchedTickEngine` serves the
     stream (``_entry`` is its engine row), the engine holds the stream's
     newest tick state. ``predictor``, ``qa``, ``pending``, ``ticks`` and
     ``selections`` check the stream out of the engine on every access,
-    so whoever reads them sees current objects; ``predictor`` and
-    ``qa`` are read-only. A check-out leaves the row the engine's, so
-    fleet code that writes a served stream's objects detaches it first
+    so whoever reads them sees current objects; ``predictor``, ``qa``
+    and ``ticks`` are read-only. A check-out leaves the row the
+    engine's, so fleet code that writes a served stream's objects
+    detaches it first
     (:meth:`~repro.serving.engine.BatchedTickEngine.detach`). Engine
     and fleet hot paths read the ``_``-prefixed backing slots. A model
     installed into its engine row by a stacked retrain has no object
@@ -338,7 +346,7 @@ class _StreamState:
     """
 
     __slots__ = (
-        "name", "buffer", "_predictor", "_qa", "_pending", "pending_at",
+        "name", "_warmup", "_predictor", "_qa", "_pending", "pending_at",
         "_ticks", "retrain_count", "_selections", "train_due", "retrain_due",
         "due_at", "epoch", "_entry",
     )
@@ -346,12 +354,12 @@ class _StreamState:
     predictor = _checked_out("_predictor", settable=False)
     qa = _checked_out("_qa", settable=False)
     pending = _checked_out("_pending")
-    ticks = _checked_out("_ticks")
     selections = _checked_out("_selections")
+    _trained_ticks = _checked_out("_ticks", settable=False)
 
-    def __init__(self, name: str, config: FleetConfig):
+    def __init__(self, name: str, config: FleetConfig, warmup: WarmupRing):
         self.name = name
-        self.buffer: deque[float] = deque(maxlen=config.history_limit)
+        self._warmup = warmup
         self._entry = None
         self._predictor: OnlineLARPredictor | None = None
         self._qa = PredictionQualityAssuror(
@@ -381,6 +389,14 @@ class _StreamState:
     def trained(self) -> bool:
         """Whether the stream has a model (no check-out needed)."""
         return self._predictor is not None or self._entry is not None
+
+    @property
+    def ticks(self) -> int:
+        """Values the stream has ingested: a cold stream's count in the
+        warm-up ring, a trained one's checked-out tick count."""
+        if not self.trained:
+            return self._warmup.count(self.name)
+        return self._trained_ticks
 
 
 class _FleetInstruments:
@@ -482,6 +498,10 @@ class PredictionFleet:
         # depend on the engine's internal tensors.
         self._engine: "BatchedTickEngine | None" = None
         self._train_engine: "BatchedTrainEngine | None" = None
+        # Every cold stream's warm-up values (one row per stream).
+        self._warmup = WarmupRing(
+            self.config.min_train, self.config.history_limit
+        )
         # Monotonic ingest-tick counter; stamps when streams become due.
         self._due_seq = 0
         # Model generation clock for _StreamState.epoch stamps.
@@ -578,9 +598,10 @@ class PredictionFleet:
             )
         if name in self._streams:
             raise ConfigurationError(f"stream {name!r} already exists")
-        state = _StreamState(name, self.config)
+        state = _StreamState(name, self.config, self._warmup)
         state.epoch = self._next_epoch()
         self._streams[name] = state
+        self._warmup.claim(name)
         if self._tel is not None:
             self._m.streams.set(len(self._streams))
             self._tel.events.emit(
@@ -596,6 +617,8 @@ class PredictionFleet:
         """
         state = self._require_stream(name)
         self._retrain.clear_due(state)
+        if not state.trained:
+            self._warmup.release(name)
         # Settle any unflushed selections while the state still exists.
         # The registry keeps the stream's selection series (scrapes stay
         # monotone); only the local caches are pruned.
@@ -626,8 +649,8 @@ class PredictionFleet:
         this value with the stream's QA (computing it on the spot if the
         caller skipped :meth:`forecast_all`), learn from the completed
         window, and schedule a retrain if the QA latched a breach.
-        Streams still warming up just buffer the value, training lazily
-        once ``min_train`` values exist.
+        Streams still warming up just buffer the value in the fleet's
+        warm-up ring, training lazily once ``min_train`` values exist.
 
         With ``batched=True`` (the default), trained streams served by
         the :class:`~repro.serving.engine.BatchedTickEngine` are
@@ -638,7 +661,9 @@ class PredictionFleet:
 
         Returns the online label learned per stream (``None`` while a
         stream is warming up). The whole batch is validated before any
-        stream is touched.
+        stream is touched. The warm-up values are stored last, with one
+        scatter on either path, so a tick that raises in a trained
+        stream stores none of them.
         """
         names, clean = self._validate_values(values)
 
@@ -659,15 +684,37 @@ class PredictionFleet:
             engine = self._get_engine()
             engine.sync()
             learned = engine.ingest_batch(names, clean)
+        warmup = self._warmup
+        pick = warmup.pick(names)
         by_name = None
         loop_n = len(names) - len(learned)
+        if pick is not None:
+            loop_n -= len(pick.names)
         if loop_n:
             by_name = dict(zip(names, clean.tolist()))
+            loop = {
+                name: value for name, value in by_name.items()
+                if name not in learned and name not in warmup
+            }
             if tel is not None:
                 with tel.tracer.span("tick.per_stream_loop", batch=loop_n):
-                    learned = self._ingest_per_stream(by_name, learned)
+                    learned.update(self._ingest_per_stream(loop))
             else:
-                learned = self._ingest_per_stream(by_name, learned)
+                learned.update(self._ingest_per_stream(loop))
+        if pick is not None:
+            if tel is not None:
+                with tel.tracer.span("tick.warmup", batch=len(pick.names)):
+                    due = warmup.write(pick, clean)
+            else:
+                due = warmup.write(pick, clean)
+            for name in due:
+                self._retrain.schedule(self._streams[name], initial=True)
+            # Cold streams learn nothing; the labels keep tick order.
+            learned = (
+                {name: learned.get(name) for name in names}
+                if learned
+                else dict.fromkeys(names)
+            )
 
         if self._trigger is not None and self._breaches_this_tick:
             self._trigger.note_breaches(
@@ -718,32 +765,19 @@ class PredictionFleet:
             floats.append(value)
         return names, np.array(floats, dtype=np.float64)
 
-    def _ingest_per_stream(
-        self, clean: dict[str, float], batch_learned: dict[str, int]
-    ) -> dict[str, int | None]:
-        """The per-stream tick loop: warm-up buffering, plus the serve
-        path of a ``batched=False`` tick, of a config the batched engine
-        does not cover, and of a tick the engine handed back (a
-        non-finite audit error, which must raise at its stream)."""
-        learned: dict[str, int | None] = {}
+    def _ingest_per_stream(self, clean: dict[str, float]) -> dict[str, int]:
+        """The per-stream tick loop over trained streams: the serve path
+        of a ``batched=False`` tick, of a config the batched engine does
+        not cover, and of a tick the engine handed back (a non-finite
+        audit error, which must raise at its stream)."""
+        learned: dict[str, int] = {}
         for name, value in clean.items():
-            if name in batch_learned:
-                learned[name] = batch_learned[name]
-                continue
             state = self._streams[name]
             entry = state._entry
             if entry is not None:
                 # The loop writes the stream's objects: hand them back,
                 # and the engine's next sync reloads the row whole.
                 entry.engine.detach(entry)
-            if state._predictor is None:
-                # Warming up: no engine row, so the slots are current.
-                state.buffer.append(value)
-                state._ticks += 1
-                if len(state.buffer) >= self.config.min_train:
-                    self._retrain.schedule(state, initial=True)
-                learned[name] = None
-                continue
             predictor = state.predictor
             if (
                 state.pending is not None
@@ -763,7 +797,7 @@ class PredictionFleet:
             )
             state.pending = None
             learned[name] = predictor.observe(value)
-            state.ticks += 1
+            state._ticks += 1
             if state.qa.retraining_due:
                 self._retrain.schedule(state, initial=False)
         return learned
@@ -776,7 +810,9 @@ class PredictionFleet:
         Streams still warming up are silently omitted (they have no
         model yet); pass *names* to restrict to a subset. Each forecast
         is remembered so the matching :meth:`ingest` audits it instead
-        of recomputing.
+        of recomputing. When the engine's batch and the cold streams
+        make up the whole fleet (an all-cold fleet included), the batch
+        is returned at once, with no per-stream pass.
 
         With ``batched=True`` (the default), the trained streams of a
         config the engine covers are forecast fleet-wide by the
@@ -794,9 +830,9 @@ class PredictionFleet:
             batch = self._get_engine().forecast_batch(targets)
         tel = self._tel
         if targets is None:
-            if len(batch) == len(self._streams):
-                # The engine served every stream (and already left each
-                # forecast as the stream's pending one).
+            if len(batch) + len(self._warmup) == len(self._streams):
+                # The engine served every trained stream (and already
+                # left each forecast as the stream's pending one).
                 if tel is not None:
                     self._m.forecasts.inc(len(batch))
                 return batch
@@ -840,7 +876,8 @@ class PredictionFleet:
         if not state.trained:
             raise NotFittedError(
                 f"stream {name!r} is still warming up "
-                f"({len(state.buffer)}/{self.config.min_train} values)"
+                f"({self._warmup.stored(name)}/{self.config.min_train} "
+                f"values)"
             )
         return self.forecast_all(
             (name,), batched=state._entry is not None
@@ -932,7 +969,7 @@ class PredictionFleet:
                     history_length=(
                         predictor.history_length
                         if trained
-                        else len(state.buffer)
+                        else self._warmup.stored(name)
                     ),
                     memory_size=predictor.memory_size if trained else 0,
                     windows_learned=(

@@ -4,7 +4,9 @@ Layout: one directory per fleet —
 
 * ``fleet.json`` — the manifest: fleet configuration, per-stream
   bookkeeping (ticks, retrain counts, selection histogram, QA state,
-  warm-up buffer), and the archive name of each trained stream.
+  and a cold stream's warm-up values as its ``"buffer"`` list, read
+  from and restored into the fleet's warm-up ring), and the archive
+  name of each trained stream.
 * ``streams/stream_NNNN.npz`` — one
   :func:`~repro.core.persistence.save_online_larpredictor` archive per
   trained stream (stream names can contain characters that are not
@@ -23,6 +25,8 @@ from __future__ import annotations
 import json
 import zipfile
 from pathlib import Path
+
+import numpy as np
 
 from repro.core.config import LARConfig
 from repro.core.persistence import (
@@ -172,6 +176,50 @@ def _check_stream_model(config, name: str, predictor) -> None:
             )
 
 
+def _check_warmup(config, name: str, values: np.ndarray, ticks: int) -> None:
+    """Raise ``DataError`` unless *values* are the warm-up values a cold
+    stream with *ticks* ticks holds: ``min(ticks, history_limit)``
+    finite values.
+
+    A non-finite value would fail the stream's initial train, and with
+    it every retrain round that includes the stream. The ring cannot
+    represent a buffer of any other length: its count is the tick
+    count, and it stores that many values up to ``history_limit``.
+    """
+    bad = int(np.count_nonzero(~np.isfinite(values)))
+    if bad:
+        raise DataError(
+            f"warm-up buffer of stream {name!r} holds {bad} non-finite "
+            f"value(s)"
+        )
+    limit = config.history_limit
+    stored = ticks if limit is None else min(ticks, limit)
+    if values.shape[0] != stored:
+        raise DataError(
+            f"warm-up buffer of stream {name!r} holds {values.shape[0]} "
+            f"values, but a cold stream with {ticks} ticks holds "
+            f"min(ticks, history_limit) = {stored}"
+        )
+
+
+def _stream_entry(fleet, state) -> dict:
+    """*state*'s manifest entry, with no archive yet."""
+    warmup = fleet._warmup
+    name = state.name
+    return {
+        "name": name,
+        "ticks": state.ticks,
+        "retrain_count": state.retrain_count,
+        "selections": state.selections,
+        "train_due": state.train_due,
+        "retrain_due": state.retrain_due,
+        "due_at": state.due_at,
+        "qa": state.qa.state_dict(),
+        "buffer": warmup.values(name).tolist() if name in warmup else [],
+        "archive": None,
+    }
+
+
 def save_fleet(fleet, directory) -> None:
     """Write *fleet* under *directory* (created if missing).
 
@@ -187,19 +235,8 @@ def save_fleet(fleet, directory) -> None:
     stream_dir.mkdir(parents=True, exist_ok=True)
 
     streams = []
-    for index, (name, state) in enumerate(fleet._streams.items()):
-        entry = {
-            "name": name,
-            "ticks": state.ticks,
-            "retrain_count": state.retrain_count,
-            "selections": state.selections,
-            "train_due": state.train_due,
-            "retrain_due": state.retrain_due,
-            "due_at": state.due_at,
-            "qa": state.qa.state_dict(),
-            "buffer": [float(v) for v in state.buffer],
-            "archive": None,
-        }
+    for index, state in enumerate(fleet._streams.values()):
+        entry = _stream_entry(fleet, state)
         if state.predictor is not None:
             archive = f"{_STREAM_DIR}/stream_{index:04d}.npz"
             save_online_larpredictor(state.predictor, directory / archive)
@@ -236,7 +273,10 @@ def load_fleet(directory, *, telemetry=None):
     *directory*, cannot be read, or holds a model the manifest's config
     would not build (another LAR config, ``label_smoothing``,
     ``max_memory`` or ``history_limit``, a distance-weighted k-NN, or a
-    PCA basis or AR coefficient vector of the wrong shape).
+    PCA basis or AR coefficient vector of the wrong shape), and when a
+    cold stream's warm-up buffer holds a non-finite value or any number
+    of values other than ``min(ticks, history_limit)``, the values a
+    stream with that many ticks stores (more values than ticks, say).
     """
     from repro.serving.fleet import PredictionFleet
 
@@ -265,7 +305,7 @@ def load_fleet(directory, *, telemetry=None):
             name = entry["name"]
             fleet.add_stream(name)
             state = fleet._streams[name]
-            state.ticks = int(entry["ticks"])
+            ticks = int(entry["ticks"])
             state.retrain_count = int(entry["retrain_count"])
             state.selections = {
                 str(k): int(v) for k, v in entry["selections"].items()
@@ -274,14 +314,21 @@ def load_fleet(directory, *, telemetry=None):
             state.retrain_due = bool(entry["retrain_due"])
             state.due_at = int(entry.get("due_at", 0))
             state.qa.load_state_dict(entry["qa"])
-            state.buffer.extend(float(v) for v in entry["buffer"])
+            buffer = np.array(
+                [float(v) for v in entry["buffer"]], dtype=np.float64
+            )
             archive = entry["archive"]
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise DataError(f"malformed stream entry in manifest: {exc}") from exc
         if archive is not None:
             predictor = _load_stream_archive(directory, name, archive)
             _check_stream_model(fleet.config, name, predictor)
+            fleet._warmup.release(name)
             state._predictor = predictor
+            state._ticks = ticks
+        else:
+            _check_warmup(fleet.config, name, buffer, ticks)
+            fleet._warmup.restore(name, buffer, ticks)
     # The due flags above were set directly, bypassing the scheduler.
     # .get(): manifests written before 7.1 carry no due clock.
     fleet._retrain.restore(int(manifest.get("due_seq", 0)))

@@ -11,12 +11,13 @@ to one :class:`RetrainScheduler`:
   :meth:`~RetrainScheduler.take_due` pops the budgeted head of the queue
   oldest-breach-first.
 * **Work units.** Every (re)train is a full refit: an initial train
-  fits the warm-up buffer, and a QA-ordered retrain refits the
+  fits the stream's warm-up values, and a QA-ordered retrain refits the
   normalizer, the predictors, the PCA basis and the k-NN memory on the
   last ``retrain_window`` stored values, as the paper's QA orders.
   :meth:`~RetrainScheduler.snapshot` copies each due stream's
-  history (an engine-served stream's in one gather per length from the
-  tick engine's history ring), and :func:`build_units` turns that plan
+  history (a cold stream's in one gather per length from the fleet's
+  warm-up ring, an engine-served stream's likewise from the tick
+  engine's history ring), and :func:`build_units` turns that plan
   into work units of two kinds: a stacked group per history length, or
   one per-stream unit per stream when the round is not batched or the
   config has no stacked kernels. :func:`run_unit` computes a unit from
@@ -61,8 +62,6 @@ from __future__ import annotations
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from typing import NamedTuple
-
-import numpy as np
 
 from repro.core.online import OnlineLARPredictor
 from repro.parallel.pool_exec import (
@@ -355,44 +354,48 @@ class RetrainScheduler:
     def snapshot(self, due: tuple[str, ...]) -> _BurstPlan:
         """Snapshot the history each due stream (re)trains on.
 
-        An initial train fits the warm-up buffer; a QA-ordered retrain
-        refits on the last ``retrain_window`` stored values (all of
-        them when ``None``). Engine-served streams are read from the
+        An initial train fits every warm-up value the stream holds; a
+        QA-ordered retrain refits on the last ``retrain_window`` stored
+        values (all of them when ``None``). Cold streams are read from
+        the fleet's warm-up ring and engine-served streams from the
         tick engine's history ring, one gather per history length, with
         no check-out; other streams from their objects. The snapshot
         makes the plan self-contained.
         """
         fleet = self._fleet
         limit = fleet.config.retrain_window
+        warmup = fleet._warmup
         engine = fleet._engine
         if engine is not None:
             # Streams detached since the last batched call reload first.
             engine.sync()
         histories: list = [None] * len(due)
-        served: dict[int, tuple[list, list]] = {}
+        # One gather per (ring, length): the positions in *due* it
+        # serves and what the ring knows their streams by.
+        gathers: dict[tuple, tuple[list, list]] = {}
         rest: list[int] = []
         for i, name in enumerate(due):
             state = fleet._streams[name]
             entry = state._entry
             if entry is not None:
                 stored = engine.stored(entry)
-                positions, entries = served.setdefault(
-                    min(limit or stored, stored), ([], [])
-                )
-                positions.append(i)
-                entries.append(entry)
-                continue
-            rest.append(i)
-            predictor = state._predictor
-            if predictor is None:
-                histories[i] = np.asarray(state.buffer, dtype=np.float64)
+                key = (engine.history_tails, min(limit or stored, stored))
+                ref = entry
+            elif state._predictor is None:
+                key, ref = (warmup.tails, warmup.stored(name)), name
             else:
+                rest.append(i)
+                predictor = state._predictor
                 histories[i] = predictor.recent_history(
                     limit or predictor.history_length
                 )
+                continue
+            positions, refs = gathers.setdefault(key, ([], []))
+            positions.append(i)
+            refs.append(ref)
         groups = []
-        for length, (positions, entries) in served.items():
-            stack = engine.history_tails(entries, length)
+        for (gather, length), (positions, refs) in gathers.items():
+            stack = gather(refs, length)
             for position, history in zip(positions, stack):
                 histories[position] = history
             groups.append((positions, stack))
@@ -679,13 +682,16 @@ class RetrainScheduler:
         fleet = self._fleet
         if was_retrain:
             state.retrain_count += 1
+        else:
+            # An initial train: the stream's warm-up row goes back to
+            # the ring, and its count is the stream's tick count.
+            state._ticks = fleet._warmup.release(state.name)
         if predictor is not None:
             entry = state._entry
             if entry is not None:
                 entry.engine.release(entry)
             state._predictor = predictor
         state.epoch = fleet._next_epoch()
-        state.buffer.clear()
         state._pending = None
         state.pending_at = -1
         # An installed row already holds the acknowledged QA.

@@ -456,6 +456,37 @@ class TestFleetTelemetry:
         # Batch sizes rode along with the spans.
         assert fleet.telemetry.tracer.stats()["tick.knn_query"].batch_total > 0
 
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_warmup_ticks_record_a_warmup_span(self, batched):
+        """A tick with cold streams records ``tick.warmup`` over them
+        (not ``tick.per_stream_loop``); a tick of trained streams only
+        records no new span."""
+        config = small_config(auto_retrain=False)
+        fleet = PredictionFleet(
+            config, streams=["a", "b", "c"], telemetry=True
+        )
+        feeds = drift_feeds(["a", "b", "c", "d"], 60, drift_at=60)
+        stats = fleet.telemetry.tracer.stats
+        for t in range(config.min_train):
+            fleet.ingest(
+                {n: feeds[n][t] for n in ("a", "b", "c")}, batched=batched
+            )
+        assert stats()["tick.warmup"].count == config.min_train
+        assert stats()["tick.warmup"].batch_total == 3 * config.min_train
+        assert "tick.per_stream_loop" not in stats()
+        fleet.run_pending_retrains(batched=batched)
+        before = {name: s.count for name, s in stats().items()}
+        fleet.ingest(
+            {n: feeds[n][30] for n in ("a", "b", "c")}, batched=batched
+        )
+        assert stats()["tick.warmup"].count == before["tick.warmup"]
+        fleet.add_stream("d")
+        fleet.ingest({n: feeds[n][31] for n in "abcd"}, batched=batched)
+        assert stats()["tick.warmup"].count == before["tick.warmup"] + 1
+        assert stats()["tick.warmup"].batch_total == (
+            3 * config.min_train + 1
+        )
+
     def test_drift_storm_logs_breaches_and_retrains(self):
         """Acceptance: every QA breach and deferral appears in the log."""
         fleet = storm_fleet(max_retrains_per_tick=1)

@@ -286,6 +286,40 @@ class TestBatchedParity:
         assert batched._engine.serves("b")
         _assert_same_state(batched, loop)
 
+    def test_tick_that_raises_stores_no_warmup_value(self):
+        """The warm-up values of a tick are stored after every trained
+        stream's part of it, so a tick that raises at a trained stream
+        leaves a cold stream placed before it in the tick untouched, on
+        both paths."""
+        from repro.exceptions import ConfigurationError
+
+        config = FleetConfig(qa_threshold=50.0)
+        names = ["a", "b", "c"]
+        batched = PredictionFleet(config, streams=names)
+        loop = PredictionFleet(config, streams=names)
+        feed = _walk_feed(seed=3)
+        fleets = ((batched, True), (loop, False))
+        for t in range(81):
+            vals = feed(t, names)
+            vals["b"] = 1.0 + 1e-9 * (t % 2)  # a tiny fitted sigma
+            for fleet, path in fleets:
+                fleet.forecast_all(batched=path)
+                fleet.ingest(vals, batched=path)
+        for fleet, path in fleets:
+            fleet.add_stream("d")
+            fleet.ingest({"d": 5.0}, batched=path)
+        vals = feed(81, names)
+        tick = {"a": vals["a"], "d": 6.0, "b": 1e308, "c": vals["c"]}
+        for fleet, path in fleets:
+            fleet.forecast_all(batched=path)
+            with np.errstate(over="ignore"), pytest.raises(
+                ConfigurationError, match="non-finite"
+            ):
+                fleet.ingest(tick, batched=path)
+            cold = {m.name: m for m in fleet.metrics().streams}["d"]
+            assert (cold.ticks, cold.history_length) == (1, 1), path
+        _assert_same_state(batched, loop)
+
     def test_save_load_roundtrip_continues_identically(self, tmp_path):
         config = FleetConfig(qa_threshold=4.0)
         batched, loop = _drive(config, _walk_feed(seed=8), 120)
@@ -452,6 +486,74 @@ class TestBatchedCost:
         learned = fleet.ingest(feed(99, names), batched=True)
         assert set(learned) == set(names)
         assert calls["n"] == 0
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_cold_tick_skips_the_per_stream_loop(self, monkeypatch, batched):
+        """A warm-up tick is one scatter into the fleet's warm-up ring,
+        on either path: no stream enters the per-stream tick loop."""
+        names = [f"s{i}" for i in range(8)]
+        fleet = PredictionFleet(FleetConfig(), streams=names)
+
+        def looped(self, clean):
+            raise AssertionError(f"per-stream tick over {sorted(clean)}")
+
+        monkeypatch.setattr(PredictionFleet, "_ingest_per_stream", looped)
+        feed = _walk_feed(seed=10)
+        for t in range(3):
+            assert fleet.ingest(feed(t, names), batched=batched) == (
+                dict.fromkeys(names)
+            )
+        assert {m.ticks for m in fleet.metrics().streams} == {3}
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_all_cold_forecast_reads_no_stream(self, batched):
+        """``forecast_all()`` on a fleet with no trained stream returns
+        ``{}`` at once, without looking up a single stream."""
+
+        class CountingDict(dict):
+            reads = 0
+
+            def __getitem__(self, key):
+                CountingDict.reads += 1
+                return super().__getitem__(key)
+
+        names = [f"s{i}" for i in range(8)]
+        fleet = PredictionFleet(FleetConfig(), streams=names)
+        fleet.ingest(dict.fromkeys(names, 1.0), batched=batched)
+        fleet._streams = CountingDict(fleet._streams)
+        assert fleet.forecast_all(batched=batched) == {}
+        assert CountingDict.reads == 0
+
+    def test_initial_train_gathers_equal_lengths_once(self, monkeypatch):
+        """Equal-length cold histories reach the stacked trainer as one
+        gather from the warm-up ring, not one array per stream."""
+        from repro.serving import retrain
+        from repro.serving.warmup import WarmupRing
+
+        gathers, stacked = [], []
+        tails = WarmupRing.tails
+        stack_by_length = retrain._stack_by_length
+
+        def counting_tails(self, names, length):
+            gathers.append((list(names), length))
+            return tails(self, names, length)
+
+        def recording_stack(histories):
+            stacked.append(len(histories))
+            return stack_by_length(histories)
+
+        monkeypatch.setattr(WarmupRing, "tails", counting_tails)
+        monkeypatch.setattr(retrain, "_stack_by_length", recording_stack)
+        config = FleetConfig(auto_retrain=False)
+        names = [f"s{i}" for i in range(8)]
+        fleet = PredictionFleet(config, streams=names)
+        feed = _walk_feed(seed=10)
+        for t in range(config.min_train):
+            fleet.ingest(feed(t, names))
+        assert fleet.run_pending_retrains() == tuple(names)
+        assert gathers == [(names, config.min_train)]
+        assert stacked == [0]
+        assert fleet.metrics().n_trained == len(names)
 
     def test_engine_memory_ring_stays_synced_incrementally(self):
         """Steady-state ticks must not trigger full row reloads."""

@@ -624,6 +624,46 @@ class TestPersistence:
         with pytest.raises(DataError, match=f"stream 'b'.*{match}"):
             load_fleet(path.parent)
 
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            ("nan", "stream 'b' holds 1 non-finite"),
+            ("extra", "stream 'b' holds 11 values.* 10 ticks"),
+            ("short", "stream 'b' holds 9 values.* 10 ticks"),
+        ],
+        ids=["nan", "extra", "short"],
+    )
+    def test_warmup_buffer_the_ring_cannot_hold_names_the_stream(
+        self, tmp_path, edit, match
+    ):
+        """A cold stream's saved buffer must hold the finite values a
+        stream with its tick count stores. Loaded, a NaN fails the
+        initial train of every retrain round the stream joins, so no
+        stream of the fleet would ever train; a buffer of another
+        length has no place in the warm-up ring."""
+        import json
+
+        config = FleetConfig(min_train=20, auto_retrain=False)
+        names = ["a", "b", "c"]
+        fleet = PredictionFleet(config, streams=names)
+        series = ar1_series(10, phi=0.8, seed=2)
+        for t in range(10):
+            fleet.ingest({n: float(series[t]) + i for i, n in enumerate(names)})
+        fleet.save(tmp_path / "f")
+        path = tmp_path / "f" / "fleet.json"
+        manifest = json.loads(path.read_text())
+        buffer = manifest["streams"][1]["buffer"]
+        assert len(buffer) == 10
+        if edit == "nan":
+            buffer[3] = float("nan")
+        elif edit == "extra":
+            buffer.append(1.0)
+        else:
+            del buffer[0]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match=match):
+            load_fleet(tmp_path / "f")
+
     def test_not_a_fleet_directory(self, tmp_path):
         with pytest.raises(DataError):
             load_fleet(tmp_path)

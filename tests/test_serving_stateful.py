@@ -11,9 +11,13 @@ objects or their engine rows. Writers detach: each per-stream write
 hands its stream back from the engine, which reloads the row whole at
 its next batched call.
 Streams come and go, ticks arrive with and without level shifts,
-retrains are ordered and run, objects are read between ticks, and
-``fast`` is saved and reloaded mid-run. After every step both fleets
-must forecast the same bits and report the same per-stream metrics.
+retrains are ordered and run under drawn budgets, objects are read
+between ticks, and ``fast`` is saved and reloaded mid-run. A budget of
+0, 1 or 2 defers due streams, so re-added streams keep warming up past
+``min_train`` and wrap their warm-up rows at ``history_limit``, and
+ticks mix cold, engine-served and detached streams. After every step
+both fleets must forecast the same bits and report the same
+per-stream metrics.
 """
 
 from __future__ import annotations
@@ -90,7 +94,7 @@ class FleetParity(RuleBasedStateMachine):
             for fleet, batched in self._both():
                 fleet.ingest(values, batched=batched)
             self.t += 1
-        self.run_pending_retrains(batched=True)
+        self.run_pending_retrains(batched=True, budget=None)
 
     @rule(name=st.sampled_from(NAMES))
     def add_stream(self, name):
@@ -153,11 +157,11 @@ class FleetParity(RuleBasedStateMachine):
                 self.ref.forecast_all((name,), batched=False)[name]
             ), self.t
 
-    @rule(batched=st.booleans())
-    def run_pending_retrains(self, batched):
-        assert self.fast.run_pending_retrains(batched=batched) == (
-            self.ref.run_pending_retrains(batched=False)
-        )
+    @rule(batched=st.booleans(), budget=st.sampled_from((None, 0, 1, 2)))
+    def run_pending_retrains(self, batched, budget):
+        assert self.fast.run_pending_retrains(
+            budget=budget, batched=batched
+        ) == self.ref.run_pending_retrains(budget=budget, batched=False)
 
     @rule(name=st.sampled_from(NAMES))
     def order_retrain(self, name):
